@@ -5,16 +5,12 @@ Drives the load-generation harness against an in-process
 acceptance scale — at least 100 concurrent sessions, zero protocol
 errors — and records throughput plus p50/p95/p99 round-trip latency.
 Each run appends its numbers to ``BENCH_serving.json`` at the repo
-root, keyed by commit, so the serving-performance trajectory across
-the PR stack stays inspectable.
+root, keyed by commit and tagged with the host
+(``benchmarks/conftest.py``), so the serving-performance trajectory
+across the commit history stays inspectable.
 """
 
-import json
-import subprocess
-from pathlib import Path
-
-import pytest
-
+from benchmarks.conftest import REPO_ROOT
 from repro.orchestration.registry import standard_registry
 from repro.serving import PredictionServer, WarmSnapshotPool, run_load
 
@@ -22,42 +18,8 @@ SESSIONS = 100
 SESSION_EVENTS = 300
 BATCH = 64
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_TRAJECTORY_PATH = _REPO_ROOT / "BENCH_serving.json"
-_RESULTS: list[dict] = []
-
-
-def _current_commit() -> str:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=_REPO_ROOT,
-            check=True,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _persist_trajectory():
-    """Replace this commit's entries in the trajectory file at teardown."""
-    yield
-    if not _RESULTS:
-        return
-    commit = _current_commit()
-    try:
-        history = json.loads(_TRAJECTORY_PATH.read_text())
-    except (OSError, ValueError):
-        history = []
-    if not isinstance(history, list):
-        history = []
-    history = [row for row in history if row.get("commit") != commit]
-    for row in _RESULTS:
-        history.append({"commit": commit, **row})
-    _TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
+TRAJECTORY_PATH = REPO_ROOT / "BENCH_serving.json"
+RESULTS: list[dict] = []
 
 
 def _drive(server, benchmark, label, **load_kwargs):
@@ -76,7 +38,7 @@ def _drive(server, benchmark, label, **load_kwargs):
     assert report.sessions == SESSIONS
     benchmark.extra_info["throughput_eps"] = round(report.throughput_eps, 1)
     benchmark.extra_info["p99_ms"] = round(report.p99_ms, 3)
-    _RESULTS.append(
+    RESULTS.append(
         {
             "bench": label,
             "sessions": report.sessions,

@@ -3,8 +3,9 @@
 Not a paper artifact, but the number that governs how large a suite the
 pure-Python framework can evaluate; regressions here make the figure
 campaigns impractical.  Each run appends its numbers to
-``BENCH_throughput.json`` at the repo root, keyed by commit, so the
-throughput trajectory across the PR stack stays inspectable.
+``BENCH_throughput.json`` at the repo root, keyed by commit and tagged
+with the host (``benchmarks/conftest.py``), so the throughput trajectory
+across the commit history stays inspectable.
 
 Two families run here: the scalar reference loop over the standard
 contenders, and the vectorized batch kernel (``repro.sim.batchkernel``)
@@ -19,13 +20,12 @@ enforcement is opt-in for pinned hardware).
 
 import json
 import os
-import subprocess
 import time
 import warnings
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import REPO_ROOT, current_commit
 from repro.core import BFNeural, BFTage, BFTageConfig, bf_neural_64kb
 from repro.predictors import Bimodal, GShare, ISLTage, ScaledNeural, Tage, TageConfig
 from repro.predictors.perceptron import GlobalPerceptron
@@ -57,42 +57,8 @@ VEC_CONTENDERS = {
 #: Fractional events/s drop vs the previous commit that trips the gate.
 REGRESSION_THRESHOLD = 0.20
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_TRAJECTORY_PATH = _REPO_ROOT / "BENCH_throughput.json"
-_RESULTS: list[dict] = []
-
-
-def _current_commit() -> str:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=_REPO_ROOT,
-            check=True,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _persist_trajectory():
-    """Replace this commit's entries in the trajectory file at teardown."""
-    yield
-    if not _RESULTS:
-        return
-    commit = _current_commit()
-    try:
-        history = json.loads(_TRAJECTORY_PATH.read_text())
-    except (OSError, ValueError):
-        history = []
-    if not isinstance(history, list):
-        history = []
-    history = [row for row in history if row.get("commit") != commit]
-    for row in _RESULTS:
-        history.append({"commit": commit, **row})
-    _TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
+TRAJECTORY_PATH = REPO_ROOT / "BENCH_throughput.json"
+RESULTS: list[dict] = []
 
 
 @pytest.mark.parametrize("name", list(CONTENDERS), ids=list(CONTENDERS))
@@ -106,7 +72,7 @@ def test_predictor_throughput(benchmark, small_trace, name):
     benchmark.extra_info["mpki"] = round(result.mpki, 3)
     benchmark.extra_info["branches"] = len(small_trace)
     benchmark.extra_info["events_per_s"] = events_per_s
-    _RESULTS.append(
+    RESULTS.append(
         {
             "predictor": name,
             "mpki": round(result.mpki, 3),
@@ -160,7 +126,7 @@ def test_vectorized_throughput(benchmark, vec_trace, name):
 
     benchmark.extra_info["events_per_s"] = events_per_s
     benchmark.extra_info["speedup_vs_scalar"] = round(speedup, 1)
-    _RESULTS.append(
+    RESULTS.append(
         {
             "predictor": name,
             "kernel": "vectorized",
@@ -184,12 +150,12 @@ def _previous_commit_rows() -> tuple[str, dict]:
     implicit kernel of pre-batch-kernel history.
     """
     try:
-        history = json.loads(_TRAJECTORY_PATH.read_text())
+        history = json.loads(TRAJECTORY_PATH.read_text())
     except (OSError, ValueError):
         return "", {}
     if not isinstance(history, list):
         return "", {}
-    current = _current_commit()
+    current = current_commit()
     previous = ""
     for row in history:
         commit = row.get("commit")
@@ -214,13 +180,13 @@ def test_throughput_regression_gate():
     (visible in pytest's summary); set ``REPRO_BENCH_ENFORCE=1`` on a
     pinned-hardware CI runner to turn the gate into a hard failure.
     """
-    if not _RESULTS:
+    if not RESULTS:
         pytest.skip("no throughput rows collected this run")
     previous, baseline = _previous_commit_rows()
     if not baseline:
         pytest.skip("no previous-commit rows in the trajectory file")
     regressions = []
-    for row in _RESULTS:
+    for row in RESULTS:
         key = (row["predictor"], row.get("kernel", "scalar"))
         before = baseline.get(key)
         if before is None or not before.get("events_per_s"):

@@ -31,6 +31,15 @@ python3 -m repro.analysis src/ --family concurrency --no-audit --fail-on-stale |
     echo CONCURRENCY_LINT_FAILED
     exit 1
 }
+# End-to-end smoke stage (benchmarks/e2e/README.md): every benchmark
+# workload once on tiny inputs, each output checked against an
+# independent path (the scalar oracle, a cut-and-resumed run, offline
+# simulate() for served sessions). A hot-path change that breaks
+# bit-identity fails here, before the figures and the full benchmark.
+python3 -m benchmarks.e2e run --smoke --seconds 0.5 || {
+    echo E2E_SMOKE_FAILED
+    exit 1
+}
 python3 -m repro.experiments.table1_storage --output results/table1.txt > /dev/null 2>&1
 python3 -m repro.experiments.fig2_bias     --output results/fig2.txt  > /dev/null 2>&1
 python3 -m repro.experiments.fig12_hits    --verbose --output results/fig12.txt

@@ -58,7 +58,10 @@ def fold_bits(value: int, width: int, target_bits: int) -> int:
 
     This is the paper's "folded" global history: consecutive groups of
     history bits are XORed together until the result fits the predictor
-    index width (Section IV-A).
+    index width (Section IV-A).  The chunks are combined as a log-depth
+    tree, the way a hardware XOR tree would: while more than one chunk
+    remains, the high half of the chunks is XORed onto the low half.
+    XOR is associative, so this equals XORing the chunks one at a time.
 
     >>> fold_bits(0b1011_0110, 8, 4)
     13
@@ -67,9 +70,10 @@ def fold_bits(value: int, width: int, target_bits: int) -> int:
         raise ValueError(f"target width must be positive, got {target_bits}")
     if width < 0:
         raise ValueError(f"source width must be non-negative, got {width}")
-    value &= mask(width)
-    folded = 0
-    while value:
-        folded ^= value & mask(target_bits)
-        value >>= target_bits
-    return folded
+    value &= (1 << width) - 1
+    chunks = -(-width // target_bits)
+    while chunks > 1:
+        chunks = (chunks + 1) >> 1
+        shift = chunks * target_bits
+        value = (value & ((1 << shift) - 1)) ^ (value >> shift)
+    return value

@@ -99,7 +99,7 @@ class FoldedHistory:
     at position 0 and cancels the outgoing bit at its folded position.
     """
 
-    __slots__ = ("_outgoing_pos", "length", "value", "width")
+    __slots__ = ("_mask", "_outgoing_pos", "length", "value", "width")
 
     def __init__(self, length: int, width: int) -> None:
         if length < 0:
@@ -109,20 +109,22 @@ class FoldedHistory:
         self.length = length
         self.width = width
         self._outgoing_pos = length % width
+        self._mask = mask(width)
         self.value = 0
 
     def update(self, incoming: int, outgoing: int) -> None:
         """Shift in the newest bit and cancel the bit leaving the window."""
         if self.length == 0:
             return
+        width_mask = self._mask
         v = self.value
         # Rotate left by 1 within `width` bits, then inject the new bit.
-        v = ((v << 1) | incoming) & mask(self.width)
+        v = ((v << 1) | incoming) & width_mask
         v ^= (self.value >> (self.width - 1)) & 1
         # The outgoing bit was injected `length` updates ago; after the
         # rotations it sits at position length % width.
         v ^= outgoing << self._outgoing_pos
-        v &= mask(self.width)
+        v &= width_mask
         self.value = v
 
     def clear(self) -> None:

@@ -175,3 +175,12 @@ def expect_length(values: Any, length: int, context: str) -> None:
     if not isinstance(values, list) or len(values) != length:
         found = len(values) if isinstance(values, list) else type(values).__name__
         raise StateError(f"{context}: expected list of length {length}, got {found}")
+
+
+def expect_range(values: list[int], low: int, high: int, context: str) -> None:
+    """Validate that every value of a restored table fits ``[low, high]``."""
+    if values and (min(values) < low or max(values) > high):
+        raise StateError(
+            f"{context}: values must lie in [{low}, {high}], "
+            f"got [{min(values)}, {max(values)}]"
+        )

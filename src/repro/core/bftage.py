@@ -7,10 +7,14 @@ prefixes of the raw global history.  The compressed history lengths for
 the 10-table configuration, {3, 8, 14, 26, 40, 54, 70, 94, 118, 142},
 are the paper's (Section VI-C); smaller table counts use prefixes.
 
-Because the BF-GHR is re-ordered by recency-stack management on every
-commit, its folds cannot be maintained incrementally like TAGE's CSRs;
-the predictor re-folds the (at most ~144-element) BF-GHR prefix per
-prediction, modelling the same hardware hash tree.
+Because recency-stack management re-orders the BF-GHR on every commit,
+its folds cannot be kept incrementally like TAGE's CSRs.  Each
+prediction therefore folds every table's BF-GHR prefix (3 bits per
+position, at most 426 bits for the 142-position table) from scratch, as
+the hardware hash tree would.  ``fold_bits`` does this in a log-depth
+number of XOR steps; ``SegmentedRecencyStacks.packed_ghr`` reuses each
+segment's packed bits until a commit changes that segment; and the
+per-table fold widths and hash masks are fixed once in ``__init__``.
 
 ``BFISLTage`` adds the loop predictor and statistical corrector overlay,
 mirroring BF-ISL-TAGE in Figure 10.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.bitops import fold_bits, mask
+from repro.common.bitops import fold_bits
 from repro.common.state import expect_keys
 from repro.core.bst import BranchStatusTable
 from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks
@@ -119,25 +123,40 @@ class BFTage(Tage):
             rs_size=self.bf_config.rs_size,
             unfiltered_bits=self.bf_config.unfiltered_bits,
         )
+        # Per-table fold geometry, fixed by the config: the BF-GHR prefix
+        # width in bits (3 per position) and the index and two tag fold
+        # targets.
+        cfg = self.config
+        self._ghr_positions = cfg.history_lengths[-1]
+        self._ghr_folds = tuple(
+            (3 * length, log2, tag_bits, max(1, tag_bits - 1))
+            for length, log2, tag_bits in zip(
+                cfg.history_lengths, cfg.log2_entries, cfg.tag_bits
+            )
+        )
 
     # ------------------------------------------------------------------
     # Index computation from the BF-GHR
     # ------------------------------------------------------------------
 
     def _compute_indices(self, pc: int) -> None:
-        lengths = self.config.history_lengths
-        packed_full, _ = self.segments.packed_ghr(lengths[-1])
-        path = self._path_history & mask(self.config.path_bits)
+        # TaggedTable.index_of/tag_of over BF-GHR prefix folds, inlined
+        # over the constants from __init__ (once per event per table).
+        # fold_bits reads only the low ``width`` bits: the table's prefix.
+        packed_ghr, _ = self.segments.packed_ghr(self._ghr_positions)
+        path = self._path_history & self._path_mask
         indices = self._last_indices
         tags = self._last_tags
-        for i, table in enumerate(self.tables):
-            width = 3 * lengths[i]
-            prefix = packed_full & mask(width)
-            index_fold = fold_bits(prefix, width, table.log2_entries)
-            indices[i] = table.index_of(pc, index_fold, path)
-            tag_fold_1 = fold_bits(prefix, width, table.tag_bits)
-            tag_fold_2 = fold_bits(prefix, width, max(1, table.tag_bits - 1))
-            tags[i] = table.tag_of(pc, tag_fold_1, tag_fold_2)
+        i = 0
+        for (shift, index_mask, tag_mask), (width, index_bits, tag_bits, tag2_bits) in zip(
+            self._table_hash, self._ghr_folds
+        ):
+            index_fold = fold_bits(packed_ghr, width, index_bits)
+            indices[i] = (pc ^ (pc >> shift) ^ index_fold ^ path) & index_mask
+            tag_fold_1 = fold_bits(packed_ghr, width, tag_bits)
+            tag_fold_2 = fold_bits(packed_ghr, width, tag2_bits)
+            tags[i] = (pc ^ tag_fold_1 ^ (tag_fold_2 << 1)) & tag_mask
+            i += 1
 
     # ------------------------------------------------------------------
     # History advance: BST classification feeds the segmented stacks
@@ -150,9 +169,7 @@ class BFTage(Tage):
             self.bst.observe(pc, taken)
             non_biased = self.bst.is_non_biased(pc)
         self.segments.commit(pc, taken, non_biased)
-        self._path_history = ((self._path_history << 1) | (pc & 1)) & mask(
-            self.config.path_bits
-        )
+        self._path_history = ((self._path_history << 1) | (pc & 1)) & self._path_mask
 
     def reset(self) -> None:
         self.__init__(self.bf_config, self.bias_oracle)

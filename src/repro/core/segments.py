@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length
 
 #: The paper's history segmentation (Section VI-C).
 DEFAULT_BOUNDARIES = [
@@ -72,6 +72,9 @@ class SegmentedRecencyStacks:
         self._ring: list[tuple[int, bool, bool]] = [(0, False, False)] * depth_needed
         self._head = 0
         self._count = 0
+        # Each segment's entries packed as in packed_ghr (from position
+        # 0); None once the segment has changed since it was last packed.
+        self._packed_parts: list[int | None] = [0] * self.num_segments
 
     # ------------------------------------------------------------------
 
@@ -83,34 +86,35 @@ class SegmentedRecencyStacks:
 
     def commit(self, pc: int, taken: bool, non_biased: bool) -> None:
         """Record a committed branch and advance every segment."""
-        self._ring[self._head % len(self._ring)] = (
-            pc & ((1 << self.hashed_pc_bits) - 1),
-            taken,
-            non_biased,
-        )
+        ring = self._ring
+        ring_len = len(ring)
+        ring[self._head % ring_len] = (pc & ((1 << self.hashed_pc_bits) - 1), taken, non_biased)
         self._head += 1
-        if self._count < len(self._ring):
+        if self._count < ring_len:
             self._count += 1
+        head = self._head
+        count = self._count
 
         # One boundary-crossing event per boundary per commit: the branch
         # whose depth just became boundary+1 leaves the segment above the
-        # boundary (if any) and enters the one below it (if any).
+        # boundary (if any) and enters the one below it (if any).  Biased
+        # records never enter a segment, so their crossings are skipped.
         # Bound methods and counters are hoisted — this loop runs per
         # committed branch over every boundary (REPRO402).
-        at_depth = self._at_depth
         remove = self._remove
         insert = self._insert
-        head = self._head
         num_segments = self.num_segments
         for k, boundary in enumerate(self.boundaries):
-            record = at_depth(boundary + 1)
-            if record is None:
+            depth = boundary + 1
+            if depth > count:
                 break  # deeper boundaries cannot have been reached either
-            hashed_pc, outcome, was_non_biased = record
-            stamp = head - (boundary + 1)
+            hashed_pc, outcome, was_non_biased = ring[(head - depth) % ring_len]
+            if not was_non_biased:
+                continue
+            stamp = head - depth
             if k > 0:
                 remove(k - 1, hashed_pc, stamp)
-            if k < num_segments and was_non_biased:
+            if k < num_segments:
                 insert(k, hashed_pc, stamp, outcome)
 
     def _remove(self, segment: int, hashed_pc: int, stamp: int) -> None:
@@ -118,10 +122,12 @@ class SegmentedRecencyStacks:
         for position, entry in enumerate(entries):
             if entry.hashed_pc == hashed_pc and entry.stamp == stamp:
                 del entries[position]
+                self._packed_parts[segment] = None
                 return
 
     def _insert(self, segment: int, hashed_pc: int, stamp: int, outcome: bool) -> None:
         entries = self._segments[segment]
+        self._packed_parts[segment] = None
         # Dedup: a new occurrence evicts an older one of the same address.
         for position, entry in enumerate(entries):
             if entry.hashed_pc == hashed_pc:
@@ -170,7 +176,8 @@ class SegmentedRecencyStacks:
 
         Position p contributes ``outcome | (addr & 3) << 1`` at bit 3p.
         Returns ``(packed value, number of positions packed)``; at most
-        ``max_length`` positions are packed.
+        ``max_length`` positions are packed.  Each segment's part is packed
+        once and reused until a commit changes that segment.
         """
         packed = 0
         position = 0
@@ -186,14 +193,18 @@ class SegmentedRecencyStacks:
             position = min(self.unfiltered_bits, max_length)
         if position >= max_length:
             return packed, position
-        for entries in self._segments:
-            for entry in entries:
-                packed |= (
-                    int(entry.outcome) | ((entry.hashed_pc & 3) << 1)
-                ) << (3 * position)
-                position += 1
-                if position >= max_length:
-                    return packed, position
+        parts = self._packed_parts
+        for segment, entries in enumerate(self._segments):
+            part = parts[segment]
+            if part is None:
+                part = 0
+                for depth, entry in enumerate(entries):
+                    part |= (int(entry.outcome) | ((entry.hashed_pc & 3) << 1)) << (3 * depth)
+                parts[segment] = part
+            packed |= part << (3 * position)
+            position += len(entries)
+            if position >= max_length:
+                return packed & ((1 << (3 * max_length)) - 1), max_length
         return packed, position
 
     def max_ghr_length(self) -> int:
@@ -227,6 +238,13 @@ class SegmentedRecencyStacks:
         expect_keys(state, ("segments", "ring", "head", "count"), "SegmentedRS")
         expect_length(state["segments"], self.num_segments, "SegmentedRS.segments")
         expect_length(state["ring"], len(self._ring), "SegmentedRS.ring")
+        for entries in state["segments"]:
+            if not isinstance(entries, list) or len(entries) > self.rs_size:
+                found = len(entries) if isinstance(entries, list) else type(entries).__name__
+                raise StateError(
+                    f"SegmentedRS.segments: expected at most rs_size {self.rs_size} "
+                    f"entries per segment, got {found}"
+                )
         self._segments = [
             [_SegmentEntry(int(pc), int(stamp), bool(out)) for pc, stamp, out in entries]
             for entries in state["segments"]
@@ -234,3 +252,4 @@ class SegmentedRecencyStacks:
         self._ring = [(int(pc), bool(taken), bool(nb)) for pc, taken, nb in state["ring"]]
         self._head = int(state["head"])
         self._count = min(int(state["count"]), len(self._ring))
+        self._packed_parts = [None] * self.num_segments

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.common.bitops import is_power_of_two, mask
 from repro.common.histories import FoldedHistory
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import expect_keys, expect_length, expect_range
 
 
 class FoldedIndexSet:
@@ -130,6 +130,12 @@ class TaggedTable:
         expect_keys(state, ("ctr", "tag", "useful"), "TaggedTable")
         for field in ("ctr", "tag", "useful"):
             expect_length(state[field], self.entries, f"TaggedTable.{field}")
-        self.ctr = [int(v) for v in state["ctr"]]
-        self.tag = [int(v) for v in state["tag"]]
-        self.useful = [int(v) for v in state["useful"]]
+        ctr = [int(v) for v in state["ctr"]]
+        tag = [int(v) for v in state["tag"]]
+        useful = [int(v) for v in state["useful"]]
+        expect_range(ctr, self.CTR_MIN, self.CTR_MAX, "TaggedTable.ctr")
+        expect_range(tag, 0, mask(self.tag_bits), "TaggedTable.tag")
+        expect_range(useful, 0, self.U_MAX, "TaggedTable.useful")
+        self.ctr = ctr
+        self.tag = tag
+        self.useful = useful

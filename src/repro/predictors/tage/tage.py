@@ -151,6 +151,13 @@ class Tage(BranchPredictor):
             )
             for i in range(cfg.num_tables)
         ]
+        # Per-table hash constants, fixed by the config: the index
+        # shift, index mask and tag mask of TaggedTable.index_of/tag_of.
+        self._table_hash = tuple(
+            (log2 - 2, (1 << log2) - 1, mask(tag_bits))
+            for log2, tag_bits in zip(cfg.log2_entries, cfg.tag_bits)
+        )
+        self._path_mask = mask(cfg.path_bits)
         max_history = cfg.history_lengths[-1]
         self._history_buffer = [0] * (max_history + 1)
         self._history_head = 0
@@ -174,16 +181,18 @@ class Tage(BranchPredictor):
     # ------------------------------------------------------------------
 
     def _compute_indices(self, pc: int) -> None:
-        # Scratch lists and the fold ladder are hoisted to locals: this
-        # runs once per branch event over every table (REPRO402).
-        path = self._path_history & mask(self.config.path_bits)
+        # TaggedTable.index_of/tag_of, inlined over the constants from
+        # __init__: this runs once per branch event over every table.
+        path = self._path_history & self._path_mask
         indices = self._last_indices
         tags = self._last_tags
-        for i, (table, folds) in enumerate(zip(self.tables, self._folds)):
-            indices[i] = table.index_of(pc, folds.index_fold.value, path)
-            tags[i] = table.tag_of(
-                pc, folds.tag_fold_1.value, folds.tag_fold_2.value
-            )
+        i = 0
+        for (shift, index_mask, tag_mask), folds in zip(self._table_hash, self._folds):
+            indices[i] = (pc ^ (pc >> shift) ^ folds.index_fold.value ^ path) & index_mask
+            tags[i] = (
+                pc ^ folds.tag_fold_1.value ^ (folds.tag_fold_2.value << 1)
+            ) & tag_mask
+            i += 1
 
     def predict(self, pc: int) -> bool:
         self._compute_indices(pc)
@@ -322,15 +331,12 @@ class Tage(BranchPredictor):
         head = self._history_head
         buffer = self._history_buffer
         capacity = self._history_capacity
-        for i, folds in enumerate(self._folds):
-            length = folds.history_length
-            outgoing = buffer[(head - length) % capacity]
+        for folds in self._folds:
+            outgoing = buffer[(head - folds.history_length) % capacity]
             folds.update(incoming, outgoing)
         buffer[head % capacity] = incoming
         self._history_head = (head + 1) % capacity
-        self._path_history = ((self._path_history << 1) | (pc & 1)) & mask(
-            self.config.path_bits
-        )
+        self._path_history = ((self._path_history << 1) | (pc & 1)) & self._path_mask
 
     def reset(self) -> None:
         """Restore power-on state (subclasses with extra constructor

@@ -1,7 +1,7 @@
 """Unit and property tests for repro.common.bitops."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitops import fold_bits, hash_combine, is_power_of_two, mask, mix64
@@ -114,3 +114,23 @@ class TestFoldBits:
         left = fold_bits(value ^ other, 64, target)
         right = fold_bits(value, 64, target) ^ fold_bits(other, 64, target)
         assert left == right
+
+    @given(
+        st.integers(min_value=0, max_value=2**700 - 1),
+        st.integers(min_value=0, max_value=600),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=300)
+    def test_matches_chunk_loop(self, value, width, target):
+        """The halving fold equals XORing the chunks one at a time."""
+        assert fold_bits(value, width, target) == chunk_fold(value, width, target)
+
+
+def chunk_fold(value: int, width: int, target: int) -> int:
+    """Reference fold: XOR consecutive ``target``-bit chunks in order."""
+    value &= (1 << width) - 1
+    folded = 0
+    while value:
+        folded ^= value & ((1 << target) - 1)
+        value >>= target
+    return folded

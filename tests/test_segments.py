@@ -1,10 +1,17 @@
 """Tests for segmented recency stacks and BF-GHR construction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.state import StateError
+from repro.core.bftage import BFTage
 from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks
+from repro.sim import simulate
+from repro.workloads import build_trace
+from repro.workloads.mix import compose_mix
 
 
 def make_small():
@@ -173,3 +180,70 @@ class TestInvariants:
         bits, addrs = seg.ghr_components()
         assert len(bits) == len(addrs)
         assert all(bit in (0, 1) for bit in bits)
+
+
+def pack_components(seg, max_length):
+    """``packed_ghr`` recomputed from ``ghr_components``."""
+    bits, addresses = seg.ghr_components()
+    length = min(max_length, len(bits))
+    packed = 0
+    for position in range(length):
+        packed |= (bits[position] | ((addresses[position] & 3) << 1)) << (3 * position)
+    return packed, length
+
+
+class TestPackedGhrCache:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_components_across_snapshot_restore(self, seed):
+        """Per-segment packed parts never go stale: not on commits, not
+        across a restore into a fresh instance."""
+        rnd = random.Random(seed)
+        seg = SegmentedRecencyStacks()
+        lengths = (1, 16, 17, 142, seg.max_ghr_length())
+        pcs = [rnd.randrange(1 << 16) for _ in range(40)]
+        for step in range(2_600):
+            if rnd.random() < 0.02:
+                fresh = SegmentedRecencyStacks()
+                fresh.restore(seg.snapshot())
+                seg = fresh
+            else:
+                seg.commit(rnd.choice(pcs), rnd.random() < 0.5, rnd.random() < 0.4)
+            for length in lengths:
+                assert seg.packed_ghr(length) == pack_components(seg, length), (step, length)
+        assert sum(seg.segment_fill()) > 0
+
+    def test_restore_rejects_overfull_segment(self):
+        seg = SegmentedRecencyStacks(rs_size=8)
+        state = seg.snapshot()
+        state["segments"][3] = [[pc, 100 - pc, True] for pc in range(50)]
+        with pytest.raises(StateError, match="rs_size 8"):
+            seg.restore(state)
+
+    def test_restore_rejects_non_list_segment(self):
+        seg = SegmentedRecencyStacks()
+        state = seg.snapshot()
+        state["segments"][0] = 7
+        with pytest.raises(StateError):
+            seg.restore(state)
+
+
+def mix_trace(seed, branches):
+    components = [build_trace(name, branches) for name in ("SERV1", "WILD1", "SPARSE1")]
+    return compose_mix(f"MIX{seed}", components, branches=branches, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bftage_resumed_equals_straight_on_mixes(seed):
+    """A BF-TAGE run cut twice and resumed into fresh instances ends in
+    the straight run's state, on mixes with many non-biased branches."""
+    trace = mix_trace(seed, 3_000)
+    straight_predictor = BFTage()
+    straight = simulate(straight_predictor, trace)
+    checkpoint = None
+    for cut in (1_111, 2_050):
+        segment = simulate(BFTage(), trace, resume_from=checkpoint, stop_after=cut)
+        checkpoint = segment.checkpoint
+    predictor = BFTage()
+    final = simulate(predictor, trace, resume_from=checkpoint)
+    assert final.mispredictions == straight.mispredictions
+    assert predictor.state_hash() == straight_predictor.state_hash()

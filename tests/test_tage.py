@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.common.bitops import fold_bits, mask
+from repro.common.state import StateError
+from repro.orchestration import standard_registry
 from repro.predictors.tage.components import FoldedIndexSet, TaggedTable
 from repro.predictors.tage.isl import ISLTage
 from repro.predictors.tage.tage import (
@@ -12,6 +15,7 @@ from repro.predictors.tage.tage import (
 )
 from repro.sim import simulate
 from repro.trace.records import Trace, TraceMetadata
+from repro.workloads import build_trace
 
 
 def trace_of(events):
@@ -102,6 +106,27 @@ class TestTaggedTable:
         with pytest.raises(ValueError):
             TaggedTable(4, 0, 10)
 
+    def test_restore_accepts_range_limits(self):
+        table = TaggedTable(log2_entries=4, tag_bits=8, history_length=10)
+        table.ctr[:2] = [TaggedTable.CTR_MIN, TaggedTable.CTR_MAX]
+        table.useful[0] = TaggedTable.U_MAX
+        table.tag[0] = 0xFF
+        fresh = TaggedTable(log2_entries=4, tag_bits=8, history_length=10)
+        fresh.restore(table.snapshot())
+        assert fresh.snapshot() == table.snapshot()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ctr", 99), ("ctr", -5), ("useful", -5), ("useful", 4), ("tag", 256), ("tag", -1)],
+    )
+    def test_restore_rejects_out_of_range_entries(self, field, value):
+        table = TaggedTable(log2_entries=4, tag_bits=8, history_length=10)
+        state = table.snapshot()
+        state[field][5] = value
+        with pytest.raises(StateError, match=f"TaggedTable.{field}"):
+            table.restore(state)
+        assert table.snapshot() == TaggedTable(4, 8, 10).snapshot()
+
 
 class TestFoldedIndexSet:
     def test_updates_all_folds(self):
@@ -112,6 +137,49 @@ class TestFoldedIndexSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             FoldedIndexSet(0, 10, 8)
+
+
+def reference_hashes(predictor, pc):
+    """Per-table (index, tag) from ``TaggedTable.index_of``/``tag_of``.
+
+    TAGE feeds them its incrementally folded histories; BF-TAGE folds
+    the prefix of the packed BF-GHR that each table's history length
+    covers (3 bits per position).
+    """
+    path = predictor._path_history & mask(predictor.config.path_bits)
+    lengths = predictor.config.history_lengths
+    segments = getattr(predictor, "segments", None)
+    if segments is not None:
+        packed, _ = segments.packed_ghr(lengths[-1])
+    hashes = []
+    for i, table in enumerate(predictor.tables):
+        if segments is None:
+            folds = predictor._folds[i]
+            index_fold = folds.index_fold.value
+            tag_folds = folds.tag_fold_1.value, folds.tag_fold_2.value
+        else:
+            width = 3 * lengths[i]
+            prefix = packed & mask(width)
+            index_fold = fold_bits(prefix, width, table.log2_entries)
+            tag_folds = (
+                fold_bits(prefix, width, table.tag_bits),
+                fold_bits(prefix, width, max(1, table.tag_bits - 1)),
+            )
+        hashes.append((table.index_of(pc, index_fold, path), table.tag_of(pc, *tag_folds)))
+    return hashes
+
+
+@pytest.mark.parametrize("name", ["tage10", "bf-tage10"])
+def test_inlined_hashes_match_table_formula(name):
+    """The per-event index/tag computation equals the TaggedTable formula
+    for every table, throughout a trace with plenty of allocation."""
+    predictor = standard_registry()[name]()
+    trace = build_trace("SPEC03", 1_500)
+    for pc, taken in zip(trace.pcs, trace.outcomes):
+        expected = reference_hashes(predictor, pc)
+        predictor.predict(pc)
+        assert list(zip(predictor._last_indices, predictor._last_tags)) == expected
+        predictor.train(pc, taken)
 
 
 class TestTageConfig:
