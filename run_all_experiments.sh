@@ -111,6 +111,22 @@ grep gshare results/campaign-suite.txt | cmp - <(grep gshare results/campaign-su
     echo SUITE_KERNEL_MISMATCH
     exit 1
 }
+# One-engine stage: the same warmed-up, checkpoint-streaming campaign
+# through the scalar loop and through the vectorized kernels, each into
+# its own cache, so CLI -> engine -> scheduler -> simulate() drives the
+# warmup edge and the streamed cuts on both kernels. The predictor lines
+# must be identical.
+for kernel in scalar vectorized; do
+    python3 -m repro campaign SPEC02 SERV3 --predictors gshare bf-neural \
+        --branches 20000 --warmup 1500 --checkpoint-every 7000 \
+        --kernel "$kernel" --cache-dir "results/engine-$kernel-cache" \
+        --output "results/campaign-engine-$kernel.txt" --quiet
+done
+grep -E '^(gshare|bf-neural) ' results/campaign-engine-scalar.txt \
+    | cmp - <(grep -E '^(gshare|bf-neural) ' results/campaign-engine-vectorized.txt) || {
+    echo ENGINE_KERNEL_MISMATCH
+    exit 1
+}
 # Checkpoint/resume stage: the heavyweight configs again with mid-trace
 # state checkpoints streaming into .bfbp-cache/state/. If this script is
 # killed here, re-running it resumes every unfinished task from its last

@@ -30,6 +30,7 @@ from repro.orchestration.store import ResultStore
 from repro.orchestration.tasks import PredictorFactory, Task, TaskOutcome, TraceSpec
 from repro.orchestration.telemetry import Telemetry
 from repro.sim.metrics import SimulationResult
+from repro.sim.simulator import KERNEL_MODES
 from repro.trace.records import Trace
 
 
@@ -81,8 +82,6 @@ class CampaignPlan:
     trace_specs: list[TraceSpec] = field(init=False)
 
     def __post_init__(self) -> None:
-        from repro.sim.batchkernel import KERNEL_MODES
-
         if self.kernel not in KERNEL_MODES:
             raise ValueError(
                 f"kernel must be one of {KERNEL_MODES}, got {self.kernel!r}"

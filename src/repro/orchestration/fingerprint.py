@@ -11,8 +11,10 @@ over everything the result depends on:
   simulator loop itself (so editing ``train()`` invalidates results),
 * the trace identity (suite name + branch budget for generated traces,
   file content digest for ``.bfbp`` files, full content digest for
-  in-memory traces), and
-* whether provider attribution was requested.
+  in-memory traces),
+* whether provider attribution was requested, and
+* for ``vectorized``/``auto`` runs, the source of the batch kernels
+  (:data:`KERNEL_MODULES`), so editing a kernel invalidates its results.
 
 Fingerprints are hex SHA-256 strings; equality of fingerprints is the
 cache-hit criterion and inequality after any edit is what the
@@ -22,7 +24,9 @@ fingerprint-invalidation tests assert.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import importlib
 import inspect
 import json
 from array import array
@@ -33,6 +37,9 @@ from repro.trace.records import Trace
 
 #: Per-class source digests (module files change rarely within a run).
 _SOURCE_CACHE: dict[type, str] = {}
+
+#: The modules a non-scalar kernel mode runs on top of the simulator.
+KERNEL_MODULES = ("repro.sim.batchkernel", "repro.sim.bfkernel", "repro.common.tablestate")
 
 
 def _canonical(data: object) -> str:
@@ -50,8 +57,6 @@ def source_fingerprint(cls: type) -> str:
     cached = _SOURCE_CACHE.get(cls)
     if cached is not None:
         return cached
-    digest = hashlib.sha256()
-    seen: set[str] = set()
     modules = [simulator]
     for klass in cls.__mro__:
         if klass in (object, BranchPredictor):
@@ -59,6 +64,20 @@ def source_fingerprint(cls: type) -> str:
         module = inspect.getmodule(klass)
         if module is not None:
             modules.append(module)
+    result = _modules_digest(modules)
+    _SOURCE_CACHE[cls] = result
+    return result
+
+
+@functools.cache
+def kernel_source_fingerprint() -> str:
+    """Digest of the batch kernels' source files (:data:`KERNEL_MODULES`)."""
+    return _modules_digest([importlib.import_module(name) for name in KERNEL_MODULES])
+
+
+def _modules_digest(modules: list) -> str:
+    digest = hashlib.sha256()
+    seen: set[str] = set()
     for module in modules:
         if module.__name__ in seen:
             continue
@@ -71,9 +90,7 @@ def source_fingerprint(cls: type) -> str:
                     digest.update(handle.read())
         except (OSError, TypeError):
             digest.update(b"<no source>")
-    result = digest.hexdigest()
-    _SOURCE_CACHE[cls] = result
-    return result
+    return digest.hexdigest()
 
 
 def config_of(predictor: BranchPredictor) -> dict | None:
@@ -127,10 +144,13 @@ def task_fingerprint(
     contract is enforced by differential tests, not by construction —
     distinct keys mean a kernel regression can never poison (or be
     masked by) the scalar cache, and ``auto`` runs never alias either.
+    Those keys also carry :func:`kernel_source_fingerprint`, so a kernel
+    edit never reuses results the old kernel computed; scalar keys do
+    not depend on the kernels.
     """
     parts = f"{predictor_fp}|{trace_identity}|providers={int(track_providers)}"
     if warmup_branches or warm_source:
         parts += f"|warmup={warmup_branches}|warm_source={warm_source}"
     if kernel != "scalar":
-        parts += f"|kernel={kernel}"
+        parts += f"|kernel={kernel}|kernel_source={kernel_source_fingerprint()}"
     return hashlib.sha256(parts.encode()).hexdigest()

@@ -119,32 +119,16 @@ def _run_one(task: Task, trace_cache: dict) -> tuple[dict, float, dict]:
             state_store.save(task.fingerprint, checkpoint)
             meta["checkpoints"] += 1
 
-    if task.kernel != "scalar":
-        # Batch-kernel dispatch: bit-identical to simulate() by the
-        # differential-test contract, imported lazily so scalar-only
-        # campaigns never touch numpy in the workers.
-        from repro.sim.batchkernel import simulate_batch
-
-        result = simulate_batch(
-            predictor,
-            trace,
-            track_providers=task.track_providers,
-            warmup_branches=task.warmup_branches,
-            resume_from=resume_from,
-            checkpoint_every=task.checkpoint_every,
-            on_checkpoint=on_checkpoint,
-            kernel=task.kernel,
-        )
-    else:
-        result = simulate(
-            predictor,
-            trace,
-            track_providers=task.track_providers,
-            warmup_branches=task.warmup_branches,
-            resume_from=resume_from,
-            checkpoint_every=task.checkpoint_every,
-            on_checkpoint=on_checkpoint,
-        )
+    result = simulate(
+        predictor,
+        trace,
+        track_providers=task.track_providers,
+        warmup_branches=task.warmup_branches,
+        resume_from=resume_from,
+        checkpoint_every=task.checkpoint_every,
+        on_checkpoint=on_checkpoint,
+        kernel=task.kernel,
+    )
     return result_store.encode_result(result), monotonic() - started, meta
 
 

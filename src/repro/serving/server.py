@@ -3,13 +3,16 @@
 ``repro serve-predict`` runs a :class:`PredictionServer`: clients open
 *sessions* (one predictor instance bound to a named workload) and
 stream branch events; every event is answered with the predictor's
-direction before it is trained on the resolved outcome — the exact
-predict-then-train commit discipline of
-:func:`repro.sim.simulator.simulate`.  That symmetry is the service's
-correctness contract: an online session over a trace's events yields a
+direction before it is trained on the resolved outcome.  Each batch
+runs the simulation engine's own per-event loop
+(:func:`repro.sim.simulator.run_events`, bound here as
+``predict_batch``), so an online session over a trace's events yields a
 final ``state_hash`` and misprediction count bit-identical to the
-offline simulator over the same stream, and ``tests/test_serving.py``
-enforces it for every registered predictor.
+offline simulator over the same stream — the service's correctness
+contract, which ``tests/test_serving.py`` enforces for every registered
+predictor.  Malformed events (a pc that is not an unsigned 64-bit int,
+an outcome other than 0, 1, true or false) are refused with an
+``error`` reply before the predictor is touched.
 
 Sessions may open **warm**: the server hydrates the predictor from the
 :class:`~repro.serving.pool.WarmSnapshotPool` (PR 3's ``warm_share``
@@ -44,31 +47,18 @@ from repro.orchestration.remote import (
 )
 from repro.orchestration.tasks import PredictorFactory
 from repro.orchestration.telemetry import Telemetry, monotonic
-from repro.predictors.base import hot_path
 from repro.serving.pool import PoolError, WarmSnapshotPool
+# The engine's per-event loop, bound under the name every ``events``
+# batch looks up at call time, so a wrapper installed on this module
+# attribute sees each batch.
+from repro.sim.simulator import run_events as predict_batch
 
 #: Upper bound on one ``events`` batch; larger batches are refused so a
 #: misbehaving client cannot park the handler thread for minutes.
 MAX_BATCH_EVENTS = 65_536
 
-
-@hot_path
-def predict_batch(predict, train, pcs, outcomes, predictions, mispredictions) -> int:
-    """Per-event serving loop: predict, compare, train — nothing else.
-
-    Mirrors ``simulator._run_counting`` so the online path and the
-    offline oracle execute the same per-event operations in the same
-    order; ``predictions`` is a preallocated list filled in place.
-    """
-    for position in range(len(pcs)):
-        pc = pcs[position]
-        taken = outcomes[position]
-        prediction = predict(pc)
-        if prediction != taken:
-            mispredictions += 1
-        train(pc, taken)
-        predictions[position] = prediction
-    return mispredictions
+#: Branch PCs are unsigned 64-bit addresses.
+PC_LIMIT = 1 << 64
 
 
 class _Session:
@@ -365,6 +355,21 @@ class PredictionServer:
                 "type": "error",
                 "error": f"batch of {len(pcs)} events exceeds {MAX_BATCH_EVENTS}",
             }
+        # Validate before the predictor is touched: a bad pc would raise
+        # inside predict() mid-batch, and a bad outcome would train as
+        # taken.  ``type(x) is int`` keeps bools out of the pcs.
+        for index, pc in enumerate(pcs):
+            if type(pc) is not int or not 0 <= pc < PC_LIMIT:
+                return {
+                    "type": "error",
+                    "error": f"pcs[{index}] = {pc!r:.40} is not an unsigned 64-bit int",
+                }
+        for index, value in enumerate(raw_outcomes):
+            if type(value) not in (int, bool) or value not in (0, 1):
+                return {
+                    "type": "error",
+                    "error": f"outcomes[{index}] = {value!r:.40} is not 0, 1, true or false",
+                }
         # Normalize wire ints to real bools before the hot loop: the
         # predictors' state payloads must end up bit-identical to an
         # offline run that trained on the trace's bool outcomes.

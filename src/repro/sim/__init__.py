@@ -1,8 +1,10 @@
 """Evaluation substrate: the trace-driven simulator and result handling.
 
-``simulate`` drives one predictor over one trace in commit order and
-returns a :class:`SimulationResult` (MPKI, misprediction rate, provider
-hit attribution).  ``runner`` evaluates predictor factories over whole
+``simulate`` is the one simulation engine: it drives one predictor over
+one trace in commit order — segmented for warmup, resume and streamed
+checkpoints, each segment on the scalar loop or a vectorized kernel —
+and returns a :class:`SimulationResult` (MPKI, misprediction rate,
+provider hit attribution).  ``runner`` evaluates predictor factories over whole
 suites by delegating to :mod:`repro.orchestration` — parallel workers,
 content-addressed result caching and checkpoint/resume — which keeps
 the per-figure experiment scripts fast to iterate on.

@@ -1,6 +1,6 @@
 """Vectorized batch simulation kernels with scalar differential oracles.
 
-The scalar simulator (``repro.sim.simulator``) steps predictors one
+The scalar loop in :mod:`repro.sim.simulator` steps predictors one
 branch event at a time through ``predict``/``train``.  For the table
 predictors that dominates runtime with python interpreter overhead, not
 arithmetic.  The kernels here replay a whole trace segment through numpy
@@ -9,13 +9,13 @@ scalar loop would have — same predictions event by event, same
 ``state_hash()`` — so the scalar path doubles as a differential-testing
 oracle (``tests/test_batchkernel.py``).
 
-Entry point: :func:`simulate_batch`, a drop-in for
-:func:`repro.sim.simulate` with a ``kernel=`` knob:
-
-* ``"scalar"`` — delegate to the scalar loop unconditionally;
-* ``"vectorized"`` — require a registered kernel that supports this
-  predictor's configuration, else raise;
-* ``"auto"`` — use the kernel when available, fall back silently.
+A kernel only replays events: ``run(predictor, pcs, outcomes, start,
+end)`` returns the segment's time-ordered predictions and, optionally,
+per-event provider codes.  :func:`repro.sim.simulate` owns everything
+else (resume, cuts, warmup, counting) and picks a kernel through
+:func:`kernel_for` when called with ``kernel="vectorized"`` or
+``"auto"``.  :func:`simulate_batch` is ``simulate`` with ``"auto"`` as
+the default.
 
 Kernels are registered per concrete predictor class (exact type match —
 a subclass may override semantics the kernel hard-codes) and gate
@@ -26,8 +26,6 @@ porting checklist for new cores.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.common.tablestate import (
@@ -37,11 +35,7 @@ from repro.common.tablestate import (
     signed_history_matrix,
 )
 from repro.predictors.base import BranchPredictor, hot_path
-from repro.sim.metrics import SimCheckpoint, SimulationResult
 from repro.sim.simulator import simulate
-from repro.trace.records import Trace
-
-KERNEL_MODES = ("scalar", "vectorized", "auto")
 
 # ---------------------------------------------------------------------------
 # Saturating 2-bit counter scan
@@ -433,154 +427,9 @@ def _register_builtins() -> None:
     register_kernel(BFNeural, BFNeuralKernel())
 
 
-# ---------------------------------------------------------------------------
-# simulate_batch
-# ---------------------------------------------------------------------------
-
-
-def simulate_batch(
-    predictor: BranchPredictor,
-    trace: Trace,
-    track_providers: bool = False,
-    warmup_branches: int = 0,
-    progress: Callable[[int], None] | None = None,
-    resume_from: SimCheckpoint | None = None,
-    stop_after: int | None = None,
-    checkpoint_every: int | None = None,
-    on_checkpoint: Callable[[SimCheckpoint], None] | None = None,
-    kernel: str = "auto",
-) -> SimulationResult:
-    """Run ``predictor`` over ``trace`` through a vectorized kernel.
-
-    Drop-in for :func:`repro.sim.simulate` — same parameters, same
-    semantics (warmup exclusion, provider attribution, resume/stop cuts,
-    streamed checkpoints at absolute multiples of ``checkpoint_every``)
-    and bit-identical results — plus the ``kernel`` mode knob described
-    in the module docstring.  ``progress`` callbacks fire at the same
-    positions as the scalar loop, though only after the enclosing
-    checkpoint segment has been replayed.
-    """
-    if kernel not in KERNEL_MODES:
-        raise ValueError(f"kernel must be one of {KERNEL_MODES}, got {kernel!r}")
-    impl = kernel_for(predictor) if kernel != "scalar" else None
-    if impl is None:
-        if kernel == "vectorized":
-            raise ValueError(
-                f"no vectorized kernel supports {type(predictor).__name__} "
-                f"(predictor {predictor.name!r}); use kernel='auto' or 'scalar'"
-            )
-        return simulate(
-            predictor,
-            trace,
-            track_providers=track_providers,
-            warmup_branches=warmup_branches,
-            progress=progress,
-            resume_from=resume_from,
-            stop_after=stop_after,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
-        )
-
-    if warmup_branches < 0:
-        raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-
-    pcs, outcomes = trace.arrays()
-    total = len(pcs)
-
-    start = 0
-    mispredictions = 0
-    provider_hits: dict[str, int] = {}
-    if resume_from is not None:
-        if resume_from.trace_name and resume_from.trace_name != trace.name:
-            raise ValueError(
-                f"checkpoint was cut from trace {resume_from.trace_name!r}, "
-                f"cannot resume over {trace.name!r}"
-            )
-        if not 0 <= resume_from.position <= total:
-            raise ValueError(
-                f"checkpoint position {resume_from.position} outside trace "
-                f"of {total} branches"
-            )
-        predictor.restore(resume_from.predictor_state)
-        start = resume_from.position
-        mispredictions = resume_from.mispredictions
-        provider_hits = dict(resume_from.provider_hits)
-
-    end = total if stop_after is None else min(stop_after, total)
-    if end < start:
-        raise ValueError(f"stop_after={stop_after} is before resume position {start}")
-
-    def cut(position: int, mispredicted: int) -> SimCheckpoint:
-        return SimCheckpoint(
-            position=position,
-            mispredictions=mispredicted,
-            provider_hits=dict(provider_hits),
-            predictor_state=predictor.snapshot(),
-            trace_name=trace.name,
-        )
-
-    # Segment boundaries: the scalar loop streams a cut whenever an
-    # absolute position is a multiple of checkpoint_every (and not the
-    # trace end); the kernel replays segment by segment so each cut sees
-    # the predictor state at exactly that position.
-    boundaries: list[int] = []
-    stream_cuts = on_checkpoint is not None and checkpoint_every is not None
-    if stream_cuts:
-        first = ((start // checkpoint_every) + 1) * checkpoint_every
-        boundaries = [p for p in range(first, end + 1, checkpoint_every) if p < total]
-    if not boundaries or boundaries[-1] != end:
-        boundaries.append(end)
-
-    seg_start = start
-    for seg_end in boundaries:
-        preds, providers = impl.run(predictor, pcs, outcomes, seg_start, seg_end)
-        seg_outs = outcomes[seg_start:seg_end] == 1
-        measured_from = max(seg_start, warmup_branches) - seg_start
-        if measured_from < len(preds):
-            window = slice(measured_from, None)
-            mispredictions += int(
-                np.count_nonzero(preds[window] != seg_outs[window])
-            )
-            if track_providers:
-                if providers is None:
-                    name = predictor.name
-                    provider_hits[name] = provider_hits.get(name, 0) + (
-                        len(preds) - measured_from
-                    )
-                else:
-                    codes, names = providers
-                    counts = np.bincount(codes[window], minlength=len(names))
-                    for name, count in zip(names, counts):
-                        if count:
-                            provider_hits[name] = provider_hits.get(name, 0) + int(count)
-        if progress is not None:
-            first_tick = ((seg_start + 9999) // 10000) * 10000
-            for position in range(first_tick, seg_end, 10000):
-                progress(position)
-        if stream_cuts and seg_end != end:
-            on_checkpoint(cut(seg_end, mispredictions))
-        elif stream_cuts and seg_end == end and seg_end < total and seg_end % checkpoint_every == 0:
-            on_checkpoint(cut(seg_end, mispredictions))
-        seg_start = seg_end
-
-    measured = max(0, end - warmup_branches)
-    instructions = trace.instruction_count
-    if total and measured != total:
-        instructions = max(1, round(instructions * measured / total))
-    segmented = (
-        resume_from is not None or stop_after is not None or checkpoint_every is not None
-    )
-    return SimulationResult(
-        trace_name=trace.name,
-        predictor_name=predictor.name,
-        branches=measured,
-        instructions=instructions,
-        mispredictions=mispredictions,
-        provider_hits=provider_hits,
-        checkpoint=cut(end, mispredictions) if segmented else None,
-    )
+def simulate_batch(predictor, trace, kernel: str = "auto", **options):
+    """:func:`~repro.sim.simulator.simulate` with ``kernel="auto"`` as the default."""
+    return simulate(predictor, trace, kernel=kernel, **options)
 
 
 _register_builtins()

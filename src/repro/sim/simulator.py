@@ -1,93 +1,108 @@
-"""The trace-driven simulation loop.
+"""The simulation engine: the trace-driven loop and its segmentation.
 
 Mirrors the CBP-4 discipline: for every committed conditional branch the
 predictor is asked for a direction, then immediately trained with the
 resolved outcome.  Mispredictions are counted and reported as MPKI over
 the trace's instruction count.
 
-The loop is segmentable: ``stop_after`` cuts a run at an absolute branch
+:func:`simulate` is the one engine.  It validates its inputs, restores
+``resume_from`` and splits the run into segments once, then hands each
+segment to a kernel: the scalar loop :func:`run_events` (which the
+prediction server also runs per ``events`` batch), or a registered
+vectorized kernel from :mod:`repro.sim.batchkernel`.
+
+The run is segmentable: ``stop_after`` cuts it at an absolute branch
 position and attaches a :class:`~repro.sim.metrics.SimCheckpoint` to the
 partial result, ``resume_from`` continues from such a cut, and
 ``checkpoint_every`` streams periodic cuts to ``on_checkpoint`` (the
 campaign engine persists them in its state store).  The invariant —
-enforced by ``tests/test_state.py`` for every registered predictor — is
-that any chain of segments is bit-identical to a straight-through run:
-same MPKI, same provider hits, same final predictor state hash.
+enforced by ``tests/test_state.py`` for every registered predictor and
+by ``tests/test_batchkernel.py`` for every kernel — is that any chain of
+segments is bit-identical to a straight-through run: same MPKI, same
+provider hits, same final predictor state hash.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from repro.predictors.base import BranchPredictor, hot_path
 from repro.sim.metrics import SimCheckpoint, SimulationResult
 from repro.trace.records import Trace
 
+KERNEL_MODES = ("scalar", "vectorized", "auto")
+
 
 @hot_path
-def _run_counting(
-    predict: Callable[[int], bool],
-    train: Callable[[int, bool], None],
-    pcs,
-    outcomes,
-    start: int,
-    end: int,
-) -> int:
-    """Fast inner loop: every branch measured, nothing tracked but misses.
+def run_events(predict, train, pcs, outcomes, predictions, mispredictions: int) -> int:
+    """The per-event loop: predict, compare, train — nothing else.
 
-    Taken when no warmup exclusion, provider attribution, progress
-    callback or streamed checkpointing is requested — the common case for
-    sweeps — so the per-branch work is exactly predict/compare/train.
+    ``predictions`` is a preallocated buffer of ``len(pcs)`` slots,
+    filled in place; returns ``mispredictions`` plus this batch's
+    misses.  The prediction server runs it on every ``events`` batch, so
+    online sessions execute exactly the offline per-event operations.
     """
+    for position in range(len(pcs)):
+        pc = pcs[position]
+        taken = outcomes[position]
+        prediction = predict(pc)
+        if prediction != taken:
+            mispredictions += 1
+        train(pc, taken)
+        predictions[position] = prediction
+    return mispredictions
+
+
+@hot_path
+def _run_providers(
+    predictor: BranchPredictor, pcs, outcomes, provider_hits: dict[str, int]
+) -> int:
+    """:func:`run_events` that also counts which component of the
+    predictor supplied each prediction; returns the misses."""
+    predict = predictor.predict
+    train = predictor.train
+    provider_get = provider_hits.get
     mispredictions = 0
-    for position in range(start, end):
+    for position in range(len(pcs)):
         pc = pcs[position]
         taken = outcomes[position]
         if predict(pc) != taken:
             mispredictions += 1
+        # perf: allow(REPRO402): provider is a per-event property, not hoistable
+        provider = predictor.provider
+        provider_hits[provider] = provider_get(provider, 0) + 1
         train(pc, taken)
     return mispredictions
 
 
-@hot_path
-def _run_tracked(
-    predictor: BranchPredictor,
-    pcs,
-    outcomes,
-    start: int,
-    end: int,
-    total: int,
-    mispredictions: int,
-    provider_hits: dict[str, int],
-    warmup_branches: int,
-    track_providers: bool,
-    progress: Callable[[int], None] | None,
-    checkpoint_every: int | None,
-    on_checkpoint: Callable[[SimCheckpoint], None] | None,
-    cut: Callable[[int, int], SimCheckpoint],
-) -> int:
-    """General inner loop: warmup, provider attribution, progress, cuts."""
-    predict = predictor.predict
-    train = predictor.train
-    provider_get = provider_hits.get
-    stream_cuts = on_checkpoint is not None and checkpoint_every is not None
-    for position in range(start, end):
-        pc = pcs[position]
-        taken = outcomes[position]
-        prediction = predict(pc)
-        if position >= warmup_branches:
-            if prediction != taken:
-                mispredictions += 1
-            if track_providers:
-                # perf: allow(REPRO402): provider is a per-event property, not hoistable
-                provider = predictor.provider
-                provider_hits[provider] = provider_get(provider, 0) + 1
-        train(pc, taken)
-        if progress is not None and position % 10000 == 0:
-            progress(position)
-        if stream_cuts and (position + 1) % checkpoint_every == 0 and position + 1 < total:
-            on_checkpoint(cut(position + 1, mispredictions))
-    return mispredictions
+# Segment runners: replay events [start, end) of ``trace``, add provider
+# hits to ``provider_hits`` unless it is None, and return the misses.
+
+
+def _scalar_segment(predictor, trace, start, end, provider_hits) -> int:
+    pcs = trace.pcs[start:end]
+    outcomes = trace.outcomes[start:end]
+    if provider_hits is not None:
+        return _run_providers(predictor, pcs, outcomes, provider_hits)
+    return run_events(predictor.predict, predictor.train, pcs, outcomes, [False] * len(pcs), 0)
+
+
+def _kernel_segment(kernel, predictor, trace, start, end, provider_hits) -> int:
+    pcs, outcomes = trace.arrays()
+    predictions, providers = kernel.run(predictor, pcs, outcomes, start, end)
+    if provider_hits is not None:
+        if providers is None:
+            counts = {predictor.name: end - start}
+        else:
+            codes, names = providers
+            counts = dict(zip(names, np.bincount(codes, minlength=len(names)).tolist()))
+        for name, count in counts.items():
+            if count:
+                provider_hits[name] = provider_hits.get(name, 0) + count
+    return int(np.count_nonzero(predictions != (outcomes[start:end] == 1)))
 
 
 def simulate(
@@ -95,11 +110,11 @@ def simulate(
     trace: Trace,
     track_providers: bool = False,
     warmup_branches: int = 0,
-    progress: Callable[[int], None] | None = None,
     resume_from: SimCheckpoint | None = None,
     stop_after: int | None = None,
     checkpoint_every: int | None = None,
     on_checkpoint: Callable[[SimCheckpoint], None] | None = None,
+    kernel: str = "scalar",
 ) -> SimulationResult:
     """Run ``predictor`` over ``trace`` and return the result.
 
@@ -123,16 +138,38 @@ def simulate(
       every N absolute branches (positions are multiples of N regardless
       of where the segment started, so resumed runs cut at the same
       places a straight run would).
+
+    ``kernel`` picks what runs each segment, with bit-identical results:
+
+    * ``"scalar"`` — the per-event loop;
+    * ``"vectorized"`` — the predictor's registered batch kernel
+      (:mod:`repro.sim.batchkernel`); raises if none supports it;
+    * ``"auto"`` — the batch kernel when one supports the predictor,
+      else the scalar loop.
     """
+    if kernel not in KERNEL_MODES:
+        raise ValueError(f"kernel must be one of {KERNEL_MODES}, got {kernel!r}")
     if warmup_branches < 0:
         raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
     if checkpoint_every is not None and checkpoint_every <= 0:
         raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
 
-    pcs = trace.pcs
-    outcomes = trace.outcomes
-    total = len(pcs)
+    run_segment = _scalar_segment
+    if kernel != "scalar":
+        # Imported here: the kernels import this module, and scalar-only
+        # campaigns never need them.
+        from repro.sim.batchkernel import kernel_for
 
+        impl = kernel_for(predictor)
+        if impl is not None:
+            run_segment = partial(_kernel_segment, impl)
+        elif kernel == "vectorized":
+            raise ValueError(
+                f"no vectorized kernel supports {type(predictor).__name__} "
+                f"(predictor {predictor.name!r}); use kernel='auto' or 'scalar'"
+            )
+
+    total = len(trace)
     start = 0
     mispredictions = 0
     provider_hits: dict[str, int] = {}
@@ -165,33 +202,26 @@ def simulate(
             trace_name=trace.name,
         )
 
-    fast = (
-        warmup_branches == 0
-        and not track_providers
-        and progress is None
-        and (on_checkpoint is None or checkpoint_every is None)
-    )
-    if fast:
-        mispredictions += _run_counting(
-            predictor.predict, predictor.train, pcs, outcomes, start, end
-        )
-    else:
-        mispredictions = _run_tracked(
-            predictor,
-            pcs,
-            outcomes,
-            start,
-            end,
-            total,
-            mispredictions,
-            provider_hits,
-            warmup_branches,
-            track_providers,
-            progress,
-            checkpoint_every,
-            on_checkpoint,
-            cut,
-        )
+    # Segment boundaries: a streamed cut at every absolute multiple of
+    # checkpoint_every inside (start, end] except the trace end, plus
+    # the warmup edge, so each segment is all warmup or all measured.
+    cuts: set[int] = set()
+    if on_checkpoint is not None and checkpoint_every is not None:
+        first = (start // checkpoint_every + 1) * checkpoint_every
+        cuts = {p for p in range(first, end + 1, checkpoint_every) if p < total}
+    boundaries = cuts | {end}
+    if start < warmup_branches < end:
+        boundaries.add(warmup_branches)
+
+    for segment_end in sorted(boundaries):
+        counted = start >= warmup_branches
+        tracked = provider_hits if counted and track_providers else None
+        missed = run_segment(predictor, trace, start, segment_end, tracked)
+        if counted:
+            mispredictions += missed
+        if segment_end in cuts:
+            on_checkpoint(cut(segment_end, mispredictions))
+        start = segment_end
 
     measured = max(0, end - warmup_branches)
     instructions = trace.instruction_count

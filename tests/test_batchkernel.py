@@ -10,6 +10,9 @@ rewrites preserve it).  These tests enforce the contract three ways:
 * a hypothesis harness that replays random traces event by event
   through the kernel registry and a manual predict/train loop, plus
   random ``stop_after`` prefix cuts through the public entry points;
+* a hypothesis property over the one segmentation in ``simulate()``:
+  random warmup, streamed cuts, a stop/resume split through either
+  kernel and provider attribution all equal the straight scalar run;
 * a full 40-trace + WILD1-4 sweep per ported predictor, marked
   ``vectorized`` and gated behind ``REPRO_FULL_DIFFERENTIAL=1``
   (minutes of scalar BF-Neural; ``run_all_experiments.sh`` runs it).
@@ -41,7 +44,8 @@ from repro.core import BFNeural
 from repro.predictors import Bimodal, GShare, Tage, TageConfig
 from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
-from repro.sim.batchkernel import KERNEL_MODES, kernel_for, simulate_batch
+from repro.sim.batchkernel import kernel_for, simulate_batch
+from repro.sim.simulator import KERNEL_MODES
 from repro.trace.records import Trace, TraceMetadata
 from repro.workloads import SUITE_NAMES, WILD_NAMES, build_trace
 
@@ -61,7 +65,7 @@ def _assert_identical(factory, trace, **kwargs):
     """Run scalar and vectorized twins; assert results and state agree."""
     scalar_p, vec_p = factory(), factory()
     scalar = simulate(scalar_p, trace, **kwargs)
-    vec = simulate_batch(vec_p, trace, kernel="vectorized", **kwargs)
+    vec = simulate(vec_p, trace, kernel="vectorized", **kwargs)
     assert vec.mispredictions == scalar.mispredictions
     assert vec.mpki == scalar.mpki
     assert vec.branches == scalar.branches
@@ -100,19 +104,20 @@ def test_provider_attribution_matches_scalar():
 def test_checkpoint_stream_matches_scalar():
     trace = build_trace("SPEC08", QUICK_BRANCHES)
     cuts = {}
-    for label, run in (("scalar", simulate), ("vec", simulate_batch)):
+    for label in ("scalar", "vectorized"):
         collected = []
-        run(
+        simulate(
             GShare(),
             trace,
             checkpoint_every=700,
             on_checkpoint=collected.append,
+            kernel=label,
         )
         cuts[label] = [
             (c.position, c.mispredictions, c.state_hash()) for c in collected
         ]
-    assert cuts["vec"] == cuts["scalar"]
-    assert cuts["vec"]  # the trace is long enough to cut at least once
+    assert cuts["vectorized"] == cuts["scalar"]
+    assert cuts["vectorized"]  # the trace is long enough to cut at least once
 
 
 def test_resume_from_scalar_checkpoint():
@@ -123,12 +128,12 @@ def test_resume_from_scalar_checkpoint():
     assert head.checkpoint is not None
     straight = simulate(BFNeural(), trace)
     resumed_p = BFNeural()
-    resumed = simulate_batch(
+    resumed = simulate(
         resumed_p, trace, kernel="vectorized", resume_from=head.checkpoint
     )
     assert resumed.mispredictions == straight.mispredictions
     vec_head_p = BFNeural()
-    vec_head = simulate_batch(
+    vec_head = simulate(
         vec_head_p, trace, kernel="vectorized", stop_after=1_500
     )
     assert vec_head.checkpoint.state_hash() == head.checkpoint.state_hash()
@@ -150,7 +155,7 @@ class TestDispatch:
     def test_vectorized_mode_raises_for_unported(self):
         trace = build_trace("SPEC00", 200)
         with pytest.raises(ValueError, match="no vectorized kernel"):
-            simulate_batch(
+            simulate(
                 Tage(TageConfig.for_tables(4)), trace, kernel="vectorized"
             )
 
@@ -159,22 +164,37 @@ class TestDispatch:
         factory = lambda: Tage(TageConfig.for_tables(4))  # noqa: E731
         scalar_p, auto_p = factory(), factory()
         scalar = simulate(scalar_p, trace)
-        auto = simulate_batch(auto_p, trace, kernel="auto")
+        auto = simulate(auto_p, trace, kernel="auto")
         assert auto.mispredictions == scalar.mispredictions
         assert auto_p.state_hash() == scalar_p.state_hash()
 
     def test_scalar_mode_matches_simulate(self):
         trace = build_trace("SPEC01", 1_000)
-        scalar_p, batch_p = Bimodal(), Bimodal()
-        scalar = simulate(scalar_p, trace)
-        batch = simulate_batch(batch_p, trace, kernel="scalar")
-        assert batch.mispredictions == scalar.mispredictions
-        assert batch_p.state_hash() == scalar_p.state_hash()
+        default_p, scalar_p = Bimodal(), Bimodal()
+        default = simulate(default_p, trace)
+        scalar = simulate(scalar_p, trace, kernel="scalar")
+        assert scalar.mispredictions == default.mispredictions
+        assert scalar_p.state_hash() == default_p.state_hash()
+
+    def test_simulate_batch_is_simulate_with_auto_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "repro.sim.batchkernel.simulate",
+            lambda *args, **kwargs: calls.append((args, kwargs)),
+        )
+        trace = build_trace("SPEC01", 100)
+        predictor = Bimodal()
+        simulate_batch(predictor, trace, warmup_branches=5)
+        simulate_batch(predictor, trace, kernel="scalar")
+        assert calls == [
+            ((predictor, trace), {"kernel": "auto", "warmup_branches": 5}),
+            ((predictor, trace), {"kernel": "scalar"}),
+        ]
 
     def test_unknown_kernel_rejected(self):
         trace = build_trace("SPEC00", 100)
         with pytest.raises(ValueError, match="kernel must be one of"):
-            simulate_batch(Bimodal(), trace, kernel="simd")
+            simulate(Bimodal(), trace, kernel="simd")
 
 
 class TestArrayStateSubstrate:
@@ -278,9 +298,73 @@ def test_random_traces_agree_event_by_event(data, events):
     cut = data.draw(st.integers(min_value=1, max_value=len(events)))
     scalar_p, vec_p = factory(), factory()
     scalar = simulate(scalar_p, trace, stop_after=cut)
-    vec = simulate_batch(vec_p, trace, kernel="vectorized", stop_after=cut)
+    vec = simulate(vec_p, trace, kernel="vectorized", stop_after=cut)
     assert vec.mispredictions == scalar.mispredictions
     assert vec_p.state_hash() == scalar_p.state_hash()
+
+
+#: One ported counter table, the ported paper predictor and a TAGE that
+#: no kernel supports, so ``kernel="auto"`` runs it on the scalar loop.
+SEGMENTED = {
+    "gshare": GShare,
+    "bf-neural": BFNeural,
+    "tage4": lambda: Tage(TageConfig.for_tables(4)),
+}
+SEGMENT_TRACE = build_trace("SPEC05", 1_200)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SEGMENTED)))
+def test_segmented_runs_equal_straight_scalar_run(data, name):
+    """The one segmentation in ``simulate()``: random warmup, streamed
+    cuts, provider attribution and a stop/resume split, each half on a
+    random kernel, equal the straight scalar run in every counter, every
+    streamed cut and the final state."""
+    factory = SEGMENTED[name]
+    trace = SEGMENT_TRACE
+    total = len(trace)
+    kernels = KERNEL_MODES if kernel_for(factory()) is not None else ("scalar", "auto")
+    options = {
+        "warmup_branches": data.draw(st.integers(0, total), label="warmup"),
+        "checkpoint_every": data.draw(
+            st.none() | st.integers(64, total), label="checkpoint_every"
+        ),
+        "track_providers": data.draw(st.booleans(), label="track_providers"),
+    }
+    split = data.draw(st.integers(0, total), label="stop_after")
+    head_kernel = data.draw(st.sampled_from(kernels), label="head kernel")
+    tail_kernel = data.draw(st.sampled_from(kernels), label="tail kernel")
+
+    straight_cuts = []
+    straight_p = factory()
+    straight = simulate(straight_p, trace, on_checkpoint=straight_cuts.append, **options)
+
+    cuts = []
+    head = simulate(
+        factory(),
+        trace,
+        stop_after=split,
+        on_checkpoint=cuts.append,
+        kernel=head_kernel,
+        **options,
+    )
+    tail_p = factory()
+    tail = simulate(
+        tail_p,
+        trace,
+        resume_from=head.checkpoint,
+        on_checkpoint=cuts.append,
+        kernel=tail_kernel,
+        **options,
+    )
+
+    assert tail.mispredictions == straight.mispredictions
+    assert tail.branches == straight.branches
+    assert tail.provider_hits == straight.provider_hits
+    assert [(c.position, c.mispredictions, c.state_hash()) for c in cuts] == [
+        (c.position, c.mispredictions, c.state_hash()) for c in straight_cuts
+    ]
+    assert tail_p.state_hash() == straight_p.state_hash()
 
 
 @pytest.mark.vectorized

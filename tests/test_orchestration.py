@@ -13,6 +13,10 @@ scheduler worker processes.
 
 import json
 import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -158,6 +162,49 @@ class TestFingerprint:
         assert task_fingerprint(fp, identity, False) != task_fingerprint(
             fp, identity, True
         )
+
+
+#: Prints the task keys of one gshare task under every kernel mode.
+KERNEL_KEYS_SCRIPT = """
+import json
+from repro.orchestration.fingerprint import predictor_fingerprint, task_fingerprint
+from repro.orchestration.tasks import TraceSpec
+from repro.predictors import GShare
+
+fp = predictor_fingerprint(GShare())
+identity = TraceSpec.suite("FP1", 500).identity()
+modes = ("scalar", "vectorized", "auto")
+print(json.dumps({mode: task_fingerprint(fp, identity, False, kernel=mode) for mode in modes}))
+"""
+
+
+def kernel_keys(src: Path) -> dict:
+    output = subprocess.run(
+        [sys.executable, "-c", KERNEL_KEYS_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    return json.loads(output)
+
+
+class TestKernelFingerprint:
+    @pytest.mark.parametrize(
+        "module", ["repro.sim.batchkernel", "repro.sim.bfkernel", "repro.common.tablestate"]
+    )
+    def test_kernel_edit_invalidates_only_kernel_keys(self, module, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        shutil.copytree(
+            src / "repro", tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        edited = tmp_path.joinpath(*module.split(".")).with_suffix(".py")
+        edited.write_text(edited.read_text() + "\n# an edit\n")
+        before, after = kernel_keys(src), kernel_keys(tmp_path)
+        assert after["scalar"] == before["scalar"]
+        assert after["vectorized"] != before["vectorized"]
+        assert after["auto"] != before["auto"]
 
 
 class TestResultStore:

@@ -504,6 +504,52 @@ class TestServerFailures:
             assert reply["type"] == "error"
             assert "differ in length" in reply["error"]
 
+    @pytest.mark.parametrize(
+        "pcs,outcomes,culprit",
+        [
+            (["x"], [1], "pcs[0]"),
+            ([1.5], [1], "pcs[0]"),
+            ([True], [1], "pcs[0]"),
+            ([-4], [1], "pcs[0]"),
+            ([2**64], [1], "pcs[0]"),
+            ([4, None], [1, 0], "pcs[1]"),
+            ([4], ["no"], "outcomes[0]"),
+            ([4], [2], "outcomes[0]"),
+            ([4], [1.0], "outcomes[0]"),
+            ([4, 8], [True, None], "outcomes[1]"),
+        ],
+    )
+    def test_hostile_events_refused_before_the_predictor(
+        self, server_factory, pcs, outcomes, culprit
+    ):
+        # A typed error comes back, the session keeps working as if the
+        # bad batch never arrived, and the handler thread exits once the
+        # client leaves.
+        def handlers():
+            return {t for t in threading.enumerate() if "_serve_client" in t.name}
+
+        server = server_factory(registry=toy_registry())
+        before = handlers()
+        trace = build_trace("FP1", 40)
+        with PredictClient(server.address) as client:
+            session = client.open_session("gshare", "FP1")["session"]
+            reply = client._request(
+                {"type": "events", "session": session, "pcs": pcs, "outcomes": outcomes}
+            )
+            assert reply["type"] == "error"
+            assert reply["error"].startswith(culprit)
+            predictions, _ = client.send_events(session, trace.pcs, trace.outcomes)
+            assert len(predictions) == len(trace)
+            summary = client.close_session(session)
+        offline_predictor = toy_registry()["gshare"]()
+        offline = simulate(offline_predictor, trace)
+        assert summary["mispredictions"] == offline.mispredictions
+        assert summary["state_hash"] == offline_predictor.state_hash()
+        deadline = time.monotonic() + 10
+        while handlers() - before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not handlers() - before
+
     def test_events_before_hello_refused(self, server_factory):
         server = server_factory(registry=toy_registry())
         sock = socket.create_connection(server.address)

@@ -43,12 +43,6 @@ class TestSimulate:
         result = simulate(AlwaysTaken(), trace, track_providers=True)
         assert result.provider_hits == {"always-taken": 5}
 
-    def test_progress_callback(self):
-        calls = []
-        trace = trace_of([(4, True)] * 5)
-        simulate(AlwaysTaken(), trace, progress=calls.append)
-        assert calls == [0]
-
     def test_training_happens(self):
         trace = trace_of([(4, False)] * 20)
         predictor = Bimodal()
