@@ -114,16 +114,17 @@ grep gshare results/campaign-suite.txt | cmp - <(grep gshare results/campaign-su
 # One-engine stage: the same warmed-up, checkpoint-streaming campaign
 # through the scalar loop and through the vectorized kernels, each into
 # its own cache, so CLI -> engine -> scheduler -> simulate() drives the
-# warmup edge and the streamed cuts on both kernels. The predictor lines
-# must be identical.
+# warmup edge and the streamed cuts on both kernels; bf-neural-32k puts a
+# second BF-Neural geometry through both. The predictor lines must be
+# identical.
 for kernel in scalar vectorized; do
-    python3 -m repro campaign SPEC02 SERV3 --predictors gshare bf-neural \
+    python3 -m repro campaign SPEC02 SERV3 --predictors gshare bf-neural bf-neural-32k \
         --branches 20000 --warmup 1500 --checkpoint-every 7000 \
         --kernel "$kernel" --cache-dir "results/engine-$kernel-cache" \
         --output "results/campaign-engine-$kernel.txt" --quiet
 done
-grep -E '^(gshare|bf-neural) ' results/campaign-engine-scalar.txt \
-    | cmp - <(grep -E '^(gshare|bf-neural) ' results/campaign-engine-vectorized.txt) || {
+grep -E '^(gshare|bf-neural|bf-neural-32k) ' results/campaign-engine-scalar.txt \
+    | cmp - <(grep -E '^(gshare|bf-neural|bf-neural-32k) ' results/campaign-engine-vectorized.txt) || {
     echo ENGINE_KERNEL_MISMATCH
     exit 1
 }
@@ -135,10 +136,12 @@ python3 -m repro campaign SPEC02 SPEC08 SERV3 --predictors bf-neural bf-tage10 \
     --checkpoint-every 10000 \
     --telemetry results/campaign-resume-telemetry.jsonl \
     --output results/campaign-resume.txt --quiet
-# Record a canonical state hash for one trained predictor so two
-# checkouts can check bit-identity of the whole simulation stack.
-python3 -m repro state hash --predictor gshare --trace SPEC02 \
-    > results/state-hash.txt
+# Record canonical state hashes of trained predictors (a counter table
+# and the paper's BF-Neural) so two checkouts can check bit-identity of
+# the whole simulation stack.
+for predictor in gshare bf-neural; do
+    echo "$(python3 -m repro state hash --predictor "$predictor" --trace SPEC02)  $predictor SPEC02"
+done > results/state-hash.txt
 # Distribution stage: the same grid served by a loopback coordinator and
 # drained by two executor processes (docs/distribution.md). The shared
 # content-addressed store means this is a pure cache replay when the

@@ -9,7 +9,11 @@ mixer used where the paper says "hash".
 
 from __future__ import annotations
 
-_U64 = (1 << 64) - 1
+#: All-ones 64-bit mask, and the two splitmix64 finalizer multipliers
+#: ``mix64`` uses; hot loops that inline the mixer read them from here.
+U64 = (1 << 64) - 1
+MIX64_M1 = 0xBF58476D1CE4E5B9
+MIX64_M2 = 0x94D049BB133111EB
 
 
 def mask(bits: int) -> int:
@@ -34,9 +38,9 @@ def mix64(value: int) -> int:
     Used wherever the paper writes ``hash(...)``: a cheap, well-dispersed
     mapping from a combined key to a table index.
     """
-    value &= _U64
-    value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & _U64
-    value = (value ^ (value >> 27)) * 0x94D049BB133111EB & _U64
+    value &= U64
+    value = (value ^ (value >> 30)) * MIX64_M1 & U64
+    value = (value ^ (value >> 27)) * MIX64_M2 & U64
     return value ^ (value >> 31)
 
 
@@ -49,7 +53,7 @@ def hash_combine(*values: int) -> int:
     """
     acc = 0x9E3779B97F4A7C15
     for value in values:
-        acc = mix64(acc ^ (value & _U64))
+        acc = mix64(acc ^ (value & U64))
     return acc
 
 

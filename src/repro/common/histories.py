@@ -9,16 +9,21 @@ Predictors need two views of the branch outcome stream:
   recent ``length`` history bits down to ``width`` bits, the standard
   circular-shift-register trick TAGE uses; the Bias-Free paper folds
   history the same way for its index hashes (Section IV-A).
-* ``MultiFoldedHistory`` — a bank of ``FoldedHistory`` registers at a
-  ladder of depths.  BF-Neural needs the folded history *from an RS
-  entry's positional depth up to now*; maintaining a register per
-  quantized depth makes that O(1) per prediction.
+* ``MultiFoldedHistory`` — a bank of ``FoldedHistory``-equivalent
+  registers at a ladder of depths.  BF-Neural needs the folded history
+  *from an RS entry's positional depth up to now*; maintaining a register
+  per quantized depth makes that O(1) per prediction.  The registers are
+  one int list, ``values``: ``push`` advances all of them in a single
+  loop over per-register constants (window length, outgoing-bit
+  position), reading the outgoing bits straight from the ring buffer,
+  and BF-Neural copies the whole list once per prediction.  The
+  vectorized BF-Neural kernel writes ``values`` back after a batch.
 """
 
 from __future__ import annotations
 
 from repro.common.bitops import fold_bits, mask
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length, expect_range
 
 
 class HistoryRing:
@@ -83,9 +88,16 @@ class HistoryRing:
         """Re-install a :meth:`snapshot`; the capacity must match."""
         expect_keys(state, ("buf", "head", "count"), "HistoryRing")
         expect_length(state["buf"], self.capacity, "HistoryRing.buf")
-        self._buf = list(state["buf"])
-        self._head = state["head"] % self.capacity
-        self._count = min(int(state["count"]), self.capacity)
+        buf = [int(bit) for bit in state["buf"]]
+        expect_range(buf, 0, 1, "HistoryRing.buf")
+        head, count = state["head"], state["count"]
+        if type(head) is not int or type(count) is not int:
+            raise StateError(f"HistoryRing: head {head!r} and count {count!r} must be ints")
+        expect_range([head], 0, self.capacity - 1, "HistoryRing.head")
+        expect_range([count], 0, self.capacity, "HistoryRing.count")
+        self._buf = buf
+        self._head = head
+        self._count = count
 
 
 class FoldedHistory:
@@ -136,7 +148,7 @@ class FoldedHistory:
 
     def restore(self, state: int) -> None:
         if not isinstance(state, int) or not 0 <= state < (1 << self.width):
-            raise ValueError(
+            raise StateError(
                 f"FoldedHistory: value {state!r} outside {self.width}-bit register"
             )
         self.value = state
@@ -159,11 +171,15 @@ def naive_fold(ring: HistoryRing, length: int, width: int) -> int:
 class MultiFoldedHistory:
     """A ladder of folded-history registers over one outcome stream.
 
-    ``depths`` is a sorted list of window lengths.  ``folded_at(depth)``
+    ``depths`` is a sorted list of window lengths; ``values[t]`` is the
+    fold of the last ``depths[t]`` outcomes to ``width`` bits, with the
+    same invariant as :class:`FoldedHistory`.  ``folded_at(depth)``
     returns the folded value for the largest maintained window that does
     not exceed ``depth`` — the quantization BF-Neural uses to attach "the
     folded history from the RS entry to now" to its index hash without
-    per-entry recomputation.
+    per-entry recomputation.  The registers are a plain int list rather
+    than ``FoldedHistory`` objects so :meth:`push` advances the whole
+    ladder in one loop and BF-Neural reads every register at once.
     """
 
     def __init__(self, depths: list[int], width: int, ring_capacity: int) -> None:
@@ -171,46 +187,65 @@ class MultiFoldedHistory:
             raise ValueError("at least one depth is required")
         if sorted(depths) != list(depths) or len(set(depths)) != len(depths):
             raise ValueError(f"depths must be strictly increasing, got {depths}")
+        if depths[0] <= 0:
+            raise ValueError(f"depths must be positive, got {depths}")
         if depths[-1] > ring_capacity:
             raise ValueError(
                 f"deepest window {depths[-1]} exceeds ring capacity {ring_capacity}"
             )
+        if width <= 0:
+            raise ValueError(f"width must be positive, got {width}")
         self.depths = list(depths)
         self.width = width
         self._ring = HistoryRing(ring_capacity)
-        self._folds = [FoldedHistory(depth, width) for depth in depths]
+        self.values = [0] * len(depths)
+        # Per-register FoldedHistory.update constants: window length and
+        # the folded position of the bit leaving the window.
+        self._registers = tuple((depth, depth % width) for depth in depths)
+        self._width_mask = mask(width)
+        self._top = width - 1
 
     def push(self, taken: bool) -> None:
-        """Record one outcome and advance every folded register."""
+        """Record one outcome and advance every folded register.
+
+        ``FoldedHistory.update`` per register, over the ring's buffer:
+        rotate left within ``width`` bits, inject the new bit, and cancel
+        the bit leaving the window — the one ``length`` slots behind the
+        ring head before the push (zero while the window is not full).
+        ``buf[head - length]`` wraps through Python's negative indexing,
+        since ``0 <= head < capacity`` and ``length <= capacity``.
+        """
         incoming = 1 if taken else 0
-        ring_at = self._ring.at
-        count_before = len(self._ring)
-        for fold in self._folds:
-            # The bit leaving each window is the one at depth length-1
-            # *before* the push (zero while the window is not yet full).
-            if count_before >= fold.length and fold.length > 0:
-                outgoing = ring_at(fold.length - 1)
-            else:
-                outgoing = 0
-            fold.update(incoming, outgoing)
-        self._ring.push(taken)
+        ring = self._ring
+        buf = ring._buf
+        head = ring._head
+        count = ring._count
+        values = self.values
+        width_mask = self._width_mask
+        top = self._top
+        for t, (length, out_pos) in enumerate(self._registers):
+            v = values[t]
+            folded = (((v << 1) | incoming) & width_mask) ^ (v >> top)
+            if count >= length:
+                folded ^= buf[head - length] << out_pos
+            values[t] = folded
+        ring.push(taken)
 
     def folded_at(self, depth: int) -> int:
         """Folded history over the largest window ``<= depth`` (0 if none)."""
         best = 0
-        for fold in self._folds:
-            if fold.length <= depth:
-                best = fold.value
+        for length, value in zip(self.depths, self.values):
+            if length <= depth:
+                best = value
             else:
                 break
         return best
 
     def exact(self, depth: int) -> int:
         """Folded history for a window that must be maintained exactly."""
-        for fold in self._folds:
-            if fold.length == depth:
-                return fold.value
-        raise KeyError(f"no folded register maintained for depth {depth}")
+        if depth not in self.depths:
+            raise KeyError(f"no folded register maintained for depth {depth}")
+        return self.values[self.depths.index(depth)]
 
     @property
     def ring(self) -> HistoryRing:
@@ -218,20 +253,17 @@ class MultiFoldedHistory:
 
     def clear(self) -> None:
         self._ring.clear()
-        for fold in self._folds:
-            fold.clear()
+        self.values = [0] * len(self.depths)
 
     def snapshot(self) -> dict:
         """Ring contents plus every folded register value."""
-        return {
-            "ring": self._ring.snapshot(),
-            "folds": [fold.snapshot() for fold in self._folds],
-        }
+        return {"ring": self._ring.snapshot(), "folds": list(self.values)}
 
     def restore(self, state: dict) -> None:
         """Re-install a :meth:`snapshot`; the depth ladder must match."""
         expect_keys(state, ("ring", "folds"), "MultiFoldedHistory")
-        expect_length(state["folds"], len(self._folds), "MultiFoldedHistory.folds")
+        expect_length(state["folds"], len(self.depths), "MultiFoldedHistory.folds")
+        values = [int(v) for v in state["folds"]]
+        expect_range(values, 0, self._width_mask, "MultiFoldedHistory.folds")
         self._ring.restore(state["ring"])
-        for fold, value in zip(self._folds, state["folds"]):
-            fold.restore(value)
+        self.values = values

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_MIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_M2 = np.uint64(0x94D049BB133111EB)
+from repro.common.bitops import MIX64_M1, MIX64_M2, U64
+
+_U64 = np.uint64(U64)
+_MIX_M1 = np.uint64(MIX64_M1)
+_MIX_M2 = np.uint64(MIX64_M2)
 
 
 def table_array(values, dtype) -> np.ndarray:

@@ -35,15 +35,41 @@ BF-Neural (fhist)      ``filter_biased_history=False, use_rs=False``
 (The leftmost Figure 9 bar — a conventional hashed perceptron with
 72-bit history — is ``repro.predictors.snap.ScaledNeural(history=72)``;
 see DESIGN.md.)
+
+Scalar hot path.  ``_compute`` runs for every non-biased branch and does
+the arithmetic above without a helper call per weight:
+
+* ``folded(d)`` is one read of the per-event ``_fold_view``.  Windows of
+  up to 16 outcomes are folded from ``_recent_bits`` once per event, one
+  bit at a time (the chunk XOR of ``fold_bits``); the ``Wm`` rows use
+  them, and so do the ``Wrs`` entries at distance 16 or less.  Longer
+  windows read the largest ``MultiFoldedHistory`` ladder register not
+  exceeding ``d``, whose values are copied into the view once per event.
+* A ``Wrs`` entry's distance is ``clock - stamp`` capped at
+  ``position_cap``, the definition in ``RecencyStack.distance_of``.
+  It indexes two tables from ``distance_tables``:
+  ``quantize_distance(d) << 13`` and the fold slot of ``d``.  The tables
+  are built once per (``position_cap``, depth ladder) and shared by
+  every instance.
+* The splitmix64 finalizer ``mix64`` is written out in both loops, with
+  the constants from ``repro.common.bitops``.
+
+The components stay behind their own methods, which the traced
+benchmark times per instance: ``bst.status``/``observe``/
+``is_non_biased``, ``rs.tick``/``record``/``entries``, ``_folds.push``
+and ``loop.lookup``/``update``.  The per-entry form survives as the
+frozen reference in ``tests/test_bfneural.py``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.common.bitops import fold_bits, mask, mix64
+from repro.common.bitops import MIX64_M1, MIX64_M2, U64, fold_bits, mask
 from repro.common.histories import MultiFoldedHistory
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import expect_keys, expect_length, expect_range
 from repro.core.bst import BranchStatus, BranchStatusTable
 from repro.core.recency_stack import RecencyStack
 from repro.predictors.base import BranchPredictor
@@ -51,6 +77,10 @@ from repro.predictors.loop import LoopPredictor
 
 #: Depth ladder for the folded-history registers backing ``folded(P)``.
 _FOLD_DEPTHS = [4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048]
+
+#: Windows up to this depth are folded per event from ``_recent_bits``
+#: instead of being kept in a ladder register.
+_SMALL_WINDOW = 16
 
 #: Hardware threshold registers are 8-bit; the adaptive θ never gets
 #: near this in practice, but the model must saturate like the RTL.
@@ -69,6 +99,36 @@ def quantize_distance(distance: int) -> int:
     exponent = distance.bit_length() - 1
     sub = (distance >> (exponent - 2)) & 3
     return exponent * 4 + sub
+
+
+def _fold_slot(depths: tuple[int, ...], depth: int) -> int:
+    """Index of ``folded(depth)`` in ``BFNeural._fold_view``.
+
+    Windows up to ``_SMALL_WINDOW`` are folded exactly (slot ``depth``);
+    longer ones read the largest ladder register not exceeding ``depth``
+    (``MultiFoldedHistory.folded_at``), stored after the small windows.
+    """
+    if depth <= _SMALL_WINDOW:
+        return depth
+    return _SMALL_WINDOW + bisect_right(depths, depth)
+
+
+@lru_cache(maxsize=16)
+def distance_tables(
+    position_cap: int, depths: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-distance ``Wrs`` hash constants for one geometry.
+
+    Indexed by the positional distance ``d`` in ``0..position_cap``:
+    ``quantize_distance(d) << 13`` and ``_fold_slot(depths, d)``.  Cached
+    per geometry, so every predictor built for a campaign task shares
+    one copy.
+    """
+    span = range(position_cap + 1)
+    return (
+        tuple(quantize_distance(d) << 13 for d in span),
+        tuple(_fold_slot(depths, d) for d in span),
+    )
 
 
 @dataclass
@@ -134,11 +194,22 @@ class BFNeural(BranchPredictor):
         # Unfiltered history state.
         self._recent_bits = 0  # newest outcome at bit 0
         self._recent_paths = [0] * cfg.ht  # newest at index 0
+        depths = tuple(d for d in _FOLD_DEPTHS if d <= cfg.position_cap)
         self._folds = MultiFoldedHistory(
-            depths=[d for d in _FOLD_DEPTHS if d <= cfg.position_cap],
+            depths=list(depths),
             width=max(4, cfg.wm_rows.bit_length() - 1),
             ring_capacity=cfg.position_cap,
         )
+        # Immutable hash constants fixed by the geometry: where history
+        # bit i lands in a small-window fold (bit i % width), the fold
+        # slot of each Wm row, and the shared per-distance Wrs tables.
+        width = self._folds.width
+        self._small_bits = tuple(1 << (i % width) for i in range(_SMALL_WINDOW))
+        self._wm_slots = tuple(_fold_slot(depths, i + 1) for i in range(cfg.ht))
+        self._dist_keys, self._dist_slots = distance_tables(cfg.position_cap, depths)
+        # Per-event scratch of _compute: folded(d) for d = 0.._SMALL_WINDOW,
+        # then every ladder register.  Fully rewritten before each read.
+        self._fold_view = [0] * (_SMALL_WINDOW + 1 + len(depths))
         # Per-prediction scratch consumed by train().
         self._last_status = BranchStatus.NOT_FOUND
         self._last_accum = 0
@@ -159,9 +230,12 @@ class BFNeural(BranchPredictor):
     # ------------------------------------------------------------------
 
     def _folded(self, depth: int) -> int:
-        """Folded unfiltered history over the last ``depth`` outcomes."""
-        if depth <= 16:
-            # Small windows need no incremental register: fold the raw bits.
+        """Folded unfiltered history over the last ``depth`` outcomes.
+
+        The one-value form of ``_fold_view``, for callers off the hot
+        path (the ahead-pipelined model's stale-history snapshots).
+        """
+        if depth <= _SMALL_WINDOW:
             return fold_bits(self._recent_bits & mask(depth), depth, self._folds.width)
         return self._folds.folded_at(depth)
 
@@ -172,12 +246,28 @@ class BFNeural(BranchPredictor):
         preallocated in ``__init__`` are reused in place and every
         attribute consulted inside the loops is hoisted to a local
         (REPRO401/402 — ``snapshot()`` copies the scratch, so reuse is
-        checkpoint-safe).
+        checkpoint-safe).  No helper is called per weight; see the
+        module docstring for the fold view, the distance tables and the
+        inlined ``mix64``.
         """
         cfg = self.config
         bias_index = pc & (cfg.bias_entries - 1)
         accum = self._wb[bias_index]
         self._last_bias_index = bias_index
+
+        u64 = U64
+        m1 = MIX64_M1
+        m2 = MIX64_M2
+        recent = self._recent_bits
+        use_fold = cfg.use_folded_hist
+        view = self._fold_view
+        if use_fold:
+            folded = 0
+            for i, bit in enumerate(self._small_bits):
+                if (recent >> i) & 1:
+                    folded ^= bit
+                view[i + 1] = folded
+            view[_SMALL_WINDOW + 1 :] = self._folds.values
 
         wm_rows = self._last_wm_rows
         wm_signs = self._last_wm_signs
@@ -185,21 +275,25 @@ class BFNeural(BranchPredictor):
         wm_signs.clear()
         rows_append = wm_rows.append
         signs_append = wm_signs.append
-        recent = self._recent_bits
-        use_fold = cfg.use_folded_hist
         row_mask = cfg.wm_rows - 1
         paths = self._recent_paths
+        wm_slots = self._wm_slots
         wm = self._wm
-        folded = self._folded
         for i in range(cfg.ht):
-            key = pc ^ paths[i]
+            key = pc ^ paths[i] ^ (i << 24)
             if use_fold:
-                key ^= folded(i + 1) << 5
-            row = mix64(key ^ (i << 24)) & row_mask
-            sign = 1 if (recent >> i) & 1 else -1
-            accum += wm[row][i] * sign
+                key ^= view[wm_slots[i]] << 5
+            key &= u64
+            key = (key ^ (key >> 30)) * m1 & u64
+            key = (key ^ (key >> 27)) * m2 & u64
+            row = (key ^ (key >> 31)) & row_mask
+            if (recent >> i) & 1:
+                accum += wm[row][i]
+                signs_append(1)
+            else:
+                accum -= wm[row][i]
+                signs_append(-1)
             rows_append(row)
-            signs_append(sign)
 
         wrs_idx = self._last_wrs_idx
         wrs_signs = self._last_wrs_signs
@@ -209,21 +303,32 @@ class BFNeural(BranchPredictor):
         wsigns_append = wrs_signs.append
         wrs_mask = cfg.wrs_entries - 1
         rs = self.rs
-        distance_of = rs.distance_of
+        clock = rs._clock
+        cap = cfg.position_cap
         use_positional = cfg.use_positional
+        dist_keys = self._dist_keys
+        dist_slots = self._dist_slots
         wrs = self._wrs
         for entry in rs.entries():
-            distance = distance_of(entry)
+            distance = clock - entry.stamp
+            if distance > cap:
+                distance = cap
             key = pc ^ entry.address
             if use_positional:
-                key ^= quantize_distance(distance) << 13
+                key ^= dist_keys[distance]
             if use_fold:
-                key ^= folded(distance) << 21
-            index = mix64(key) & wrs_mask
-            sign = 1 if entry.outcome else -1
-            accum += wrs[index] * sign
+                key ^= view[dist_slots[distance]] << 21
+            key &= u64
+            key = (key ^ (key >> 30)) * m1 & u64
+            key = (key ^ (key >> 27)) * m2 & u64
+            index = (key ^ (key >> 31)) & wrs_mask
+            if entry.outcome:
+                accum += wrs[index]
+                wsigns_append(1)
+            else:
+                accum -= wrs[index]
+                wsigns_append(-1)
             idx_append(index)
-            wsigns_append(sign)
 
         self._last_accum = accum
 
@@ -340,7 +445,7 @@ class BFNeural(BranchPredictor):
         # Unfiltered global history always advances.  The path shift is
         # in place (insert/pop) — the slice-assignment idiom copies the
         # list twice per event (REPRO401).
-        self._recent_bits = ((self._recent_bits << 1) | int(taken)) & mask(64)
+        self._recent_bits = ((self._recent_bits << 1) | (1 if taken else 0)) & U64
         paths = self._recent_paths
         paths.insert(0, pc & 0xFFFF)
         paths.pop()
@@ -406,21 +511,48 @@ class BFNeural(BranchPredictor):
         )
         expect_length(payload["wb"], cfg.bias_entries, "BFNeural.wb")
         expect_length(payload["wm"], cfg.wm_rows, "BFNeural.wm")
+        for row in payload["wm"]:
+            expect_length(row, cfg.ht, "BFNeural.wm[row]")
         expect_length(payload["wrs"], cfg.wrs_entries, "BFNeural.wrs")
         expect_length(payload["recent_paths"], cfg.ht, "BFNeural.recent_paths")
+        # Every table and register is range-checked here, so a corrupt
+        # payload fails now with a StateError rather than mid-simulate
+        # (a negative RS distance would index the distance tables from
+        # the end).  Checks are C-level min/max over the converted lists.
+        wmin, wmax = self._wmin, self._wmax
+        wb = [int(v) for v in payload["wb"]]
+        expect_range(wb, wmin, wmax, "BFNeural.wb")
+        wm = [[int(v) for v in row] for row in payload["wm"]]
+        if cfg.ht:
+            expect_range([min(map(min, wm)), max(map(max, wm))], wmin, wmax, "BFNeural.wm")
+        wrs = [int(v) for v in payload["wrs"]]
+        expect_range(wrs, wmin, wmax, "BFNeural.wrs")
+        recent_paths = [int(v) for v in payload["recent_paths"]]
+        expect_range(recent_paths, 0, 0xFFFF, "BFNeural.recent_paths")
+        recent_bits = int(payload["recent_bits"])
+        expect_range([recent_bits], 0, U64, "BFNeural.recent_bits")
+        theta = int(payload["theta"])
+        expect_range(
+            [theta],
+            min(1, cfg.initial_theta),
+            max(_THETA_MAX, cfg.initial_theta),
+            "BFNeural.theta",
+        )
+        withloop = int(payload["withloop"])
+        expect_range([withloop], -64, 63, "BFNeural.withloop")
         self.bst.restore(payload["bst"])
         self.rs.restore(payload["rs"])
-        self._wb = [int(v) for v in payload["wb"]]
-        self._wm = [[int(v) for v in row] for row in payload["wm"]]
-        self._wrs = [int(v) for v in payload["wrs"]]
+        self._folds.restore(payload["folds"])
         if self.loop is not None:
             self.loop.restore(payload["loop"])
-        self._withloop = int(payload["withloop"])
-        self.theta = int(payload["theta"])
+        self._wb = wb
+        self._wm = wm
+        self._wrs = wrs
+        self._withloop = withloop
+        self.theta = theta
         self._tc = int(payload["tc"])
-        self._recent_bits = int(payload["recent_bits"])
-        self._recent_paths = [int(v) for v in payload["recent_paths"]]
-        self._folds.restore(payload["folds"])
+        self._recent_bits = recent_bits
+        self._recent_paths = recent_paths
         scratch = payload["scratch"]
         expect_keys(
             scratch,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.state import StateError, expect_keys
+from repro.common.state import StateError, expect_keys, expect_range
 
 
 @dataclass
@@ -115,11 +115,20 @@ class RecencyStack:
             raise StateError(
                 f"RecencyStack: {len(entries)} entries exceed depth {self.depth}"
             )
-        self._entries = [
+        restored = [
             RSEntry(address=int(a), stamp=int(s), outcome=bool(o))
             for a, s, o in entries
         ]
-        self._clock = int(state["clock"])
+        clock = int(state["clock"])
+        if clock < 0:
+            raise StateError(f"RecencyStack: clock {clock} is negative")
+        # Every occurrence was stamped at or before the current clock, so
+        # distances (clock - stamp) are never negative.
+        expect_range([e.stamp for e in restored], 0, clock, "RecencyStack.stamps")
+        if self.dedup and len({e.address for e in restored}) != len(restored):
+            raise StateError("RecencyStack: duplicate addresses in a dedup stack")
+        self._entries = restored
+        self._clock = clock
 
     def find(self, pc: int) -> RSEntry | None:
         for entry in self._entries:

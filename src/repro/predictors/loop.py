@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bitops import mix64
+from repro.common.bitops import MIX64_M1, MIX64_M2, U64
 from repro.common.state import expect_keys, expect_length
 from repro.predictors.base import BranchPredictor
 
@@ -44,11 +44,18 @@ class LoopPredictor:
         self.tag_bits = tag_bits
         self.sets = entries // ways
         self._table = [[_LoopEntry() for _ in range(ways)] for _ in range(self.sets)]
+        # Skewed associativity: every way adds its own multiple of the
+        # skew constant to the pc before hashing.
+        self._way_skews = tuple(0x517C_C1B7 * (way + 1) for way in range(ways))
+        self._tag_mask = (1 << tag_bits) - 1
 
     def _set_and_tag(self, pc: int, way: int) -> tuple[int, int]:
-        # Skewed associativity: every way uses a different index hash.
-        hashed = mix64(pc + 0x517C_C1B7 * (way + 1))
-        return hashed % self.sets, (hashed >> 20) & ((1 << self.tag_bits) - 1)
+        # mix64(pc + skew), inlined: this runs per way on every lookup.
+        hashed = (pc + self._way_skews[way]) & U64
+        hashed = (hashed ^ (hashed >> 30)) * MIX64_M1 & U64
+        hashed = (hashed ^ (hashed >> 27)) * MIX64_M2 & U64
+        hashed ^= hashed >> 31
+        return hashed % self.sets, (hashed >> 20) & self._tag_mask
 
     def _find(self, pc: int) -> _LoopEntry | None:
         set_and_tag = self._set_and_tag

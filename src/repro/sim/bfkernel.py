@@ -220,7 +220,7 @@ class BFNeuralKernel:
             tail = np.array(
                 [ring.at(k) for k in range(usable - 1, -1, -1)], dtype=np.uint16
             )
-            seed_value = folds._folds[t].value
+            seed_value = folds.values[t]
             series = folded_history_series(
                 outs,
                 depth,
@@ -569,8 +569,7 @@ class BFNeuralKernel:
             for j in range(ht)
         ]
 
-        for fold, value in zip(folds._folds, fold_final):
-            fold.value = value
+        folds.values[:] = fold_final
         cap = ring.capacity
         head0 = ring._head
         buf = np.asarray(ring._buf, dtype=np.int64)

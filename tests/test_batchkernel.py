@@ -13,6 +13,9 @@ rewrites preserve it).  These tests enforce the contract three ways:
 * a hypothesis property over the one segmentation in ``simulate()``:
   random warmup, streamed cuts, a stop/resume split through either
   kernel and provider attribution all equal the straight scalar run;
+* a hypothesis sweep over ``BFNeuralConfig`` geometries and feature
+  flags inside the kernel's ``supports()`` range, the independent
+  oracle for the scalar core's per-geometry distance tables;
 * a full 40-trace + WILD1-4 sweep per ported predictor, marked
   ``vectorized`` and gated behind ``REPRO_FULL_DIFFERENTIAL=1``
   (minutes of scalar BF-Neural; ``run_all_experiments.sh`` runs it).
@@ -41,6 +44,8 @@ from repro.common.tablestate import (
     table_list,
 )
 from repro.core import BFNeural
+from repro.core.bfneural import BFNeuralConfig
+from repro.core.configs import bf_neural_32kb
 from repro.predictors import Bimodal, GShare, Tage, TageConfig
 from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
@@ -365,6 +370,58 @@ def test_segmented_runs_equal_straight_scalar_run(data, name):
         (c.position, c.mispredictions, c.state_hash()) for c in straight_cuts
     ]
     assert tail_p.state_hash() == straight_p.state_hash()
+
+
+#: The Figure 9 stages as (filter_biased_history, use_rs).
+FIG9_STAGES = ((False, False), (True, False), (True, True))
+
+
+@st.composite
+def bf_neural_configs(draw):
+    """``BFNeuralConfig`` variants the vectorized kernel supports: every
+    Figure 9 stage and feature flag, ``ht`` 1-16, fold widths 4-10
+    (``wm_rows`` 16-1024), any ``position_cap`` 16-2048 and ``rs_depth``
+    1-48, or the 32 KB preset."""
+    if draw(st.booleans(), label="32 KB preset"):
+        return bf_neural_32kb().config
+    filter_biased, use_rs = draw(st.sampled_from(FIG9_STAGES), label="stage")
+    return BFNeuralConfig(
+        bst_entries=1024,
+        bias_entries=256,
+        wrs_entries=4096,
+        filter_biased_history=filter_biased,
+        use_rs=use_rs,
+        use_folded_hist=draw(st.booleans(), label="use_folded_hist"),
+        use_positional=draw(st.booleans(), label="use_positional"),
+        with_loop_predictor=draw(st.booleans(), label="with_loop_predictor"),
+        ht=draw(st.integers(1, 16), label="ht"),
+        wm_rows=1 << draw(st.integers(4, 10), label="log2 wm_rows"),
+        position_cap=draw(st.integers(16, 2048), label="position_cap"),
+        rs_depth=draw(st.integers(1, 48), label="rs_depth"),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=bf_neural_configs(),
+    data=st.data(),
+)
+def test_bf_neural_config_sweep_matches_scalar(config, data):
+    """Scalar and vectorized BF-Neural agree on mispredictions and
+    ``state_hash`` across geometries, over a random or a suite trace."""
+    assert kernel_for(BFNeural(config)) is not None
+    if data.draw(st.booleans(), label="random trace"):
+        events = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 63), st.booleans()), min_size=1, max_size=400
+            ),
+            label="events",
+        )
+        trace = _trace_from([(0x4000 + 4 * pc, taken) for pc, taken in events])
+    else:
+        name = data.draw(st.sampled_from(SUITE_NAMES), label="suite trace")
+        trace = build_trace(name, 1_500)
+    _assert_identical(lambda: BFNeural(config), trace)
 
 
 @pytest.mark.vectorized
