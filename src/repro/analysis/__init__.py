@@ -5,7 +5,7 @@ The paper's headline numbers (2.49 MPKI BF-Neural at 64 KB, the
 model stays hardware-realizable: fixed-width saturating counters,
 power-of-two tables, integer-only arithmetic on the predict/train
 paths, deterministic state, and honest ``storage_bits`` accounting.
-This package enforces those invariants with six rule families plus an
+This package enforces those invariants with five rule families plus an
 audit pass:
 
 * ``hw`` (:mod:`repro.analysis.rules`, REPRO0xx) — hardware
@@ -14,8 +14,6 @@ audit pass:
 * ``det`` (:mod:`repro.analysis.determinism`, REPRO1xx) — a taint pass
   that tracks nondeterminism sources (clocks, unseeded randomness,
   iteration order) into fingerprint/state/store sinks;
-* ``race`` (:mod:`repro.analysis.races`, REPRO2xx) — lock-discipline
-  inference flagging lock-guarded attributes touched without the lock;
 * ``schema`` (:mod:`repro.analysis.schema`, REPRO3xx) — drift between
   emitted telemetry events / socket messages and their declared
   ``EVENT_FIELDS`` / ``MESSAGE_TYPES`` registries;
@@ -25,10 +23,11 @@ audit pass:
   :mod:`repro.analysis.callgraph` (module index, ``self``-method and
   registry-ref binding, import re-export chasing);
 * ``concurrency`` (:mod:`repro.analysis.concurrency`, REPRO5xx) —
-  whole-program lock-order graph with deadlock-cycle reporting,
-  blocking-call/callback-under-lock detection across the call graph,
-  thread-escape analysis, and protocol-FSM conformance against the
-  machines declared in ``PROTOCOL_FSMS``; and
+  lock-discipline inference (lock-guarded attributes touched without
+  the lock), whole-program lock-order graph with deadlock-cycle
+  reporting, blocking-call/callback-under-lock detection across the
+  call graph, thread-escape analysis, and protocol-FSM conformance
+  against the machines declared in ``PROTOCOL_FSMS``; and
 * a storage-budget auditor (:mod:`repro.analysis.storage_audit`) that
   instantiates the preset configurations, walks every component's
   ``storage_bits()`` and cross-checks the totals against the declared

@@ -9,6 +9,8 @@ stale so the baseline only ever shrinks.
 
 Matching is by ``(rule, canonical file, symbol)`` — deliberately not by
 line number, so edits elsewhere in a file do not invalidate entries.
+An entry naming a rule id no family reports (a retired or mistyped id)
+is refused on load rather than silently never matching.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.families import ALL_RULES, family_of
 from repro.analysis.findings import Finding, canonical_file
 
 #: Default baseline location, relative to the repository root / CWD.
@@ -51,8 +54,6 @@ class Baseline:
         belonging to a family that was not run cannot be judged stale
         (their rules produced no findings by construction).
         """
-        from repro.analysis.families import family_of
-
         by_key = {entry.key: entry for entry in self.entries}
         new: list[Finding] = []
         suppressed: list[Finding] = []
@@ -77,7 +78,11 @@ class Baseline:
 
 
 def load_baseline(path: Path | str | None = None) -> Baseline:
-    """Load a baseline file; a missing default baseline is simply empty."""
+    """Load a baseline file; a missing default baseline is simply empty.
+
+    Raises ``ValueError`` when an entry names a rule id that no family
+    reports.
+    """
     explicit = path is not None
     path = Path(path) if path is not None else DEFAULT_BASELINE
     if not path.exists():
@@ -94,6 +99,12 @@ def load_baseline(path: Path | str | None = None) -> Baseline:
         )
         for item in data.get("entries", [])
     ]
+    for entry in entries:
+        if entry.rule not in ALL_RULES:
+            raise ValueError(
+                f"baseline {path}: entry for {entry.file} {entry.symbol} names "
+                f"unknown rule {entry.rule}"
+            )
     return Baseline(path=path, entries=entries)
 
 

@@ -2,12 +2,12 @@
 
 Exit codes: 0 clean, 1 new lint findings, 2 storage-audit failure.
 
-The driver runs every rule family by default (``hw``, ``det``, ``race``,
-``schema``, ``perf``, ``concurrency``); ``--family`` restricts the run.  ``--format json``
-emits one finding per line with a stable key order so downstream tools
-can diff or stream the output; ``--format sarif`` emits a SARIF 2.1.0
-log (baselined findings become suppressed results) for code-scanning
-UIs; the older ``--json`` aggregate payload is kept for
+The CLI runs every rule family by default (``hw``, ``det``,
+``schema``, ``perf``, ``concurrency``); ``--family`` restricts the run.
+``--format json`` emits one finding per line with a stable key order so
+downstream tools can diff or stream the output; ``--format sarif``
+emits a SARIF 2.1.0 log (baselined findings become suppressed results)
+for code-scanning UIs; the older ``--json`` aggregate payload is kept for
 ``run_all_experiments.sh`` consumers.
 """
 
@@ -37,8 +37,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Static analysis for the repro tree: hardware "
-        "faithfulness, determinism taint, lock discipline and schema "
-        "drift, plus the storage-budget audit",
+        "faithfulness, determinism taint, schema drift, hot-path cost and "
+        "concurrency (lock discipline, lock order, protocol FSMs), plus "
+        "the storage-budget audit",
     )
     parser.add_argument(
         "paths",

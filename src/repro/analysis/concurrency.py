@@ -3,14 +3,13 @@
 The serving/distribution substrate (`WarmSnapshotPool`,
 `PredictionServer`, the lease coordinator, `Telemetry`) is threaded:
 dozens of lock acquisition sites keep served predictions bit-identical
-to offline ``simulate()``.  The ``race`` family (REPRO2xx) checks that
-guarded attributes are touched under the lock, but it is per-class and
-intraprocedural — it cannot see that two classes acquire each other's
-locks in opposite orders, that a helper called under a lock blocks on a
-socket, or that a connection handler sends protocol messages in an
-order no peer state machine admits.  This family reasons across
-functions, threads, and the wire, riding the interprocedural engine in
-:mod:`.callgraph`:
+to offline ``simulate()``.  This family infers that discipline once —
+which locks exist, which ``self.<attr>`` state each class writes under
+them — and checks it per function, across functions (two classes
+acquiring each other's locks in opposite orders, a helper called under
+a lock that blocks on a socket), across threads, and on the wire (a
+connection handler sending protocol messages in an order no peer state
+machine admits), riding the interprocedural engine in :mod:`.callgraph`:
 
 =========  ===========================================================
 REPRO501   Lock-order cycle: the whole-program lock-order graph (an
@@ -41,6 +40,18 @@ REPRO506   Message sequence violates the declared protocol FSM:
            ``send_message``/``recv_message``) are simulated against
            every machine declared in ``PROTOCOL_FSMS``; a send no
            reachable state admits is protocol drift.
+REPRO507   Lock-guarded attribute touched without the lock: an
+           attribute is *guarded* when some method of its class writes
+           it (assignment, ``del``, or a mutating call such as
+           ``append``/``pop``/``write``) while holding a lock; reading
+           or writing it outside any lock is reported in a public
+           method (external callers cannot hold the lock) or in a
+           method that takes a lock itself.  Private helpers that never
+           lock are presumed "caller holds the lock" internals, and
+           ``__init__`` is exempt (no concurrency before construction
+           completes).
+REPRO508   The same, in a method used as a ``threading.Thread(target=
+           self.<method>)`` — it runs concurrently by construction.
 =========  ===========================================================
 
 The lock model is syntactic and conservative: class-attribute locks
@@ -57,18 +68,19 @@ pragma::
     # concurrency: allow(REPRO502): single-threaded startup path
 
 on the offending line, the line above it, or the function's ``def``
-line.  The reason after the colon is mandatory.
+line (:meth:`~repro.analysis.rules.ModuleSource.waived`).  The reason
+after the colon is mandatory.
 """
 
 from __future__ import annotations
 
 import ast
-import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import CallGraph, FunctionNode
+from repro.analysis.callgraph import CallGraph, ClassNode, FunctionNode
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ModuleSource
+from repro.analysis.rules import ModuleSource, _call_tail, _stmt_bodies
 from repro.analysis.schema import _PROTOCOL_MARKERS, _has_markers, _qualname_at
 
 #: Short titles for ``--list-rules``.
@@ -79,15 +91,33 @@ RULES = {
     "REPRO504": "nested acquisition of a non-reentrant lock",
     "REPRO505": "user callback invoked inside a critical section",
     "REPRO506": "message sequence violates the declared protocol FSM",
+    "REPRO507": "lock-guarded attribute accessed without the lock",
+    "REPRO508": "guarded attribute accessed from a thread target without the lock",
 }
-
-#: ``# concurrency: allow(REPRO502): reason`` — reason required.
-_PRAGMA = re.compile(
-    r"#\s*concurrency:\s*allow\(\s*([A-Z0-9,\s]+?)\s*\)\s*:\s*(\S.*)$"
-)
 
 #: Lock constructors -> reentrant?
 _LOCK_FACTORIES = {"Lock": False, "RLock": True}
+
+#: Method tails that mutate their receiver: ``self.x.append(...)`` is a
+#: write to ``self.x`` (under a lock it makes ``x`` guarded).
+_MUTATORS = {
+    "append",
+    "appendleft",
+    "add",
+    "remove",
+    "discard",
+    "pop",
+    "popleft",
+    "popitem",
+    "clear",
+    "update",
+    "extend",
+    "insert",
+    "setdefault",
+    "sort",
+    "write",
+    "flush",
+}
 
 #: Attribute tails that block the calling thread (I/O, sleeps, waits).
 _BLOCKING_TAILS = {
@@ -148,15 +178,6 @@ def _self_name(func: ast.FunctionDef | ast.AsyncFunctionDef) -> str:
     if func.args.args:
         return func.args.args[0].arg
     return "self"
-
-
-def _call_tail(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
 
 
 def _lock_factory(value: ast.expr) -> bool | None:
@@ -220,8 +241,10 @@ class _FnScan:
     blocking_all: list[tuple[str, int]] = field(default_factory=list)
     #: Blocking operations inside a critical section (desc, lock, line).
     blocking_under: list[tuple[str, str, int]] = field(default_factory=list)
-    #: ``self.<attr>`` names written under a lock (REPRO503 guard set).
+    #: ``self.<attr>`` names written under a lock (the class guard set).
     guarded_writes: set[str] = field(default_factory=set)
+    #: ``self.<attr>`` accesses outside any held lock (attr, line, write?).
+    unguarded: list[tuple[str, int, bool]] = field(default_factory=list)
     #: ``threading.Thread(...)`` construction sites.
     spawns: list[ast.Call] = field(default_factory=list)
     #: Nested ``def``/``lambda`` bodies (run later, not under the lock).
@@ -244,11 +267,12 @@ _EMPTY_SUMMARY = _Summary()
 
 
 class _Analyzer:
-    """One run of REPRO501–506 over a parsed source set."""
+    """One run of REPRO501–508 over a parsed source set."""
 
-    def __init__(self, sources: list[ModuleSource]) -> None:
+    def __init__(self, sources: list[ModuleSource], graph: CallGraph) -> None:
         self.sources = sources
-        self.graph = CallGraph(sources)
+        self.modules = {source.module for source in sources}
+        self.graph = graph
         #: lock id -> reentrant?
         self.reentrant: dict[str, bool] = {}
         #: class qualname -> {attr: lock id} (locks the class creates).
@@ -264,25 +288,11 @@ class _Analyzer:
         ] = {}
         self.findings: list[Finding] = []
         self._summaries: dict[str, _Summary] = {}
-        self._pragma_cache: dict[str, dict[int, set[str]]] = {}
         self._seen: set[tuple[str, int, str, str]] = set()
 
     # ------------------------------------------------------------------
     # Reporting (pragma waivers + dedupe)
     # ------------------------------------------------------------------
-
-    def _pragmas(self, source: ModuleSource) -> dict[int, set[str]]:
-        cached = self._pragma_cache.get(source.module)
-        if cached is None:
-            cached = {}
-            for lineno, line in enumerate(source.lines, start=1):
-                match = _PRAGMA.search(line)
-                if match:
-                    cached[lineno] = {
-                        rule.strip() for rule in match.group(1).split(",")
-                    }
-            self._pragma_cache[source.module] = cached
-        return cached
 
     def _emit(
         self,
@@ -294,10 +304,8 @@ class _Analyzer:
         hint: str,
         def_line: int,
     ) -> None:
-        waivers = self._pragmas(source)
-        for lineno in (line, line - 1, def_line, def_line - 1):
-            if rule in waivers.get(lineno, ()):
-                return
+        if source.waived("concurrency", rule, line, def_line):
+            return
         key = (source.relpath, line, rule, message)
         if key in self._seen:
             return
@@ -327,8 +335,14 @@ class _Analyzer:
     # Phase 1: lock + callback discovery
     # ------------------------------------------------------------------
 
-    def _discover_locks(self) -> None:
+    def _classes(self) -> Iterator[ClassNode]:
+        """Indexed classes of the analyzed modules."""
         for info in self.graph.classes.values():
+            if info.module in self.modules:
+                yield info
+
+    def _discover_locks(self) -> None:
+        for info in self._classes():
             attrs: dict[str, str] = {}
             for method_qual in info.methods.values():
                 fn = self.graph.functions[method_qual]
@@ -365,7 +379,7 @@ class _Analyzer:
 
     def _discover_callbacks(self) -> None:
         """Attrs holding user code: ctor params and subscribe registries."""
-        for info in self.graph.classes.values():
+        for info in self._classes():
             attrs: set[str] = set()
             init_qual = info.methods.get("__init__")
             if init_qual is not None:
@@ -529,18 +543,6 @@ class _Analyzer:
                 for child in stmt.body:
                     visit(child, tuple(new_held))
                 return
-            if held and self_name is not None:
-                targets: list[ast.expr] = []
-                if isinstance(stmt, ast.Assign):
-                    targets = list(stmt.targets)
-                elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [stmt.target]
-                elif isinstance(stmt, ast.Delete):
-                    targets = list(stmt.targets)
-                for target in targets:
-                    attr = _self_attr(target, self_name)
-                    if attr is not None:
-                        scan.guarded_writes.add(attr)
             if (
                 isinstance(stmt, (ast.For, ast.AsyncFor))
                 and self_name is not None
@@ -563,19 +565,73 @@ class _Analyzer:
 
         for stmt in fn.node.body:
             visit(stmt, ())
-        # Mutator calls under a lock also guard the attr (REPRO503 set):
-        # the scan above only sees assignment statements.
         if self_name is not None:
-            for desc_call in scan.calls_under:
-                func = desc_call.call.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _GUARD_MUTATORS
-                ):
-                    attr = _self_attr(func.value, self_name)
-                    if attr is not None:
-                        scan.guarded_writes.add(attr)
+            self._track_attrs(scan, self_name, local_locks)
         return scan
+
+    def _track_attrs(
+        self, scan: _FnScan, self_name: str, local_locks: dict[str, str]
+    ) -> None:
+        """Record ``self.<attr>`` writes under a lock and accesses outside one.
+
+        Lambdas count where they are written (key functions run inline);
+        a nested ``def`` runs later, outside the locks held around it.
+        """
+
+        def access(attr: str, line: int, locked: bool, write: bool) -> None:
+            if not locked:
+                scan.unguarded.append((attr, line, write))
+            elif write:
+                scan.guarded_writes.add(attr)
+
+        def record(expr: ast.expr, locked: bool, write: bool) -> None:
+            for node in ast.walk(expr):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS
+                ):
+                    attr = _self_attr(node.func.value, self_name)
+                    if attr is not None:
+                        access(attr, node.lineno, locked, True)
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == self_name
+                ):
+                    access(node.attr, node.lineno, locked, write)
+
+        def walk(stmts: list[ast.stmt], locked: bool) -> None:
+            for stmt in stmts:
+                targets: list[ast.expr] = []
+                if isinstance(stmt, (ast.Assign, ast.Delete)):
+                    targets = list(stmt.targets)
+                elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [stmt.target]
+                for target in targets:
+                    record(target, locked, write=True)
+                for node in ast.iter_child_nodes(stmt):
+                    if isinstance(node, ast.expr):
+                        record(node, locked, write=False)
+                    elif isinstance(node, ast.keyword):
+                        record(node.value, locked, write=False)
+                    elif isinstance(node, ast.withitem):
+                        record(node.context_expr, locked, write=False)
+                inner = locked
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = False
+                elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                    inner = locked or any(
+                        self._resolve_lock(
+                            item.context_expr, scan.fn, self_name, local_locks
+                        )
+                        is not None
+                        for item in stmt.items
+                    )
+                for block in _stmt_bodies(stmt):
+                    walk(block, inner)
+
+        walk(scan.fn.node.body, False)
 
     # ------------------------------------------------------------------
     # Phase 3: interprocedural closure of critical sections
@@ -808,87 +864,138 @@ class _Analyzer:
             )
 
     # ------------------------------------------------------------------
-    # Phase 5: REPRO503 thread escapes
+    # Phase 5: REPRO503/507/508 guarded state
     # ------------------------------------------------------------------
 
-    def _check_threads(self) -> None:
+    def _check_guarded_state(self) -> None:
         guarded_by_class: dict[str, set[str]] = {}
+        targets_by_class: dict[str, set[str]] = {}
         for scan in self.scans.values():
             cls = scan.fn.class_qualname
-            if cls is not None:
-                guarded_by_class.setdefault(cls, set()).update(
-                    scan.guarded_writes
-                )
-        for scan in self.scans.values():
-            cls = scan.fn.class_qualname
-            if cls is None or not scan.spawns:
+            if cls is None:
                 continue
-            guarded = guarded_by_class.get(cls, set())
-            if not guarded:
-                continue
-            fn = scan.fn
-            source = self._source_of(fn)
-            if source is None:
-                continue
-            self_name = _self_name(fn.node)
+            guarded_by_class.setdefault(cls, set()).update(scan.guarded_writes)
+            targets = targets_by_class.setdefault(cls, set())
+            self_name = _self_name(scan.fn.node)
             for call in scan.spawns:
-                target_def: ast.AST | None = None
-                arg_exprs: list[ast.expr] = list(call.args)
                 for keyword in call.keywords:
                     if keyword.arg == "target":
-                        value = keyword.value
-                        if (
-                            isinstance(value, ast.Name)
-                            and value.id in scan.nested_defs
-                        ):
-                            target_def = scan.nested_defs[value.id]
-                        elif isinstance(value, ast.Lambda):
-                            target_def = value
-                        else:
-                            arg_exprs.append(value)
+                        attr = _self_attr(keyword.value, self_name)
+                        if attr is not None:
+                            targets.add(attr)
+        for scan in self.scans.values():
+            cls = scan.fn.class_qualname
+            if cls is None or not guarded_by_class[cls]:
+                continue
+            guarded = guarded_by_class[cls]
+            source = self._source_of(scan.fn)
+            if source is None:
+                continue
+            self._check_discipline(scan, guarded, targets_by_class[cls], source)
+            self._check_escapes(scan, guarded, source)
+
+    def _check_discipline(
+        self,
+        scan: _FnScan,
+        guarded: set[str],
+        thread_targets: set[str],
+        source: ModuleSource,
+    ) -> None:
+        """REPRO507/508: guarded attributes touched outside any lock."""
+        fn = scan.fn
+        if fn.name == "__init__":
+            return
+        is_target = fn.name in thread_targets
+        is_public = not fn.name.startswith("_")
+        if not (is_target or is_public or scan.acquires):
+            return  # presumed caller-holds-the-lock helper
+        where = (
+            "thread-target method"
+            if is_target
+            else ("public method" if is_public else "lock-taking method")
+        )
+        reported: set[str] = set()
+        for attr, line, write in scan.unguarded:
+            if attr not in guarded or attr in reported:
+                continue
+            reported.add(attr)
+            how = "written" if write else "read"
+            self._emit(
+                "REPRO508" if is_target else "REPRO507",
+                source,
+                line,
+                fn.symbol,
+                f"`self.{attr}` is lock-guarded but {how} without the lock "
+                f"in {where} `{fn.name}`",
+                "wrap the access in `with self._lock:` (use RLock if "
+                "reentrancy is needed) or baseline it with a justification",
+                fn.node.lineno,
+            )
+
+    def _check_escapes(
+        self, scan: _FnScan, guarded: set[str], source: ModuleSource
+    ) -> None:
+        """REPRO503: guarded state handed to a new thread."""
+        fn = scan.fn
+        self_name = _self_name(fn.node)
+        for call in scan.spawns:
+            target_def: ast.AST | None = None
+            arg_exprs: list[ast.expr] = list(call.args)
+            for keyword in call.keywords:
+                if keyword.arg == "target":
+                    value = keyword.value
+                    if (
+                        isinstance(value, ast.Name)
+                        and value.id in scan.nested_defs
+                    ):
+                        target_def = scan.nested_defs[value.id]
+                    elif isinstance(value, ast.Lambda):
+                        target_def = value
                     else:
-                        arg_exprs.append(keyword.value)
-                escaping: set[str] = set()
-                for expr in arg_exprs:
-                    for node in ast.walk(expr):
-                        attr = _self_attr(node, self_name) if isinstance(
-                            node, ast.Attribute
-                        ) else None
+                        arg_exprs.append(value)
+                else:
+                    arg_exprs.append(keyword.value)
+            escaping: set[str] = set()
+            for expr in arg_exprs:
+                for node in ast.walk(expr):
+                    attr = _self_attr(node, self_name) if isinstance(
+                        node, ast.Attribute
+                    ) else None
+                    if attr in guarded:
+                        escaping.add(attr)
+            for attr in sorted(escaping):
+                self._emit(
+                    "REPRO503",
+                    source,
+                    call.lineno,
+                    fn.symbol,
+                    f"lock-guarded `self.{attr}` passed to "
+                    "threading.Thread — the thread mutates it outside "
+                    "the lock discipline",
+                    "pass an immutable snapshot, or make the thread "
+                    "body take the lock",
+                    fn.node.lineno,
+                )
+            if target_def is not None:
+                captured: set[str] = set()
+                for node in ast.walk(target_def):
+                    if isinstance(node, ast.Attribute):
+                        attr = _self_attr(node, self_name)
                         if attr in guarded:
-                            escaping.add(attr)
-                for attr in sorted(escaping):
+                            captured.add(attr)
+                for attr in sorted(captured):
                     self._emit(
                         "REPRO503",
                         source,
                         call.lineno,
                         fn.symbol,
-                        f"lock-guarded `self.{attr}` passed to "
-                        "threading.Thread — the thread mutates it outside "
+                        f"thread target closure captures lock-guarded "
+                        f"`self.{attr}` — the thread touches it outside "
                         "the lock discipline",
-                        "pass an immutable snapshot, or make the thread "
-                        "body take the lock",
+                        "take the lock inside the thread body, or pass "
+                        "a snapshot instead of capturing `self`",
                         fn.node.lineno,
                     )
-                if target_def is not None:
-                    captured: set[str] = set()
-                    for node in ast.walk(target_def):
-                        if isinstance(node, ast.Attribute):
-                            attr = _self_attr(node, self_name)
-                            if attr in guarded:
-                                captured.add(attr)
-                    for attr in sorted(captured):
-                        self._emit(
-                            "REPRO503",
-                            source,
-                            call.lineno,
-                            fn.symbol,
-                            f"thread target closure captures lock-guarded "
-                            f"`self.{attr}` — the thread touches it outside "
-                            "the lock discipline",
-                            "take the lock inside the thread body, or pass "
-                            "a snapshot instead of capturing `self`",
-                            fn.node.lineno,
-                        )
 
     # ------------------------------------------------------------------
     # Phase 6: REPRO506 protocol FSM conformance
@@ -965,33 +1072,14 @@ class _Analyzer:
         self._discover_locks()
         self._discover_callbacks()
         for qualname, fn in self.graph.functions.items():
-            self.scans[qualname] = self._scan_one(fn)
+            if fn.module in self.modules:
+                self.scans[qualname] = self._scan_one(fn)
         self._interprocedural()
         self._report_cycles()
-        self._check_threads()
+        self._check_guarded_state()
         self._check_fsms()
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
         return self.findings
-
-
-#: Mutator tails that make ``self.x.append(...)`` count as a guarded
-#: write for the REPRO503 escape analysis (mirrors the race family).
-_GUARD_MUTATORS = {
-    "append",
-    "appendleft",
-    "add",
-    "remove",
-    "discard",
-    "pop",
-    "popleft",
-    "popitem",
-    "clear",
-    "update",
-    "extend",
-    "insert",
-    "setdefault",
-    "sort",
-}
 
 
 # ----------------------------------------------------------------------
@@ -1136,9 +1224,9 @@ def _declared_fsms(
     return merged
 
 
-def check_sources(sources: list[ModuleSource]) -> list[Finding]:
+def check_sources(sources: list[ModuleSource], graph: CallGraph) -> list[Finding]:
     """Run the REPRO5xx concurrency pass over parsed sources."""
     sources = [s for s in sources if not s.module.startswith("repro.analysis")]
     if not sources:
         return []
-    return _Analyzer(sources).run()
+    return _Analyzer(sources, graph).run()

@@ -49,8 +49,9 @@ import ast
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ModuleSource, _import_map
+from repro.analysis.rules import ModuleSource, _call_tail, _import_map
 
 #: Short titles for ``--list-rules``.
 RULES = {
@@ -149,16 +150,6 @@ def _source_reason(dotted: str | None) -> str | None:
     for prefix, reason in _SOURCE_PREFIXES.items():
         if dotted.startswith(prefix):
             return reason
-    return None
-
-
-def _call_tail(node: ast.Call) -> str | None:
-    """The terminal name of a call target (``x.y.emit`` → ``emit``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
     return None
 
 
@@ -594,11 +585,8 @@ def _helper_taint_resolver(graph, summaries, fn_qualname: str):
     return resolve
 
 
-def check_sources(sources: list[ModuleSource]) -> list[Finding]:
+def check_sources(sources: list[ModuleSource], graph: CallGraph) -> list[Finding]:
     """Run the REPRO1xx determinism taint pass over parsed sources."""
-    from repro.analysis.callgraph import CallGraph
-
-    graph = CallGraph(sources)
     summaries = _return_summaries(graph, sources)
     findings: list[Finding] = []
     for source in sources:

@@ -1,44 +1,49 @@
 """Rule-family registry and the combined lint entry points.
 
-The analyzer grew from one pass into six *families*, selectable via
-``repro-lint --family``:
+The analyzer runs five *families*, selectable via ``repro-lint
+--family``:
 
 ===========  =========  =============================================
 hw           REPRO0xx   hardware-faithfulness rules (:mod:`.rules`)
 det          REPRO1xx   determinism taint pass (:mod:`.determinism`)
-race         REPRO2xx   lock-discipline race detector (:mod:`.races`)
 schema       REPRO3xx   telemetry/protocol schema drift
                         (:mod:`.schema`)
 perf         REPRO4xx   hot-path cost rules over the interprocedural
                         call closure (:mod:`.perf`, :mod:`.callgraph`)
-concurrency  REPRO5xx   whole-program lock-order/deadlock, blocking-
-                        under-lock and protocol-FSM conformance
-                        (:mod:`.concurrency`)
+concurrency  REPRO5xx   lock discipline, whole-program lock order/
+                        deadlock, blocking-under-lock and protocol-FSM
+                        conformance (:mod:`.concurrency`)
 ===========  =========  =============================================
 
 Every family consumes the same parsed :class:`~repro.analysis.rules.
 ModuleSource` list and produces :class:`~repro.analysis.findings.
 Finding` records, so baselining, JSON output and CI wiring are shared.
+The ``det``, ``perf`` and ``concurrency`` checkers also take the
+interprocedural :class:`~repro.analysis.callgraph.CallGraph`, which
+:func:`lint_sources` builds once per run and hands to each of them.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
-from repro.analysis import concurrency, determinism, perf, races, rules, schema
-from repro.analysis.findings import Finding
+from repro.analysis import concurrency, determinism, perf, rules, schema
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.findings import Finding, canonical_file
 from repro.analysis.rules import ModuleSource, collect_sources, module_name_for
-from repro.analysis.findings import canonical_file
 
 #: family name -> (checker over sources, rule-id -> short title).
 FAMILIES = {
     "hw": (rules.check_sources, {k: v[0] for k, v in rules.RULES.items()}),
     "det": (determinism.check_sources, determinism.RULES),
-    "race": (races.check_sources, races.RULES),
     "schema": (schema.check_sources, schema.RULES),
     "perf": (perf.check_sources, perf.RULES),
     "concurrency": (concurrency.check_sources, concurrency.RULES),
 }
+
+#: Families whose checker takes the shared call graph as a second argument.
+GRAPH_FAMILIES = frozenset({"det", "perf", "concurrency"})
 
 #: Every rule id across all families -> short title.
 ALL_RULES = {
@@ -47,23 +52,23 @@ ALL_RULES = {
     for rule, title in titles.items()
 }
 
+#: Every rule id -> the family that reports it.
+_RULE_FAMILY = {
+    rule: name for name, (_, titles) in FAMILIES.items() for rule in titles
+}
+
 DEFAULT_FAMILIES = tuple(FAMILIES)
 
 
 def family_of(rule: str) -> str:
-    """Family name for a rule id (``REPRO203`` → ``race``)."""
+    """Family name for a rule id (``REPRO507`` → ``concurrency``).
+
+    Raises ``ValueError`` for an id no family reports.
+    """
     try:
-        hundreds = int(rule.removeprefix("REPRO")) // 100
-    except ValueError:
-        return "hw"
-    return {
-        0: "hw",
-        1: "det",
-        2: "race",
-        3: "schema",
-        4: "perf",
-        5: "concurrency",
-    }.get(hundreds, "hw")
+        return _RULE_FAMILY[rule]
+    except KeyError:
+        raise ValueError(f"unknown rule id {rule!r}") from None
 
 
 def _resolve(families: tuple[str, ...] | list[str] | None) -> tuple[str, ...]:
@@ -83,10 +88,15 @@ def lint_sources(
     sources: list[ModuleSource], families: tuple[str, ...] | None = None
 ) -> list[Finding]:
     """Run the selected families (default: all) over parsed sources."""
+    selected = _resolve(families)
+    graph = CallGraph(sources) if GRAPH_FAMILIES.intersection(selected) else None
     findings: list[Finding] = []
-    for name in _resolve(families):
+    for name in selected:
         checker, _ = FAMILIES[name]
-        findings.extend(checker(sources))
+        if name in GRAPH_FAMILIES:
+            findings.extend(checker(sources, graph))
+        else:
+            findings.extend(checker(sources))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings
 
@@ -104,8 +114,6 @@ def lint_source(
     families: tuple[str, ...] | None = None,
 ) -> list[Finding]:
     """Lint a single in-memory module (used by the rule unit tests)."""
-    import ast
-
     source = ModuleSource(
         path=Path(filename),
         module=module_name_for(Path(filename)),

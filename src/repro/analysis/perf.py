@@ -45,7 +45,6 @@ colon is mandatory — an unexplained waiver does not suppress.
 from __future__ import annotations
 
 import ast
-import re
 
 from repro.analysis.callgraph import CallGraph, FunctionNode
 from repro.analysis.findings import Finding
@@ -60,11 +59,6 @@ RULES = {
     "REPRO406": "telemetry/logging call on the hot path",
     "REPRO407": "python-level loop over a numpy array on the hot path",
 }
-
-#: ``# perf: allow(REPRO401, REPRO402): reason`` — reason required.
-_PRAGMA = re.compile(
-    r"#\s*perf:\s*allow\(\s*([A-Z0-9,\s]+?)\s*\)\s*:\s*(\S.*)$"
-)
 
 #: Call tails that mean telemetry/logging (REPRO406).
 _TELEMETRY_TAILS = {
@@ -174,8 +168,8 @@ def _np_valued(
     return False
 
 
-def check_sources(sources: list[ModuleSource]) -> list[Finding]:
-    graph = CallGraph(sources)
+def check_sources(sources: list[ModuleSource], graph: CallGraph) -> list[Finding]:
+    """Run the REPRO4xx hot-path pass over the closure of ``graph``'s roots."""
     roots = graph.hot_roots()
     chains = graph.transitive_closure(set(roots))
     findings: list[Finding] = []
@@ -200,29 +194,9 @@ def check_sources(sources: list[ModuleSource]) -> list[Finding]:
         via = " -> ".join(graph.functions[q].symbol for q in chain)
         checker = _HotFunctionCheck(fn, source, via, np_aliases, self_attrs)
         for finding in checker.run():
-            if not _waived(finding, fn, source):
+            if not source.waived("perf", finding.rule, finding.line, fn.line):
                 findings.append(finding)
     return findings
-
-
-def _pragmas(source: ModuleSource) -> dict[int, set[str]]:
-    """Line number -> rule ids waived there (with a written reason)."""
-    waivers: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.lines, start=1):
-        match = _PRAGMA.search(line)
-        if match:
-            waivers[lineno] = {rule.strip() for rule in match.group(1).split(",")}
-    return waivers
-
-
-def _waived(finding: Finding, fn: FunctionNode, source: ModuleSource) -> bool:
-    waivers = _pragmas(source)
-    if not waivers:
-        return False
-    for lineno in (finding.line, finding.line - 1, fn.line, fn.line - 1):
-        if finding.rule in waivers.get(lineno, ()):
-            return True
-    return False
 
 
 class _HotFunctionCheck:

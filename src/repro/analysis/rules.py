@@ -35,6 +35,7 @@ violation fixtures) are always in scope for every rule.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +82,10 @@ class ModuleSource:
     relpath: str
     tree: ast.Module
     text: str | None = None
+    #: pragma tag -> {line: rule ids waived there}, filled on first use.
+    _waivers: dict[str, dict[int, set[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def parse(cls, path: Path) -> "ModuleSource":
@@ -106,6 +111,31 @@ class ModuleSource:
             except OSError:
                 self.text = ""
         return self.text.splitlines()
+
+    def waived(self, tag: str, rule: str, line: int, def_line: int) -> bool:
+        """Whether a ``# <tag>: allow(RULES): reason`` pragma waives ``rule``.
+
+        The pragma counts on the finding line, the line above it, the
+        enclosing ``def`` line or the line above that (a decorator or a
+        comment over the function).  The reason after the colon is
+        mandatory: an unexplained waiver does not suppress.
+        """
+        waivers = self._waivers.get(tag)
+        if waivers is None:
+            pattern = re.compile(
+                rf"#\s*{re.escape(tag)}:\s*allow\(\s*([A-Z0-9,\s]+?)\s*\)"
+                r"\s*:\s*(\S.*)$"
+            )
+            waivers = {}
+            for lineno, text in enumerate(self.lines, start=1):
+                match = pattern.search(text)
+                if match:
+                    waivers[lineno] = {r.strip() for r in match.group(1).split(",")}
+            self._waivers[tag] = waivers
+        return any(
+            rule in waivers.get(lineno, ())
+            for lineno in (line, line - 1, def_line, def_line - 1)
+        )
 
 
 def collect_sources(paths: list[Path | str]) -> list[ModuleSource]:
@@ -166,6 +196,16 @@ def _walk_statements(body, ancestors, visit) -> None:
         frame = _Frame(stmt=stmt, body=body, index=index)
         for child_body in _stmt_bodies(stmt):
             _walk_statements(child_body, ancestors + [frame], visit)
+
+
+def _call_tail(node: ast.Call) -> str | None:
+    """The terminal name of a call target (``x.y.emit`` → ``emit``)."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
 
 
 def _stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:

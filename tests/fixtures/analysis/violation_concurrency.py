@@ -1,4 +1,4 @@
-"""Concurrency-rule fixtures: every REPRO5xx rule must fire here.
+"""Concurrency-rule fixtures: every REPRO501–507 rule must fire here.
 
 Miniature, self-contained copies of the real serving/distribution
 shapes: a two-lock ABBA deadlock, blocking socket I/O inside critical
@@ -83,14 +83,14 @@ class ThreadEscape:
             self.counters[key] = self.counters.get(key, 0) + 1
 
     def spawn(self):
-        # REPRO503: guarded self.counters passed as a Thread argument
+        # REPRO503 + REPRO507: guarded self.counters read unlocked, passed to a Thread
         worker = threading.Thread(target=drain, args=(self.counters,))
         worker.start()
         return worker
 
     def spawn_closure(self):
         def reset():
-            self.counters.clear()
+            self.counters.clear()  # REPRO507: written without the lock
 
         # REPRO503: closure target captures guarded self.counters
         worker = threading.Thread(target=reset)

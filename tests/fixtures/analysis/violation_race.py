@@ -1,4 +1,4 @@
-"""Fixture: lock-guarded state touched without the lock (REPRO2xx)."""
+"""Fixture: lock-guarded state touched without the lock (REPRO507/508)."""
 
 import threading
 
@@ -21,10 +21,10 @@ class LeakyCoordinator:
             self._settled[lease_id] = value
 
     def outstanding(self):
-        return len(self._leases)  # REPRO201: unguarded read, public method
+        return len(self._leases)  # REPRO507: unguarded read, public method
 
     def drop_all(self):
-        self._leases.clear()  # REPRO201: unguarded mutation, public method
+        self._leases.clear()  # REPRO507: unguarded mutation, public method
 
     def watch(self):
         thread = threading.Thread(target=self._expire_loop, daemon=True)
@@ -32,7 +32,7 @@ class LeakyCoordinator:
         return thread
 
     def _expire_loop(self):
-        for lease_id in list(self._leases):  # REPRO202: thread target, no lock
+        for lease_id in list(self._leases):  # REPRO508: thread target, no lock
             self.complete(lease_id, None)
 
     def settled_view(self):
