@@ -48,9 +48,10 @@ python3 -m repro campaign --predictors oh-snap tage15 bf-neural \
 # through the vectorized kernel (docs/vectorization.md). Fingerprints
 # carry |kernel=vectorized, so this populates its own cache entries;
 # the differential sweep first proves bit-identity against the scalar
-# oracle on all 40 suite + 4 wild traces, then the throughput benches
-# append kernel-tagged rows to BENCH_throughput.json and gate >20%
-# events/s regressions against the previous commit's rows.
+# oracle on all 40 suite + 4 wild traces, then the contract checks in
+# benchmarks/test_contracts.py assert their floors: vectorized speedups
+# over scalar, checkpoint overhead, warm-state reuse, campaign fan-out
+# and 100-session serving. Comparable timings come from the e2e stage.
 REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_batchkernel.py \
     -m vectorized -q || {
     echo BATCH_KERNEL_DIFFERENTIAL_FAILED
@@ -60,8 +61,7 @@ python3 -m repro campaign --kernel vectorized \
     --predictors bimodal gshare perceptron bf-neural \
     --jobs "$(nproc)" --telemetry results/campaign-vectorized-telemetry.jsonl \
     --output results/campaign-vectorized.txt --quiet
-python3 -m pytest benchmarks/test_bench_throughput.py -q \
-    -k "vectorized or regression_gate" || {
+python3 -m pytest benchmarks --ignore=benchmarks/e2e -p no:benchmark -q || {
     echo BATCH_KERNEL_BENCH_FAILED
     exit 1
 }

@@ -8,7 +8,7 @@ loop-count predictor shared by BF-Neural and ISL-TAGE, and the TAGE /
 ISL-TAGE family (``repro.predictors.tage``).
 """
 
-from repro.predictors.base import BranchPredictor, PredictorStats
+from repro.predictors.base import BranchPredictor
 from repro.predictors.static_ import AlwaysTaken, Bimodal
 from repro.predictors.filter import FilterPredictor
 from repro.predictors.gshare import GShare
@@ -28,7 +28,6 @@ __all__ = [
     "ISLTage",
     "LoopPredictor",
     "PiecewiseLinear",
-    "PredictorStats",
     "ScaledNeural",
     "Tage",
     "TageConfig",

@@ -29,7 +29,6 @@ envelope (kind tag, layout version, validation).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.common.state import PredictorState, StateError
@@ -48,16 +47,6 @@ def hot_path(func: _F) -> _F:
     """
     func.__hot_path__ = True
     return func
-
-
-@dataclass
-class PredictorStats:
-    """Optional per-component accounting a predictor can maintain."""
-
-    provider_hits: dict[str, int] = field(default_factory=dict)
-
-    def count(self, provider: str) -> None:
-        self.provider_hits[provider] = self.provider_hits.get(provider, 0) + 1
 
 
 class BranchPredictor(ABC):

@@ -11,7 +11,7 @@ answer prediction requests forever".  Three pieces:
   the campaign wire protocol with predict-then-train semantics
   bit-identical to the offline simulator.
 * :mod:`repro.serving.loadgen` — concurrent-session load harness with
-  latency percentiles, feeding ``BENCH_serving.json``.
+  latency percentiles.
 
 See ``docs/serving.md`` for the architecture and failure matrix.
 """

@@ -13,9 +13,8 @@ expensive), ``mixed`` interleaves both.  Traces are built once per
 (workload, length) and shared read-only across sessions, so the harness
 itself stays cheap relative to the server's predict/train work.
 
-The report is emitted as a ``loadgen_report`` telemetry event and
-persisted by ``benchmarks/test_bench_serving.py`` into
-``BENCH_serving.json``.
+The report is emitted as a ``loadgen_report`` telemetry event; the
+100-session floors live in ``benchmarks/test_contracts.py``.
 """
 
 from __future__ import annotations

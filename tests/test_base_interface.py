@@ -1,18 +1,9 @@
-"""Tests for the BranchPredictor interface contract and PredictorStats."""
+"""Tests for the BranchPredictor interface contract."""
 
 import pytest
 
 from repro.predictors import AlwaysTaken
-from repro.predictors.base import BranchPredictor, PredictorStats
-
-
-class TestPredictorStats:
-    def test_counting(self):
-        stats = PredictorStats()
-        stats.count("T3")
-        stats.count("T3")
-        stats.count("base")
-        assert stats.provider_hits == {"T3": 2, "base": 1}
+from repro.predictors.base import BranchPredictor
 
 
 class TestInterfaceDefaults:

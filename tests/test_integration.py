@@ -28,6 +28,12 @@ def bias_trace():
     return build_trace("SPEC02", TRACE_BRANCHES)
 
 
+@pytest.fixture(scope="module")
+def ablation_trace():
+    """SPEC03, short: the design-variant bounds are loose sanity floors."""
+    return build_trace("SPEC03", 6_000)
+
+
 class TestHeadlineOrderings:
     def test_bf_neural_beats_oh_snap(self, bias_trace, rs_trace):
         """Figure 8's main claim."""
@@ -55,6 +61,33 @@ class TestHeadlineOrderings:
         stage2 = simulate(bf_neural_stage(2), rs_trace).mpki
         stage3 = simulate(bf_neural_stage(3), rs_trace).mpki
         assert stage3 < stage2
+
+
+#: DESIGN.md's design-choice variants and the misprediction-rate bound
+#: each must stay under on a 6,000-branch SPEC03 trace.
+DESIGN_VARIANTS = [
+    pytest.param(BFNeural, BFNeuralConfig(probabilistic_bst=False), 0.25, id="bst-2bit"),
+    pytest.param(BFNeural, BFNeuralConfig(probabilistic_bst=True), 0.25, id="bst-3bit-prob"),
+    pytest.param(BFNeural, BFNeuralConfig(use_positional=True), 0.25, id="pos-hist"),
+    pytest.param(BFNeural, BFNeuralConfig(use_positional=False), 0.25, id="no-pos-hist"),
+    pytest.param(BFNeural, BFNeuralConfig(use_folded_hist=True), 0.25, id="fhist"),
+    pytest.param(BFNeural, BFNeuralConfig(use_folded_hist=False), 0.25, id="no-fhist"),
+    # ht0: the conventional component shrunk to one unfiltered bit and two Wm rows.
+    pytest.param(BFNeural, BFNeuralConfig(ht=1, wm_rows=2), 0.3, id="ht0"),
+    pytest.param(BFNeural, BFNeuralConfig(ht=8), 0.3, id="ht8"),
+    pytest.param(BFNeural, BFNeuralConfig(ht=16), 0.3, id="ht16"),
+    # Bigger per-segment stacks approximate a monolithic RS; the paper
+    # argues cross-correlation makes the small segmented version enough.
+    pytest.param(BFTage, BFTageConfig(rs_size=8), 0.3, id="segmented-rs8"),
+    pytest.param(BFTage, BFTageConfig(rs_size=64), 0.3, id="near-monolithic-rs64"),
+]
+
+
+class TestDesignVariants:
+    @pytest.mark.parametrize("predictor,config,bound", DESIGN_VARIANTS)
+    def test_misprediction_rate_bounded(self, ablation_trace, predictor, config, bound):
+        result = simulate(predictor(config), ablation_trace)
+        assert result.misprediction_rate < bound
 
 
 class TestBFTageClaims:

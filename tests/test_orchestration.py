@@ -374,6 +374,8 @@ class TestEngine:
         kinds = [e["event"] for e in events]
         assert kinds.count("cache_hit") == 4
         assert "task_start" not in kinds
+        assert telemetry.cache_hits == 4
+        assert telemetry.simulated == 0
 
     def test_failure_raises_campaign_error(self, tmp_path):
         marker = tmp_path / "marker"
