@@ -65,6 +65,16 @@ python3 -m pytest benchmarks --ignore=benchmarks/e2e -p no:benchmark -q || {
     echo BATCH_KERNEL_BENCH_FAILED
     exit 1
 }
+# Attribution stage: `repro diagnose` replays through simulate()'s own
+# segment runner (the scalar loop for bf-tage10, the vectorized kernel
+# for bf-neural) and must print its offender table either way.
+for predictor in bf-tage10 bf-neural; do
+    python3 -m repro diagnose SPEC02 --providers --branches 5000 \
+        --predictor "$predictor" | grep -q "misprediction attribution" || {
+        echo DIAGNOSE_FAILED
+        exit 1
+    }
+done
 # Workload-suite stage (docs/workloads.md): resolve the checked-in demo
 # manifest (synthetic + generator + pinned import + mix entries), prove
 # the interchange converter round-trips bit-identically through both

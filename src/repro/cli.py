@@ -46,6 +46,17 @@ def _predictor_registry() -> dict:
     return standard_registry()
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (``--branches``, ``--top``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _load_trace(spec: str, branches: int | None) -> Trace:
     """A trace spec: workload name, ``@manifest#entry`` ref, or trace file."""
     if spec.startswith("@"):
@@ -61,7 +72,7 @@ def _load_trace(spec: str, branches: int | None) -> Trace:
             trace = resolve_entry(load_manifest(manifest_path), entry)
         except ManifestError as exc:
             raise SystemExit(str(exc))
-        return trace.truncated(branches) if branches else trace
+        return trace.truncated(branches) if branches is not None else trace
     if is_workload(spec):
         return build_trace(spec, branches)
     path = Path(spec)
@@ -72,7 +83,7 @@ def _load_trace(spec: str, branches: int | None) -> Trace:
             trace = read_any(path)
         except (InterchangeError, ValueError) as exc:
             raise SystemExit(str(exc))
-        return trace.truncated(branches) if branches else trace
+        return trace.truncated(branches) if branches is not None else trace
     raise SystemExit(
         f"unknown trace {spec!r}: not a workload name, a @manifest#entry "
         "reference or a file"
@@ -578,18 +589,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("out_dir")
     p_gen.add_argument("--traces", nargs="*", default=None)
     p_gen.add_argument("--categories", nargs="*", default=None)
-    p_gen.add_argument("--branches", type=int, default=None)
+    p_gen.add_argument("--branches", type=_positive_int, default=None)
     p_gen.set_defaults(fn=_cmd_generate)
 
     p_stats = sub.add_parser("stats", help="bias statistics for traces")
     p_stats.add_argument("traces", nargs="+")
-    p_stats.add_argument("--branches", type=int, default=None)
+    p_stats.add_argument("--branches", type=_positive_int, default=None)
     p_stats.set_defaults(fn=_cmd_stats)
 
     p_sim = sub.add_parser("simulate", help="run predictors over traces")
     p_sim.add_argument("traces", nargs="+")
     p_sim.add_argument("--predictors", nargs="+", default=["bf-neural"])
-    p_sim.add_argument("--branches", type=int, default=None)
+    p_sim.add_argument("--branches", type=_positive_int, default=None)
     p_sim.add_argument(
         "--jobs", type=int, default=1, help="worker processes (1 = serial)"
     )
@@ -631,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument("--categories", nargs="*", default=None)
         parser.add_argument("--predictors", nargs="+", default=["bf-neural"])
-        parser.add_argument("--branches", type=int, default=None)
+        parser.add_argument("--branches", type=_positive_int, default=None)
         parser.add_argument(
             "--cache-dir",
             default=".bfbp-cache",
@@ -796,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--branches",
-        type=int,
+        type=_positive_int,
         default=None,
         help="trace budget backing warm shards (default: workload default)",
     )
@@ -881,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dump.add_argument("--predictor", required=True)
     p_dump.add_argument("--trace", default=None, help="suite name or .bfbp file")
-    p_dump.add_argument("--branches", type=int, default=None)
+    p_dump.add_argument("--branches", type=_positive_int, default=None)
     p_dump.add_argument("--output", default=None, help="write state JSON here")
     p_dump.set_defaults(fn=_cmd_state_dump)
 
@@ -891,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hash.add_argument("files", nargs="*", help="dumped state JSON files")
     p_hash.add_argument("--predictor", default=None)
     p_hash.add_argument("--trace", default=None)
-    p_hash.add_argument("--branches", type=int, default=None)
+    p_hash.add_argument("--branches", type=_positive_int, default=None)
     p_hash.set_defaults(fn=_cmd_state_hash)
 
     p_diff = state_sub.add_parser(
@@ -905,8 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="attribute mispredictions per branch")
     p_diag.add_argument("traces", nargs="+")
     p_diag.add_argument("--predictor", default="bf-neural")
-    p_diag.add_argument("--branches", type=int, default=None)
-    p_diag.add_argument("--top", type=int, default=10)
+    p_diag.add_argument("--branches", type=_positive_int, default=None)
+    p_diag.add_argument("--top", type=_positive_int, default=10)
     p_diag.add_argument("--providers", action="store_true")
     p_diag.set_defaults(fn=_cmd_diagnose)
 

@@ -1,19 +1,26 @@
 """Misprediction attribution: which branches cost a predictor accuracy.
 
-Runs a simulation while recording per-static-branch execution and
-misprediction counts (optionally per provider component), then ranks the
-offenders.  This is the first tool to reach for when a predictor
-underperforms on a trace: it distinguishes irreducible noise (branches
-near 50% that nobody can learn) from learnable-but-missed correlation
-(branches a better-reaching predictor gets right).
+Replays a trace once through the simulation engine's segment runner
+(the vectorized kernel when one supports the predictor, else the scalar
+loop; bit-identical either way), derives per-static-branch execution and
+misprediction counts (optionally per provider component) from the
+per-event predictions, then ranks the offenders.  This is the first
+tool to reach for when a predictor underperforms on a trace: it
+distinguishes irreducible noise (branches near 50% that nobody can
+learn) from learnable-but-missed correlation (branches a better-reaching
+predictor gets right).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.predictors.base import BranchPredictor
+from repro.sim.simulator import segment_runner
 from repro.trace.records import Trace
+from repro.trace.stats import count_by_key
 
 
 @dataclass(frozen=True)
@@ -64,24 +71,26 @@ class AttributionResult:
 def attribute(
     predictor: BranchPredictor, trace: Trace, track_providers: bool = False
 ) -> AttributionResult:
-    """Simulate and attribute every misprediction to its static branch."""
-    executions: dict[int, int] = {}
-    misses: dict[int, int] = {}
-    provider_misses: dict[str, int] = {}
-    for pc, taken in zip(trace.pcs, trace.outcomes):
-        prediction = predictor.predict(pc)
-        executions[pc] = executions.get(pc, 0) + 1
-        if prediction != taken:
-            misses[pc] = misses.get(pc, 0) + 1
-            if track_providers:
-                provider = predictor.provider
-                provider_misses[provider] = provider_misses.get(provider, 0) + 1
-        predictor.train(pc, taken)
-
+    """Replay ``trace`` once and attribute every misprediction to its
+    static branch; ``branches`` and ``provider_misses`` keep first-
+    appearance order, so ranked ties read as in the trace."""
+    run_segment = segment_runner(predictor, "auto")
+    predictions, providers = run_segment(predictor, trace, 0, len(trace), track_providers)
+    pcs, outcomes = trace.arrays()
+    missed = predictions != (outcomes == 1)
+    static_pcs, executions, misses = count_by_key(pcs, missed)
     branches = {
-        pc: BranchAttribution(pc, executions[pc], misses.get(pc, 0))
-        for pc in executions
+        pc: BranchAttribution(pc, count, missed_count)
+        for pc, count, missed_count in zip(static_pcs, executions, misses)
     }
+    provider_misses: dict[str, int] = {}
+    if track_providers and providers is None:
+        total = int(np.count_nonzero(missed))
+        provider_misses = {predictor.name: total} if total else {}
+    elif track_providers:
+        codes, names = providers
+        missed_codes, counts = count_by_key(codes[missed])
+        provider_misses = {names[code]: count for code, count in zip(missed_codes, counts)}
     return AttributionResult(
         trace_name=trace.name,
         predictor_name=predictor.name,

@@ -9,13 +9,16 @@ scalar loop would have — same predictions event by event, same
 ``state_hash()`` — so the scalar path doubles as a differential-testing
 oracle (``tests/test_batchkernel.py``).
 
-A kernel only replays events: ``run(predictor, pcs, outcomes, start,
-end)`` returns the segment's time-ordered predictions and, optionally,
-per-event provider codes.  :func:`repro.sim.simulate` owns everything
-else (resume, cuts, warmup, counting) and picks a kernel through
-:func:`kernel_for` when called with ``kernel="vectorized"`` or
-``"auto"``.  :func:`simulate_batch` is ``simulate`` with ``"auto"`` as
-the default.
+A kernel only replays events, under the segment contract the scalar
+loop shares: ``run(predictor, pcs, outcomes, start, end)`` returns
+``(predictions, providers)`` — the segment's time-ordered predictions
+and either per-event provider codes with their names, ``(codes,
+names)``, or None when every prediction came from the predictor itself.
+:func:`repro.sim.simulate` owns everything else (resume, cuts, warmup,
+counting) and picks a kernel through :func:`kernel_for` when called
+with ``kernel="vectorized"`` or ``"auto"``; ``repro diagnose``'s
+:func:`~repro.sim.attribution.attribute` picks one as ``"auto"``.
+:func:`simulate_batch` is ``simulate`` with ``"auto"`` as the default.
 
 Kernels are registered per concrete predictor class (exact type match —
 a subclass may override semantics the kernel hard-codes) and gate
@@ -407,10 +410,6 @@ def kernel_for(predictor: BranchPredictor):
     if kernel is not None and kernel.supports(predictor):
         return kernel
     return None
-
-
-def has_vectorized_kernel(predictor: BranchPredictor) -> bool:
-    return kernel_for(predictor) is not None
 
 
 def _register_builtins() -> None:

@@ -7,9 +7,14 @@ the trace's instruction count.
 
 :func:`simulate` is the one engine.  It validates its inputs, restores
 ``resume_from`` and splits the run into segments once, then hands each
-segment to a kernel: the scalar loop :func:`run_events` (which the
+segment to a runner: the scalar loop :func:`run_events` (which the
 prediction server also runs per ``events`` batch), or a registered
-vectorized kernel from :mod:`repro.sim.batchkernel`.
+vectorized kernel from :mod:`repro.sim.batchkernel`.  Every runner
+replays events ``[start, end)`` and returns ``(predictions, providers)``:
+the time-ordered predictions and the per-event provider codes plus
+names, or None.  ``simulate`` alone turns those into miss counts and
+provider hits, and :func:`repro.sim.attribution.attribute` into
+per-branch misses, from the same replay.
 
 The run is segmentable: ``stop_after`` cuts it at an absolute branch
 position and attaches a :class:`~repro.sim.metrics.SimCheckpoint` to the
@@ -56,53 +61,63 @@ def run_events(predict, train, pcs, outcomes, predictions, mispredictions: int) 
     return mispredictions
 
 
-@hot_path
-def _run_providers(
-    predictor: BranchPredictor, pcs, outcomes, provider_hits: dict[str, int]
-) -> int:
-    """:func:`run_events` that also counts which component of the
-    predictor supplied each prediction; returns the misses."""
-    predict = predictor.predict
-    train = predictor.train
-    provider_get = provider_hits.get
-    mispredictions = 0
-    for position in range(len(pcs)):
-        pc = pcs[position]
-        taken = outcomes[position]
-        if predict(pc) != taken:
-            mispredictions += 1
-        # perf: allow(REPRO402): provider is a per-event property, not hoistable
-        provider = predictor.provider
-        provider_hits[provider] = provider_get(provider, 0) + 1
-        train(pc, taken)
-    return mispredictions
+# Segment runners: replay events [start, end) of ``trace`` and return
+# ``(predictions, providers)`` — the time-ordered predictions as a bool
+# array and the per-event provider codes plus names, or None when every
+# prediction came from the predictor itself (the default
+# :attr:`~repro.predictors.base.BranchPredictor.provider`).  The scalar
+# runner records providers only when ``track_providers`` is set; kernels
+# return them whenever they can, so they ignore the flag.
 
 
-# Segment runners: replay events [start, end) of ``trace``, add provider
-# hits to ``provider_hits`` unless it is None, and return the misses.
-
-
-def _scalar_segment(predictor, trace, start, end, provider_hits) -> int:
+def _scalar_segment(predictor, trace, start, end, track_providers):
     pcs = trace.pcs[start:end]
     outcomes = trace.outcomes[start:end]
-    if provider_hits is not None:
-        return _run_providers(predictor, pcs, outcomes, provider_hits)
-    return run_events(predictor.predict, predictor.train, pcs, outcomes, [False] * len(pcs), 0)
+    predictions = [False] * len(pcs)
+    if not track_providers:
+        run_events(predictor.predict, predictor.train, pcs, outcomes, predictions, 0)
+        return np.array(predictions, dtype=bool), None
+    # Record which component supplied each prediction: the provider is
+    # read right after predict, before train.  Codes number the names in
+    # first-appearance order.
+    predict_direction = predictor.predict
+    names: dict[str, int] = {}
+    codes: list[int] = []
+    record = codes.append
+
+    def predict(pc):
+        prediction = predict_direction(pc)
+        record(names.setdefault(predictor.provider, len(names)))
+        return prediction
+
+    run_events(predict, predictor.train, pcs, outcomes, predictions, 0)
+    return np.array(predictions, dtype=bool), (np.array(codes, dtype=np.intp), list(names))
 
 
-def _kernel_segment(kernel, predictor, trace, start, end, provider_hits) -> int:
+def _kernel_segment(kernel, predictor, trace, start, end, track_providers):
     pcs, outcomes = trace.arrays()
-    predictions, providers = kernel.run(predictor, pcs, outcomes, start, end)
-    if provider_hits is not None:
-        if providers is None:
-            counts = {predictor.name: end - start}
-        else:
-            codes, names = providers
-            counts = dict(zip(names, np.bincount(codes, minlength=len(names)).tolist()))
-        for name, count in counts.items():
-            if count:
-                provider_hits[name] = provider_hits.get(name, 0) + count
-    return int(np.count_nonzero(predictions != (outcomes[start:end] == 1)))
+    return kernel.run(predictor, pcs, outcomes, start, end)
+
+
+def segment_runner(predictor: BranchPredictor, kernel: str):
+    """The segment runner ``kernel`` picks for ``predictor`` (see :func:`simulate`)."""
+    if kernel not in KERNEL_MODES:
+        raise ValueError(f"kernel must be one of {KERNEL_MODES}, got {kernel!r}")
+    if kernel == "scalar":
+        return _scalar_segment
+    # Imported here: the kernels import this module, and scalar-only
+    # campaigns never need them.
+    from repro.sim.batchkernel import kernel_for
+
+    impl = kernel_for(predictor)
+    if impl is not None:
+        return partial(_kernel_segment, impl)
+    if kernel == "vectorized":
+        raise ValueError(
+            f"no vectorized kernel supports {type(predictor).__name__} "
+            f"(predictor {predictor.name!r}); use kernel='auto' or 'scalar'"
+        )
+    return _scalar_segment
 
 
 def simulate(
@@ -124,8 +139,8 @@ def simulate(
     at 0).
 
     ``track_providers`` additionally records which component of the
-    predictor supplied each prediction (needed only for Figure 12; it
-    costs one attribute read per branch).
+    predictor supplied each prediction (needed only for Figure 12; on
+    the scalar loop it costs one wrapped ``predict`` call per branch).
 
     Segmentation parameters:
 
@@ -147,27 +162,11 @@ def simulate(
     * ``"auto"`` — the batch kernel when one supports the predictor,
       else the scalar loop.
     """
-    if kernel not in KERNEL_MODES:
-        raise ValueError(f"kernel must be one of {KERNEL_MODES}, got {kernel!r}")
+    run_segment = segment_runner(predictor, kernel)
     if warmup_branches < 0:
         raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
     if checkpoint_every is not None and checkpoint_every <= 0:
         raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-
-    run_segment = _scalar_segment
-    if kernel != "scalar":
-        # Imported here: the kernels import this module, and scalar-only
-        # campaigns never need them.
-        from repro.sim.batchkernel import kernel_for
-
-        impl = kernel_for(predictor)
-        if impl is not None:
-            run_segment = partial(_kernel_segment, impl)
-        elif kernel == "vectorized":
-            raise ValueError(
-                f"no vectorized kernel supports {type(predictor).__name__} "
-                f"(predictor {predictor.name!r}); use kernel='auto' or 'scalar'"
-            )
 
     total = len(trace)
     start = 0
@@ -213,12 +212,25 @@ def simulate(
     if start < warmup_branches < end:
         boundaries.add(warmup_branches)
 
+    # Kernels replay from the trace's cached arrays; the scalar loop reads
+    # the lists, so only the replayed slice is converted for the compare.
+    outcomes = trace.outcomes if run_segment is _scalar_segment else trace.arrays()[1]
     for segment_end in sorted(boundaries):
         counted = start >= warmup_branches
-        tracked = provider_hits if counted and track_providers else None
-        missed = run_segment(predictor, trace, start, segment_end, tracked)
+        tracked = counted and track_providers
+        predictions, providers = run_segment(predictor, trace, start, segment_end, tracked)
         if counted:
-            mispredictions += missed
+            taken = np.asarray(outcomes[start:segment_end], dtype=bool)
+            mispredictions += int(np.count_nonzero(predictions != taken))
+        if tracked:
+            if providers is None:
+                hits = [(predictor.name, segment_end - start)]
+            else:
+                codes, names = providers
+                hits = zip(names, np.bincount(codes, minlength=len(names)).tolist())
+            for name, count in hits:
+                if count:
+                    provider_hits[name] = provider_hits.get(name, 0) + count
         if segment_end in cuts:
             on_checkpoint(cut(segment_end, mispredictions))
         start = segment_end

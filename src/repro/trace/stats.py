@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.trace.records import Trace
 
 
@@ -58,6 +60,25 @@ class TraceStats:
         return self.biased_static_branches / self.static_branches
 
 
+def count_by_key(keys, *masks) -> tuple[list, ...]:
+    """Occurrences per distinct key, keys in first-appearance order.
+
+    Returns the distinct ``keys``, their occurrence counts and, for each
+    boolean ``mask`` aligned with ``keys``, the masked occurrences per
+    key — all as python lists.  First-appearance order is the order a
+    dict filled event by event would have, so ranked reports keep their
+    tie order.
+    """
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    groups = rank[inverse]
+    counts = [np.bincount(groups, minlength=len(order))]
+    counts += [np.bincount(groups[mask], minlength=len(order)) for mask in masks]
+    return (distinct[order].tolist(), *(count.tolist() for count in counts))
+
+
 def compute_stats(trace: Trace) -> TraceStats:
     """Profile every static branch and summarize bias for the trace.
 
@@ -65,20 +86,16 @@ def compute_stats(trace: Trace) -> TraceStats:
     whose static branch is completely biased — is the quantity Figure 2
     reports as "% of Total Branches".
     """
-    executions: dict[int, int] = {}
-    takens: dict[int, int] = {}
-    for pc, taken in zip(trace.pcs, trace.outcomes):
-        executions[pc] = executions.get(pc, 0) + 1
-        if taken:
-            takens[pc] = takens.get(pc, 0) + 1
-
+    pcs, outcomes = trace.arrays()
+    static_pcs, executions, takens = count_by_key(pcs, outcomes == 1)
     profiles = {
-        pc: BranchProfile(pc, executions[pc], takens.get(pc, 0)) for pc in executions
+        pc: BranchProfile(pc, count, taken)
+        for pc, count, taken in zip(static_pcs, executions, takens)
     }
     biased_static = sum(1 for p in profiles.values() if p.is_biased)
     biased_dynamic = sum(p.executions for p in profiles.values() if p.is_biased)
     total_dynamic = len(trace)
-    total_taken = sum(takens.values())
+    total_taken = sum(takens)
 
     return TraceStats(
         name=trace.name,

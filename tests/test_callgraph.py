@@ -142,7 +142,6 @@ class TestHotClosure:
     def test_hot_path_marker_registers_roots(self, graph):
         roots = graph.hot_roots()
         assert "repro.sim.simulator.run_events" in roots
-        assert "repro.sim.simulator._run_providers" in roots
         assert roots["repro.sim.simulator.run_events"].startswith("@hot_path")
 
     def test_predictor_entry_points_are_roots(self, graph):

@@ -159,3 +159,52 @@ class TestSuiteManifestCommand:
         )
         assert code == 0
         assert "gshare" in capsys.readouterr().out
+
+
+class TestCountArguments:
+    """``--branches`` and ``diagnose --top`` accept positive integers only."""
+
+    COMMANDS = (
+        ["generate", "out"],
+        ["stats", "FP1"],
+        ["simulate", "FP1"],
+        ["campaign", "FP1"],
+        ["serve-predict"],
+        ["state", "dump", "--predictor", "gshare"],
+        ["state", "hash", "--predictor", "gshare"],
+        ["diagnose", "FP1"],
+    )
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_branches_rejected_at_parse_time(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--branches", value])
+        assert exc.value.code == 2
+        assert "--branches" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_top_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "FP1", "--branches", "500", "--top", value])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_manifest_entry_zero_branches_not_ignored(self, capsys):
+        from pathlib import Path
+
+        demo = Path(__file__).resolve().parent.parent / "examples/suites/demo.toml"
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", f"@{demo}#DEMO_MIX", "--branches", "0"])
+        assert exc.value.code == 2
+
+    def test_manifest_entry_truncates(self):
+        from pathlib import Path
+
+        demo = Path(__file__).resolve().parent.parent / "examples/suites/demo.toml"
+        assert len(_load_trace(f"@{demo}#DEMO_MIX", 1)) == 1
+
+    def test_one_branch_accepted(self, capsys):
+        assert main(["diagnose", "FP1", "--predictor", "bimodal",
+                     "--branches", "1", "--top", "1"]) == 0
+        assert "misprediction attribution" in capsys.readouterr().out

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.orchestration import standard_registry
 from repro.predictors import AlwaysTaken, Bimodal
+from repro.sim.attribution import attribute
 from repro.sim.metrics import SimulationResult, aggregate_mpki, relative_improvement
 from repro.sim.runner import Campaign, evaluate_one, run_campaign
 from repro.sim.simulator import simulate
 from repro.trace.records import Trace, TraceMetadata
+from repro.trace.stats import compute_stats
+from repro.workloads import build_trace
 
 
 def trace_of(events, name="t", instructions=None):
@@ -49,6 +53,59 @@ class TestSimulate:
         result = simulate(predictor, trace)
         assert result.mispredictions <= 2
         assert not predictor.predict(4)
+
+    def test_scalar_prefix_run_converts_only_the_prefix(self, monkeypatch):
+        # A warm-up prefix (stop_after) on a long trace must not pay for
+        # converting the whole trace to numpy arrays.
+        def no_arrays(self):
+            raise AssertionError("scalar simulate built the trace arrays")
+
+        monkeypatch.setattr(Trace, "arrays", no_arrays)
+        trace = trace_of([(4 * (i % 7), i % 3 == 0) for i in range(5000)])
+        for tracked in (False, True):
+            cuts = []
+            result = simulate(
+                Bimodal(), trace, track_providers=tracked, warmup_branches=10,
+                stop_after=100, checkpoint_every=40, on_checkpoint=cuts.append,
+            )
+            assert result.checkpoint.position == 100
+            assert [c.position for c in cuts] == [40, 80]
+
+
+def per_event_attribution(predictor, trace):
+    """Reference per-event replay: misses per PC and per provider, both
+    in first-appearance order."""
+    misses: dict[int, int] = {}
+    provider_misses: dict[str, int] = {}
+    for pc, taken in zip(trace.pcs, trace.outcomes):
+        misses.setdefault(pc, 0)
+        if predictor.predict(pc) != taken:
+            misses[pc] += 1
+            provider = predictor.provider
+            provider_misses[provider] = provider_misses.get(provider, 0) + 1
+        predictor.train(pc, taken)
+    return misses, provider_misses
+
+
+class TestOneReplay:
+    """attribute(), simulate() and compute_stats() count the same replay."""
+
+    @pytest.mark.parametrize("name", sorted(standard_registry()))
+    def test_attribution_agrees_with_simulate_and_stats(self, name):
+        factory = standard_registry()[name]
+        trace = build_trace("SPEC03", 2000)
+        result = attribute(factory(), trace, track_providers=True)
+
+        assert result.total_mispredictions == simulate(factory(), trace).mispredictions
+        profiles = compute_stats(trace).profiles
+        assert [(pc, b.executions) for pc, b in result.branches.items()] == [
+            (pc, p.executions) for pc, p in profiles.items()
+        ]
+        misses, provider_misses = per_event_attribution(factory(), trace)
+        assert [(pc, b.mispredictions) for pc, b in result.branches.items()] == list(
+            misses.items()
+        )
+        assert list(result.provider_misses.items()) == list(provider_misses.items())
 
 
 class TestMetrics:
