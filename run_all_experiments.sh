@@ -141,12 +141,14 @@ for predictor in gshare bf-neural; do
     echo "$(python3 -m repro state hash --predictor "$predictor" --trace SPEC02)  $predictor SPEC02"
 done > results/state-hash.txt
 # Distribution stage: the same grid served by a loopback coordinator and
-# drained by two executor processes (docs/distribution.md). The shared
-# content-addressed store means this is a pure cache replay when the
-# campaign stages above already ran; kill -9 any worker mid-run and the
-# lease returns to the queue.
+# drained by two executor processes (docs/distribution.md); kill -9 any
+# worker mid-run and the lease returns to the queue. It starts from its
+# own empty cache: with the shared .bfbp-cache the grid is already
+# settled, so the coordinator would exit before an executor joined and
+# nothing would be distributed.
+rm -rf results/distributed-cache
 python3 -m repro campaign serve SPEC02 SERV3 --predictors bf-neural bf-tage10 \
-    --checkpoint-every 10000 --lease-ttl 60 \
+    --checkpoint-every 10000 --lease-ttl 60 --cache-dir results/distributed-cache \
     --telemetry results/distributed-telemetry.jsonl \
     --output results/distributed.txt --quiet > results/distributed-serve.log &
 SERVE_PID=$!
@@ -155,8 +157,16 @@ until ADDRESS=$(grep -om1 '[0-9.]*:[0-9]*$' results/distributed-serve.log); do
     sleep 0.2
 done
 python3 -m repro campaign work --connect "$ADDRESS" --executor-id stage-ex0 --quiet &
+WORK0_PID=$!
 python3 -m repro campaign work --connect "$ADDRESS" --executor-id stage-ex1 --quiet &
-wait
+WORK1_PID=$!
+# A bare `wait` returns 0 whatever its children did: wait on each PID so
+# a failed grid (serve exits 1) or a crashed executor stops the run.
+DISTRIBUTED_OK=1
+for pid in "$SERVE_PID" "$WORK0_PID" "$WORK1_PID"; do
+    wait "$pid" || DISTRIBUTED_OK=0
+done
+[ "$DISTRIBUTED_OK" = 1 ] || { echo DISTRIBUTED_CAMPAIGN_FAILED; exit 1; }
 # Serving stage: the always-on prediction service warm-started from the
 # same state store, load-tested with 100 concurrent sessions mixing
 # calibrated and adversarial wild-branch traffic (docs/serving.md). The

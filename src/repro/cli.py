@@ -175,15 +175,27 @@ def _grid_specs(args: argparse.Namespace) -> tuple[dict, list]:
     return factories, specs
 
 
+def _plan_from_flags(**fields):
+    """A ``CampaignPlan`` from command-line values; a value the plan
+    refuses is a usage error (exit 2), not a failed campaign."""
+    from repro.orchestration import CampaignPlan
+
+    try:
+        return CampaignPlan(**fields)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.orchestration import CampaignPlan, run_plan
+    from repro.orchestration import run_plan
 
     factories, specs = _grid_specs(args)
     state_dir = Path(args.state_dir) if args.state_dir else None
     if args.checkpoint_every and state_dir is None:
         raise SystemExit("--checkpoint-every requires --state-dir")
     results = run_plan(
-        CampaignPlan(
+        _plan_from_flags(
             factories=factories,
             traces=specs,
             jobs=args.jobs,
@@ -244,8 +256,6 @@ def _progress_printer():
 
 def _campaign_plan(args: argparse.Namespace, jobs: int = 1):
     """Shared plan construction for ``campaign run`` and ``campaign serve``."""
-    from repro.orchestration import CampaignPlan
-
     if not args.traces:
         args.traces = trace_names(args.categories)
     factories, specs = _grid_specs(args)
@@ -258,7 +268,7 @@ def _campaign_plan(args: argparse.Namespace, jobs: int = 1):
         state_dir = store_dir / "state"
     if args.checkpoint_every and state_dir is None:
         raise SystemExit("--checkpoint-every requires --state-dir or --cache-dir")
-    return CampaignPlan(
+    return _plan_from_flags(
         factories=factories,
         traces=specs,
         store_dir=store_dir,

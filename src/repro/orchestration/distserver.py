@@ -15,8 +15,11 @@ The coordinator is the single writer of the manifest and the shared
 telemetry stream (schema v3: ``executor_join``/``executor_dead``/
 ``lease_grant``/``lease_expire``), records per-task executor
 attribution, and serves cache hits itself before anything is leased
-out.  Results are assembled through the same
-:func:`~repro.orchestration.engine.assemble_results` path as local
+out.  Attempts settle through the scheduler's
+:func:`~repro.orchestration.scheduler.settle_success` /
+:func:`~repro.orchestration.scheduler.settle_failure` and the campaign's
+store, manifest and result assembly live in one
+:class:`~repro.orchestration.engine.CampaignBooks`, exactly as for local
 campaigns, so a 2-executor drain of a grid is bit-identical to the
 serial ``jobs=1`` run.
 
@@ -26,17 +29,18 @@ failure matrix.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from repro.orchestration.engine import (
+    CampaignBooks,
     CampaignError,
     CampaignPlan,
-    assemble_results,
     build_tasks,
-    open_manifest,
     settle_from_cache,
 )
 from repro.orchestration.manifest import campaign_id_of
@@ -50,7 +54,8 @@ from repro.orchestration.remote import (
     send_message,
     token_matches,
 )
-from repro.orchestration.store import ResultStore, decode_result
+from repro.orchestration.scheduler import settle_failure, settle_success
+from repro.orchestration.store import decode_result
 from repro.orchestration.tasks import Task, TaskOutcome
 from repro.orchestration.telemetry import Telemetry, monotonic
 
@@ -106,11 +111,6 @@ class Coordinator:
         self.tasks = build_tasks(plan)
         self.campaign_id = campaign_id_of(self.tasks)
         self._by_index = {task.index: task for task in self.tasks}
-        self.store = (
-            ResultStore(plan.store_dir, self.telemetry)
-            if plan.store_dir is not None
-            else None
-        )
         self.telemetry.emit(
             "campaign_start",
             campaign_id=self.campaign_id,
@@ -118,9 +118,9 @@ class Coordinator:
             jobs=0,
             mode="distributed",
         )
-        self.manifest = open_manifest(plan, self.tasks, self.telemetry)
+        self.books = CampaignBooks(plan, self.tasks, self.telemetry)
         settled, to_run = settle_from_cache(
-            self.tasks, self.store, self.manifest, self.telemetry
+            self.tasks, self.books.store, self.books.manifest, self.telemetry
         )
         self._settled: dict[int, TaskOutcome] = settled
         self._pending: deque[Task] = deque(to_run)
@@ -129,9 +129,9 @@ class Coordinator:
         self._lease_seq = 0
         self._lock = threading.RLock()
         # Store/manifest writes happen *outside* `_lock` (settling only
-        # records an action tuple; `_flush_actions` runs it after the
-        # release) and are serialized by this dedicated I/O lock so two
-        # executor threads never interleave manifest appends.
+        # queues them; see "settling" below) and are serialized by this
+        # dedicated I/O lock so two executor threads never interleave
+        # manifest appends.
         self._io_lock = threading.Lock()
         self._drained = threading.Event()
         self._active_clients = 0
@@ -172,20 +172,7 @@ class Coordinator:
         # may still be in flight — snapshot it under the lock.
         with self._lock:
             settled = dict(self._settled)
-        failures = sorted(
-            (o for o in settled.values() if not o.ok),
-            key=lambda o: o.task.index,
-        )
-        self.telemetry.emit(
-            "campaign_finish",
-            done=sum(1 for o in settled.values() if o.ok),
-            failed=len(failures),
-            cache_hits=self.telemetry.cache_hits,
-            elapsed_s=round(self.telemetry.elapsed_s(), 6),
-        )
-        if failures and not self.plan.allow_failures:
-            raise CampaignError(failures)
-        self.results = assemble_results(self.plan, settled)
+        self.results = self.books.finish(settled)
         return self.results
 
     def serve_background(self) -> threading.Thread:
@@ -345,162 +332,78 @@ class Coordinator:
             return {"type": "ok"}
 
     def _on_result(self, message: dict) -> dict:
+        """Settle a reported attempt.
+
+        A malformed frame, or one that names a different task or
+        executor than its live lease, is refused with an ``error`` reply
+        and changes nothing: the lease stays, expires and the task is
+        re-leased.  A result without a live lease (late, after expiry)
+        settles by index, or is ``stale`` once the task has settled.
+        """
         executor = str(message.get("executor"))
         lease_id = str(message.get("lease_id"))
-        index = message.get("index")
-        after: list[tuple] = []
+        try:
+            index, elapsed, meta = _result_fields(message, self._by_index)
+        except ProtocolError as exc:
+            return {"type": "error", "error": f"malformed result: {exc}"}
+        after: list = []
+        deferred = _Deferred(self.telemetry, executor, after)
         with self._lock:
+            lease = self._leases.get(lease_id)
+            if lease is not None and (
+                lease.task.index != index or lease.executor != executor
+            ):
+                return {
+                    "type": "error",
+                    "error": f"result for task {index} from {executor!r} does not "
+                    f"match lease {lease_id} (task {lease.task.index}, "
+                    f"{lease.executor!r})",
+                }
             self._leases.pop(lease_id, None)
-            if index not in self._by_index:
-                return {"type": "error", "error": f"unknown task index {index!r}"}
             if index in self._settled:
                 return {"type": "stale"}
             task = self._by_index[index]
-            if message.get("ok"):
+            attempts = self._attempts[index]
+            error = None
+            if not message.get("ok"):
+                error = str(message.get("error") or "unknown")
+            else:
                 try:
                     result = decode_result(message["payload"])
                 except (KeyError, ValueError, TypeError) as exc:
-                    self._record_failure(
-                        task,
-                        executor,
-                        f"undecodable result payload: {exc}",
-                        after,
-                    )
-                else:
-                    self._record_success(task, executor, result, message, after)
+                    error = f"undecodable result payload: {exc}"
+            if error is None:
+                outcome = settle_success(deferred, task, attempts, result, elapsed, meta)
             else:
-                self._record_failure(
-                    task, executor, str(message.get("error") or "unknown"), after
+                outcome = settle_failure(
+                    deferred, task, attempts, self.plan.max_retries, error
                 )
-        self._flush_actions(after)
+            if outcome is None:
+                self._pending.append(task)
+            else:
+                self._settle(outcome, executor, after)
+        for action in after:
+            action()
         return {"type": "ok"}
 
     # ------------------------------------------------------------- settling
     #
     # The settle path runs with `_lock` held, so it never emits or
-    # persists directly: it appends ("emit", kind, fields) /
-    # ("persist", task, outcome, executor) / ("progress",) action
-    # tuples to the caller's `after` list, and the caller runs
-    # `_flush_actions` once the lock is released.  Telemetry file
-    # appends and store/manifest writes — the blocking operations —
-    # therefore never happen inside the critical section.
+    # persists directly: it settles through a `_Deferred` telemetry
+    # stand-in that queues each event on the caller's `after` list, and
+    # queues the persist and progress steps there too.  The caller runs
+    # `after` once the lock is released, so telemetry file appends and
+    # store/manifest writes — the blocking operations — never happen
+    # inside the critical section.
 
-    def _record_success(
-        self, task: Task, executor: str, result, message: dict, after: list[tuple]
-    ) -> None:
-        meta = message.get("meta") or {}
-        for path, reason in meta.get("corrupt", ()):
-            after.append(("emit", "cache_corrupt", {"path": path, "reason": reason}))
-        if meta.get("resumed_from") is not None:
-            after.append(
-                (
-                    "emit",
-                    "task_resume",
-                    {
-                        "index": task.index,
-                        "config": task.config_name,
-                        "trace": task.trace.name,
-                        "position": meta["resumed_from"],
-                        "executor": executor,
-                    },
-                )
-            )
-        elapsed = float(message.get("elapsed_s") or 0.0)
-        after.append(
-            (
-                "emit",
-                "task_finish",
-                {
-                    "index": task.index,
-                    "config": task.config_name,
-                    "trace": task.trace.name,
-                    "elapsed_s": round(elapsed, 6),
-                    "mpki": result.mpki,
-                    "checkpoints": meta.get("checkpoints", 0),
-                    "executor": executor,
-                },
-            )
-        )
-        outcome = TaskOutcome(
-            task=task,
-            result=result,
-            attempts=self._attempts[task.index],
-            elapsed_s=elapsed,
-            resumed_from=meta.get("resumed_from"),
-            checkpoints=meta.get("checkpoints", 0),
-            corrupt_purged=tuple(tuple(item) for item in meta.get("corrupt", ())),
-        )
-        self._settle(task, outcome, executor, after)
-
-    def _record_failure(
-        self, task: Task, executor: str, error: str, after: list[tuple]
-    ) -> None:
-        final = self._attempts[task.index] > self.plan.max_retries
-        after.append(
-            (
-                "emit",
-                "task_failed",
-                {
-                    "index": task.index,
-                    "config": task.config_name,
-                    "trace": task.trace.name,
-                    "attempt": self._attempts[task.index],
-                    "error": error.strip().splitlines()[-1]
-                    if error.strip()
-                    else error,
-                    "final": final,
-                    "executor": executor,
-                },
-            )
-        )
-        if final:
-            self._settle(
-                task,
-                TaskOutcome(
-                    task=task, error=error, attempts=self._attempts[task.index]
-                ),
-                executor,
-                after,
-            )
-            return
-        after.append(
-            (
-                "emit",
-                "task_retry",
-                {"index": task.index, "attempt": self._attempts[task.index] + 1},
-            )
-        )
-        self._pending.append(task)
-
-    def _settle(
-        self, task: Task, outcome: TaskOutcome, executor: str, after: list[tuple]
-    ) -> None:
-        self._settled[task.index] = outcome
-        after.append(("persist", task, outcome, executor))
-        after.append(("progress",))
+    def _settle(self, outcome: TaskOutcome, executor: str, after: list) -> None:
+        self._settled[outcome.task.index] = outcome
+        after.append(partial(self._persist, outcome, executor))
+        after.append(self.books.progress)
         if len(self._settled) == len(self.tasks):
             self._drained.set()
 
-    def _flush_actions(self, actions: list[tuple]) -> None:
-        """Run deferred settle work; call only with ``_lock`` released."""
-        for action in actions:
-            if action[0] == "emit":
-                _, kind, fields = action
-                self.telemetry.emit(kind, **fields)
-            elif action[0] == "persist":
-                _, task, outcome, executor = action
-                self._persist(task, outcome, executor)
-            else:  # ("progress",) — rates computed at flush time
-                eta = self.telemetry.eta_s(len(self.tasks))
-                self.telemetry.emit(
-                    "progress",
-                    done=self.telemetry.done,
-                    total=len(self.tasks),
-                    tasks_per_s=round(self.telemetry.tasks_per_s(), 3),
-                    eta_s=round(eta, 1) if eta != float("inf") else None,
-                )
-
-    def _persist(self, task: Task, outcome: TaskOutcome, executor: str) -> None:
+    def _persist(self, outcome: TaskOutcome, executor: str) -> None:
         """Write one settled outcome to the store and manifest.
 
         Runs outside ``_lock``; ``_io_lock`` keeps concurrent settling
@@ -509,43 +412,25 @@ class Coordinator:
         on this symbol is baselined.
         """
         with self._io_lock:
-            if outcome.ok:
-                if self.store is not None:
-                    self.store.store(task.fingerprint, outcome.result)
-                if self.manifest is not None:
-                    self.manifest.mark_done(
-                        task,
-                        attempts=outcome.attempts,
-                        resumed_from=outcome.resumed_from,
-                        checkpoints=outcome.checkpoints,
-                        executor=executor,
-                    )
-            elif self.manifest is not None:
-                self.manifest.mark_failed(
-                    task,
-                    attempts=outcome.attempts,
-                    error=(outcome.error or "").strip().splitlines()[-1]
-                    if outcome.error
-                    else "unknown",
-                    executor=executor,
-                )
+            self.books.persist(outcome, executor)
 
     # --------------------------------------------------------------- leases
 
     def _expire_leases(self) -> None:
         now = monotonic()
-        after: list[tuple] = []
+        after: list = []
         with self._lock:
             expired = [
                 lease for lease in self._leases.values() if now >= lease.deadline
             ]
             for lease in expired:
                 self._expire(lease, "lease ttl elapsed", after)
-        self._flush_actions(after)
+        for action in after:
+            action()
 
     def _on_executor_lost(self, executor: str, reason: str) -> None:
         self.telemetry.emit("executor_dead", executor=executor, reason=reason)
-        after: list[tuple] = []
+        after: list = []
         with self._lock:
             held = [
                 lease
@@ -554,34 +439,92 @@ class Coordinator:
             ]
             for lease in held:
                 self._expire(lease, f"executor dead: {reason}", after)
-        self._flush_actions(after)
+        for action in after:
+            action()
 
-    def _expire(self, lease: Lease, reason: str, after: list[tuple]) -> None:
+    def _expire(self, lease: Lease, reason: str, after: list) -> None:
         """Drop one lease (lock held) and requeue or fail its task."""
         del self._leases[lease.lease_id]
         task = lease.task
-        after.append(
-            (
-                "emit",
-                "lease_expire",
-                {
-                    "index": task.index,
-                    "executor": lease.executor,
-                    "lease_id": lease.lease_id,
-                    "reason": reason,
-                },
-            )
+        deferred = _Deferred(self.telemetry, lease.executor, after)
+        deferred.emit(
+            "lease_expire",
+            index=task.index,
+            executor=lease.executor,
+            lease_id=lease.lease_id,
+            reason=reason,
         )
         if task.index in self._settled:
             return
-        if self._attempts[task.index] > self.plan.max_retries:
-            self._record_failure(
-                task, lease.executor, f"lease expired ({reason})", after
-            )
-            return
-        # Front of the queue: the task already has checkpoints to resume
-        # from, so the next claimant finishes it soonest.
-        self._pending.appendleft(task)
+        outcome = settle_failure(
+            deferred,
+            task,
+            self._attempts[task.index],
+            self.plan.max_retries,
+            f"lease expired ({reason})",
+        )
+        if outcome is None:
+            # Front of the queue: the task already has checkpoints to
+            # resume from, so the next claimant finishes it soonest.
+            self._pending.appendleft(task)
+        else:
+            self._settle(outcome, lease.executor, after)
+
+
+class _Deferred:
+    """Telemetry stand-in for settling under the coordinator's ``_lock``.
+
+    ``emit`` tags the event with the settling executor and queues it on
+    ``after`` instead of emitting; the caller runs ``after`` once the
+    lock is released.
+    """
+
+    def __init__(self, telemetry: Telemetry, executor: str, after: list) -> None:
+        self.telemetry = telemetry
+        self.executor = executor
+        self.after = after
+
+    def emit(self, kind: str, **fields: object) -> None:
+        fields.setdefault("executor", self.executor)
+        self.after.append(partial(self.telemetry.emit, kind, **fields))
+
+
+def _result_fields(message: dict, by_index: dict[int, Task]) -> tuple[int, float, dict]:
+    """Check a ``result`` frame's shape; raise :class:`ProtocolError`.
+
+    Returns the task index, the reported run time and the run's
+    bookkeeping reduced to the ``meta`` keys the settle path reads.
+    """
+    index = message.get("index")
+    if type(index) is not int or index not in by_index:
+        raise ProtocolError(f"unknown task index {index!r}")
+    elapsed = message.get("elapsed_s")
+    elapsed = 0.0 if elapsed is None else elapsed
+    if type(elapsed) not in (int, float) or not math.isfinite(elapsed) or elapsed < 0:
+        raise ProtocolError(f"elapsed_s must be a non-negative number, got {elapsed!r}")
+    meta = message.get("meta")
+    meta = {} if meta is None else meta
+    if not isinstance(meta, dict):
+        raise ProtocolError(f"meta must be an object, got {meta!r}")
+    resumed_from = meta.get("resumed_from")
+    checkpoints = meta.get("checkpoints", 0)
+    corrupt = meta.get("corrupt", [])
+    if resumed_from is not None and (type(resumed_from) is not int or resumed_from < 0):
+        raise ProtocolError(f"meta.resumed_from must be a position, got {resumed_from!r}")
+    if type(checkpoints) is not int or checkpoints < 0:
+        raise ProtocolError(f"meta.checkpoints must be a count, got {checkpoints!r}")
+    if not isinstance(corrupt, list) or not all(
+        isinstance(item, list)
+        and len(item) == 2
+        and all(isinstance(part, str) for part in item)
+        for item in corrupt
+    ):
+        raise ProtocolError(f"meta.corrupt must be [path, reason] pairs, got {corrupt!r}")
+    return (
+        index,
+        float(elapsed),
+        {"resumed_from": resumed_from, "checkpoints": checkpoints, "corrupt": corrupt},
+    )
 
 
 def serve_campaign(

@@ -7,11 +7,12 @@ scripts, ``repro simulate --jobs N`` and ``repro campaign`` all build a
 
 1. fingerprint every (factory × trace) cell (one throwaway predictor
    instantiation per factory),
-2. open the manifest (if configured) — resuming an interrupted sweep of
-   the *same* grid, discarding a stale one,
+2. open the campaign's :class:`CampaignBooks`: the result store and the
+   manifest (if configured) — resuming an interrupted sweep of the
+   *same* grid, discarding a stale one,
 3. serve cache hits from the content-addressed result store,
 4. fan the misses out over the scheduler (serial for ``jobs=1``),
-   checkpointing the manifest and store after every settled task,
+   persisting each settled task to the store and manifest,
 5. assemble ``{config_name: [result per trace, in trace order]}`` —
    bit-identical whatever ``jobs`` was.
 """
@@ -27,7 +28,13 @@ from repro.orchestration.fingerprint import predictor_fingerprint, task_fingerpr
 from repro.orchestration.manifest import STATUS_DONE, CampaignManifest, campaign_id_of
 from repro.orchestration.statestore import warm_context_key
 from repro.orchestration.store import ResultStore
-from repro.orchestration.tasks import PredictorFactory, Task, TaskOutcome, TraceSpec
+from repro.orchestration.tasks import (
+    PredictorFactory,
+    Task,
+    TaskOutcome,
+    TraceSpec,
+    error_summary,
+)
 from repro.orchestration.telemetry import Telemetry
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import KERNEL_MODES
@@ -43,7 +50,7 @@ class CampaignError(RuntimeError):
         super().__init__(
             f"{len(failures)} campaign task(s) failed; first: "
             f"{first.task.config_name} × {first.task.trace.name}: "
-            f"{(first.error or '').strip().splitlines()[-1]}"
+            f"{error_summary(first.error)}"
         )
 
 
@@ -86,6 +93,14 @@ class CampaignPlan:
             raise ValueError(
                 f"kernel must be one of {KERNEL_MODES}, got {self.kernel!r}"
             )
+        for name, floor in (("jobs", 1), ("max_retries", 0), ("warmup_branches", 0)):
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
+        for name in ("task_timeout", "checkpoint_every"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         self.trace_specs = [TraceSpec.of(trace) for trace in self.traces]
         for variant, source in self.warm_share.items():
             if variant not in self.factories:
@@ -152,24 +167,6 @@ def _picklable(tasks: list[Task]) -> bool:
         return False
 
 
-def open_manifest(
-    plan: CampaignPlan, tasks: list[Task], telemetry: Telemetry
-) -> CampaignManifest | None:
-    """Open (or resume) the plan's manifest, announcing any resume."""
-    if plan.manifest_path is None:
-        return None
-    manifest = CampaignManifest.begin(plan.manifest_path, tasks)
-    counts = manifest.counts()
-    if counts[STATUS_DONE] or counts["failed"]:
-        telemetry.emit(
-            "manifest_resume",
-            done=counts[STATUS_DONE],
-            failed=counts["failed"],
-            pending=counts["pending"],
-        )
-    return manifest
-
-
 def settle_from_cache(
     tasks: list[Task],
     store: ResultStore | None,
@@ -216,21 +213,95 @@ def settle_from_cache(
     return settled, to_run
 
 
-def assemble_results(
-    plan: CampaignPlan, settled: dict[int, TaskOutcome]
-) -> dict[str, list[SimulationResult]]:
-    """``{config_name: [result per trace, in trace order]}`` — the
-    bit-identical assembly every execution path (serial, process pool,
-    distributed) funnels through."""
-    results: dict[str, list[SimulationResult]] = {}
-    index = 0
-    for config_name in plan.factories:
-        per_trace: list[SimulationResult | None] = []
-        for _ in plan.trace_specs:
-            per_trace.append(settled[index].result)
-            index += 1
-        results[config_name] = per_trace
-    return results
+class CampaignBooks:
+    """One campaign's books: the result store, the manifest and the
+    ``progress``/``campaign_finish`` events.
+
+    ``run_plan`` and the distributed coordinator each hold one, so an
+    outcome is persisted, counted and assembled the same way whichever
+    path settled it.  Constructing the books opens (or resumes) the
+    manifest, announcing a resume with ``manifest_resume``.
+    """
+
+    def __init__(
+        self, plan: CampaignPlan, tasks: list[Task], telemetry: Telemetry
+    ) -> None:
+        self.plan = plan
+        self.total = len(tasks)
+        self.telemetry = telemetry
+        self.store = (
+            ResultStore(plan.store_dir, telemetry) if plan.store_dir is not None else None
+        )
+        self.manifest = None
+        if plan.manifest_path is not None:
+            self.manifest = CampaignManifest.begin(plan.manifest_path, tasks)
+            counts = self.manifest.counts()
+            if counts[STATUS_DONE] or counts["failed"]:
+                telemetry.emit(
+                    "manifest_resume",
+                    done=counts[STATUS_DONE],
+                    failed=counts["failed"],
+                    pending=counts["pending"],
+                )
+
+    def persist(self, outcome: TaskOutcome, executor: str | None = None) -> None:
+        """Write one settled outcome to the store and the manifest."""
+        task = outcome.task
+        if outcome.ok:
+            if self.store is not None:
+                self.store.store(task.fingerprint, outcome.result)
+            if self.manifest is not None:
+                self.manifest.mark_done(
+                    task,
+                    attempts=outcome.attempts,
+                    resumed_from=outcome.resumed_from,
+                    checkpoints=outcome.checkpoints,
+                    executor=executor,
+                )
+        elif self.manifest is not None:
+            self.manifest.mark_failed(
+                task,
+                attempts=outcome.attempts,
+                error=error_summary(outcome.error),
+                executor=executor,
+            )
+
+    def progress(self) -> None:
+        """Emit a ``progress`` event from the telemetry's live counters."""
+        eta = self.telemetry.eta_s(self.total)
+        self.telemetry.emit(
+            "progress",
+            done=self.telemetry.done,
+            total=self.total,
+            tasks_per_s=round(self.telemetry.tasks_per_s(), 3),
+            eta_s=round(eta, 1) if eta != float("inf") else None,
+        )
+
+    def finish(
+        self, settled: dict[int, TaskOutcome]
+    ) -> dict[str, list[SimulationResult]]:
+        """Close the campaign: emit ``campaign_finish``, then raise
+        :class:`CampaignError` or return ``{config_name: [result per
+        trace, in trace order]}`` — bit-identical whichever path
+        (serial, process pool, distributed) settled the tasks."""
+        failures = sorted(
+            (outcome for outcome in settled.values() if not outcome.ok),
+            key=lambda outcome: outcome.task.index,
+        )
+        self.telemetry.emit(
+            "campaign_finish",
+            done=len(settled) - len(failures),
+            failed=len(failures),
+            cache_hits=self.telemetry.cache_hits,
+            elapsed_s=round(self.telemetry.elapsed_s(), 6),
+        )
+        if failures and not self.plan.allow_failures:
+            raise CampaignError(failures)
+        width = len(self.plan.trace_specs)
+        return {
+            config_name: [settled[row * width + column].result for column in range(width)]
+            for row, config_name in enumerate(self.plan.factories)
+        }
 
 
 def _verbose_printer(event: dict) -> None:
@@ -269,40 +340,12 @@ def run_plan(
         jobs=jobs,
     )
 
-    store = (
-        ResultStore(plan.store_dir, telemetry) if plan.store_dir is not None else None
-    )
-    manifest = open_manifest(plan, tasks, telemetry)
-    settled, to_run = settle_from_cache(tasks, store, manifest, telemetry)
-    total = len(tasks)
+    books = CampaignBooks(plan, tasks, telemetry)
+    settled, to_run = settle_from_cache(tasks, books.store, books.manifest, telemetry)
 
     def on_outcome(outcome: TaskOutcome) -> None:
-        if outcome.ok:
-            if store is not None:
-                store.store(outcome.task.fingerprint, outcome.result)
-            if manifest is not None:
-                manifest.mark_done(
-                    outcome.task,
-                    attempts=outcome.attempts,
-                    resumed_from=outcome.resumed_from,
-                    checkpoints=outcome.checkpoints,
-                )
-        elif manifest is not None:
-            manifest.mark_failed(
-                outcome.task,
-                attempts=outcome.attempts,
-                error=(outcome.error or "").strip().splitlines()[-1]
-                if outcome.error
-                else "unknown",
-            )
-        eta = telemetry.eta_s(total)
-        telemetry.emit(
-            "progress",
-            done=telemetry.done,
-            total=total,
-            tasks_per_s=round(telemetry.tasks_per_s(), 3),
-            eta_s=round(eta, 1) if eta != float("inf") else None,
-        )
+        books.persist(outcome)
+        books.progress()
 
     if to_run:
         for outcome in scheduler.execute_tasks(
@@ -314,16 +357,4 @@ def run_plan(
             on_outcome=on_outcome,
         ):
             settled[outcome.task.index] = outcome
-
-    failures = [outcome for outcome in settled.values() if not outcome.ok]
-    telemetry.emit(
-        "campaign_finish",
-        done=sum(1 for outcome in settled.values() if outcome.ok),
-        failed=len(failures),
-        cache_hits=telemetry.cache_hits,
-        elapsed_s=round(telemetry.elapsed_s(), 6),
-    )
-    if failures and not plan.allow_failures:
-        raise CampaignError(sorted(failures, key=lambda o: o.task.index))
-
-    return assemble_results(plan, settled)
+    return books.finish(settled)

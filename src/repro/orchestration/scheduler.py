@@ -25,10 +25,10 @@ from multiprocessing.connection import Connection, wait
 from typing import Callable
 
 from repro.orchestration.statestore import StateStore
-from repro.orchestration.tasks import Task, TaskOutcome
+from repro.orchestration.tasks import Task, TaskOutcome, error_summary
 from repro.orchestration.telemetry import Telemetry, monotonic
 from repro.orchestration import store as result_store
-from repro.sim.metrics import SimCheckpoint
+from repro.sim.metrics import SimCheckpoint, SimulationResult
 from repro.sim.simulator import simulate
 
 OutcomeCallback = Callable[[TaskOutcome], None]
@@ -215,26 +215,82 @@ def _settle(
         on_outcome(outcome)
 
 
-def _emit_meta_events(telemetry: Telemetry, task: Task, meta: dict) -> None:
-    """Surface a run's checkpoint/warm bookkeeping as telemetry events."""
-    for path, reason in meta.get("corrupt", ()):
+def settle_success(
+    telemetry: Telemetry,
+    task: Task,
+    attempts: int,
+    result: SimulationResult,
+    elapsed: float,
+    meta: dict,
+) -> TaskOutcome:
+    """Finish a successful attempt: emit its events, build its outcome.
+
+    ``meta`` is the run's checkpoint/warm bookkeeping (see
+    :func:`_run_one`).  The serial loop, the process pool and the
+    distributed coordinator all settle through here, so every path
+    emits the same events with the same fields.
+    """
+    corrupt = tuple(tuple(item) for item in meta.get("corrupt", ()))
+    for path, reason in corrupt:
         telemetry.emit("cache_corrupt", path=path, reason=reason)
-    if meta.get("resumed_from") is not None:
+    resumed_from = meta.get("resumed_from")
+    if resumed_from is not None:
         telemetry.emit(
             "task_resume",
             index=task.index,
             config=task.config_name,
             trace=task.trace.name,
-            position=meta["resumed_from"],
+            position=resumed_from,
         )
-    if meta.get("warmed"):
+    warmed = tuple(meta.get("warmed", ()))
+    if warmed:
         telemetry.emit(
             "warm_restore",
             index=task.index,
             config=task.config_name,
             trace=task.trace.name,
-            components=list(meta["warmed"]),
+            components=list(warmed),
         )
+    checkpoints = meta.get("checkpoints", 0)
+    telemetry.emit(
+        "task_finish",
+        index=task.index,
+        config=task.config_name,
+        trace=task.trace.name,
+        elapsed_s=round(elapsed, 6),
+        mpki=result.mpki,
+        checkpoints=checkpoints,
+    )
+    return TaskOutcome(
+        task=task,
+        result=result,
+        attempts=attempts,
+        elapsed_s=elapsed,
+        resumed_from=resumed_from,
+        checkpoints=checkpoints,
+        warmed=warmed,
+        corrupt_purged=corrupt,
+    )
+
+
+def settle_failure(
+    telemetry: Telemetry, task: Task, attempts: int, max_retries: int, error: str
+) -> TaskOutcome | None:
+    """Finish a failed attempt: the final outcome, or ``None`` to retry."""
+    final = attempts > max_retries
+    telemetry.emit(
+        "task_failed",
+        index=task.index,
+        config=task.config_name,
+        trace=task.trace.name,
+        attempt=attempts,
+        error=error_summary(error),
+        final=final,
+    )
+    if final:
+        return TaskOutcome(task=task, error=error, attempts=attempts)
+    telemetry.emit("task_retry", index=task.index, attempt=attempts + 1)
+    return None
 
 
 def _execute_serial(
@@ -247,7 +303,8 @@ def _execute_serial(
     trace_cache: dict = {}
     for task in tasks:
         attempts = 0
-        while True:
+        outcome = None
+        while outcome is None:
             attempts += 1
             telemetry.emit(
                 "task_start",
@@ -259,52 +316,19 @@ def _execute_serial(
             try:
                 payload, elapsed, meta = _run_one(task, trace_cache)
             except Exception:
-                error = traceback.format_exc(limit=8)
-                final = attempts > max_retries
-                telemetry.emit(
-                    "task_failed",
-                    index=task.index,
-                    config=task.config_name,
-                    trace=task.trace.name,
-                    attempt=attempts,
-                    error=error.strip().splitlines()[-1],
-                    final=final,
+                outcome = settle_failure(
+                    telemetry, task, attempts, max_retries, traceback.format_exc(limit=8)
                 )
-                if final:
-                    _settle(
-                        TaskOutcome(task=task, error=error, attempts=attempts),
-                        outcomes,
-                        on_outcome,
-                    )
-                    break
-                telemetry.emit("task_retry", index=task.index, attempt=attempts + 1)
-                continue
-            result = result_store.decode_result(payload)
-            _emit_meta_events(telemetry, task, meta)
-            telemetry.emit(
-                "task_finish",
-                index=task.index,
-                config=task.config_name,
-                trace=task.trace.name,
-                elapsed_s=round(elapsed, 6),
-                mpki=result.mpki,
-                checkpoints=meta.get("checkpoints", 0),
-            )
-            _settle(
-                TaskOutcome(
-                    task=task,
-                    result=result,
-                    attempts=attempts,
-                    elapsed_s=elapsed,
-                    resumed_from=meta.get("resumed_from"),
-                    checkpoints=meta.get("checkpoints", 0),
-                    warmed=tuple(meta.get("warmed", ())),
-                    corrupt_purged=tuple(meta.get("corrupt", ())),
-                ),
-                outcomes,
-                on_outcome,
-            )
-            break
+            else:
+                outcome = settle_success(
+                    telemetry,
+                    task,
+                    attempts,
+                    result_store.decode_result(payload),
+                    elapsed,
+                    meta,
+                )
+        _settle(outcome, outcomes, on_outcome)
     return [outcomes[task.index] for task in tasks]
 
 
@@ -351,27 +375,12 @@ def _execute_parallel(
 
     def task_errored(task: Task, error: str, *, retry_front: bool = False) -> None:
         """Record one failed attempt; re-enqueue or settle."""
-        final = attempts[task.index] > max_retries
-        telemetry.emit(
-            "task_failed",
-            index=task.index,
-            config=task.config_name,
-            trace=task.trace.name,
-            attempt=attempts[task.index],
-            error=error.strip().splitlines()[-1] if error.strip() else error,
-            final=final,
+        outcome = settle_failure(
+            telemetry, task, attempts[task.index], max_retries, error
         )
-        if final:
-            _settle(
-                TaskOutcome(task=task, error=error, attempts=attempts[task.index]),
-                outcomes,
-                on_outcome,
-            )
-            return
-        telemetry.emit(
-            "task_retry", index=task.index, attempt=attempts[task.index] + 1
-        )
-        if retry_front:
+        if outcome is not None:
+            _settle(outcome, outcomes, on_outcome)
+        elif retry_front:
             pending.insert(0, task)
         else:
             pending.append(task)
@@ -422,32 +431,15 @@ def _execute_parallel(
                 worker.deadline = None
                 if message[0] == "done":
                     _, index, payload, elapsed, meta = message
-                    settled_task = by_index[index]
-                    result = result_store.decode_result(payload)
-                    _emit_meta_events(telemetry, settled_task, meta)
-                    telemetry.emit(
-                        "task_finish",
-                        index=index,
-                        config=settled_task.config_name,
-                        trace=settled_task.trace.name,
-                        elapsed_s=round(elapsed, 6),
-                        mpki=result.mpki,
-                        checkpoints=meta.get("checkpoints", 0),
+                    outcome = settle_success(
+                        telemetry,
+                        by_index[index],
+                        attempts[index],
+                        result_store.decode_result(payload),
+                        elapsed,
+                        meta,
                     )
-                    _settle(
-                        TaskOutcome(
-                            task=settled_task,
-                            result=result,
-                            attempts=attempts[index],
-                            elapsed_s=elapsed,
-                            resumed_from=meta.get("resumed_from"),
-                            checkpoints=meta.get("checkpoints", 0),
-                            warmed=tuple(meta.get("warmed", ())),
-                            corrupt_purged=tuple(meta.get("corrupt", ())),
-                        ),
-                        outcomes,
-                        on_outcome,
-                    )
+                    _settle(outcome, outcomes, on_outcome)
                 else:
                     _, index, error = message
                     task_errored(by_index[index], error)

@@ -208,3 +208,10 @@ class TaskOutcome:
     @property
     def ok(self) -> bool:
         return self.result is not None
+
+
+def error_summary(error: str | None) -> str:
+    """The last non-blank line of an error (a traceback's exception line),
+    or ``"unknown"`` when there is none."""
+    text = (error or "").strip()
+    return text.splitlines()[-1] if text else "unknown"

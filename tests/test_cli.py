@@ -208,3 +208,35 @@ class TestCountArguments:
         assert main(["diagnose", "FP1", "--predictor", "bimodal",
                      "--branches", "1", "--top", "1"]) == 0
         assert "misprediction attribution" in capsys.readouterr().out
+
+
+class TestPlanArguments:
+    """Campaign knobs a ``CampaignPlan`` refuses are usage errors (exit 2),
+    reported before any task runs."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["campaign", "run", "SPEC00", "--cache-dir", "",
+              "--checkpoint-every", "0", "--state-dir", "{tmp}"], "checkpoint_every"),
+            (["campaign", "run", "SPEC00", "--cache-dir", "",
+              "--jobs", "2", "--timeout", "-1"], "task_timeout"),
+            (["campaign", "run", "SPEC00", "--cache-dir", "", "--warmup", "-5"],
+             "warmup_branches"),
+            (["campaign", "run", "SPEC00", "--cache-dir", "", "--retries", "-1"],
+             "max_retries"),
+            (["campaign", "run", "SPEC00", "--cache-dir", "", "--jobs", "0"], "jobs"),
+            (["simulate", "SPEC00", "--checkpoint-every", "0", "--state-dir", "{tmp}"],
+             "checkpoint_every"),
+            (["simulate", "SPEC00", "--jobs", "0"], "jobs"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else " ".join(value[:2]),
+    )
+    def test_usage_error(self, argv, field, tmp_path, capsys):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--predictors", "gshare", "--branches", "200"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "FAILED" not in captured.out and "mpki" not in captured.out.lower()

@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.orchestration import (
+    CampaignError,
     CampaignManifest,
     CampaignPlan,
     StateStore,
@@ -40,7 +42,7 @@ from repro.orchestration import (
     run_plan,
 )
 from repro.orchestration.distserver import Coordinator
-from repro.orchestration.engine import build_tasks
+from repro.orchestration.engine import CampaignBooks, build_tasks
 from repro.orchestration.manifest import MANIFEST_VERSION
 from repro.orchestration.remote import (
     MESSAGE_TYPES,
@@ -57,6 +59,8 @@ from repro.orchestration.remote import (
     send_message,
     validate_message,
 )
+from repro.orchestration.store import encode_result
+from repro.orchestration.tasks import error_summary
 from repro.predictors import Bimodal, GShare
 from repro.sim import simulate
 from repro.workloads import build_trace
@@ -84,6 +88,20 @@ class SlowBimodal(Bimodal):
 def toy_registry():
     """Registry executors resolve by ref; module-level, host-portable."""
     return {"bimodal": Bimodal, "gshare": GShare, "slow": SlowBimodal}
+
+
+class ExplodingBimodal(Bimodal):
+    """A predictor whose every run raises: a task that always fails."""
+
+    name = "exploding-bimodal"
+
+    def predict(self, pc: int) -> bool:
+        raise RuntimeError("predictor exploded")
+
+
+def parity_registry():
+    """Registry for the settle-parity grid (one always-failing config)."""
+    return {"bimodal": Bimodal, "exploding": ExplodingBimodal}
 
 
 def dist_plan(store, configs=("bimodal", "gshare"), branches=400, **kwargs):
@@ -734,3 +752,266 @@ class TestCliSmoke:
         kinds = {e["event"] for e in read_events(tmp_path / "events.jsonl")}
         assert {"executor_join", "lease_grant", "task_finish",
                 "campaign_finish"} <= kinds
+
+
+def ghost_session(address, executor="ghost"):
+    """A raw protocol session that has said hello."""
+    sock = connect(address)
+    send_message(
+        sock,
+        {
+            "type": "hello",
+            "executor": executor,
+            "pid": 0,
+            "host": "nowhere",
+            "protocol": PROTOCOL_VERSION,
+        },
+    )
+    assert recv_message(sock)["type"] == "welcome"
+    return sock
+
+
+@needs_fork
+class TestMalformedResults:
+    """A ``result`` frame that is malformed or does not match its lease
+    is refused with an ``error`` reply; the lease stays, expires and the
+    task is re-leased, so the campaign still drains to the serial bits."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda index: {"index": 1 - index}, id="wrong-index"),
+            pytest.param(lambda index: {"executor": "impostor"}, id="wrong-executor"),
+            pytest.param(lambda index: {"meta": [1]}, id="meta-not-object"),
+            pytest.param(lambda index: {"elapsed_s": "abc"}, id="elapsed-not-number"),
+            pytest.param(lambda index: {"index": "0"}, id="index-not-int"),
+        ],
+    )
+    def test_refused_and_lease_kept(self, tmp_path, tamper):
+        plan = dist_plan(tmp_path / "dist", configs=("bimodal",))
+        events = []
+        coordinator = Coordinator(
+            plan,
+            registry_ref=REGISTRY_REF,
+            lease_ttl=0.5,
+            linger_s=3.0,
+            telemetry=Telemetry(subscribers=(events.append,)),
+        )
+        thread = coordinator.serve_background()
+        sock = ghost_session(coordinator.address)
+        try:
+            send_message(sock, {"type": "claim", "executor": "ghost"})
+            lease = recv_message(sock)
+            assert lease["type"] == "lease"
+            index = lease["task"]["index"]
+            task = build_tasks(plan)[index]
+            frame = {
+                "type": "result",
+                "executor": "ghost",
+                "lease_id": lease["lease_id"],
+                "index": index,
+                "ok": True,
+                "elapsed_s": 0.1,
+                "meta": {"resumed_from": None, "checkpoints": 0, "corrupt": []},
+                "payload": encode_result(simulate(Bimodal(), task.trace.resolve())),
+            }
+            frame.update(tamper(index))
+            send_message(sock, frame)
+            reply = recv_message(sock)
+            assert reply["type"] == "error", reply
+            # The lease was kept: it expires on its own ttl...
+            assert wait_for(
+                lambda: any(
+                    e["lease_id"] == lease["lease_id"]
+                    for e in events_of(events, "lease_expire")
+                ),
+                timeout=10,
+            )
+            # ...and the handler thread survived the frame.
+            send_message(sock, {"type": "bye", "executor": "ghost"})
+            assert recv_message(sock)["type"] == "ok"
+        finally:
+            sock.close()
+
+        worker = start_executor(coordinator.address, "real")
+        thread.join(timeout=60)
+        worker.join(timeout=10)
+        assert not thread.is_alive()
+        grants: dict[int, list[str]] = {}
+        for event in events_of(events, "lease_grant"):
+            grants.setdefault(event["index"], []).append(event["executor"])
+        assert grants == {index: ["ghost", "real"], 1 - index: ["real"]}
+        serial = run_plan(dist_plan(tmp_path / "serial", configs=("bimodal",)))
+        assert coordinator.results == serial
+        assert store_snapshot(tmp_path / "dist") == store_snapshot(
+            tmp_path / "serial"
+        )
+
+    def test_blank_error_fails_with_campaign_error(self, tmp_path):
+        """An executor reporting a whitespace-only error ends the campaign
+        in ``CampaignError`` (summary ``unknown``), not ``IndexError``."""
+        plan = dist_plan(
+            tmp_path / "dist",
+            configs=("bimodal",),
+            traces=[TraceSpec.suite("FP1", 400)],
+            max_retries=0,
+        )
+        coordinator = Coordinator(plan, registry_ref=REGISTRY_REF, linger_s=3.0)
+        raised = []
+
+        def serve():
+            try:
+                coordinator.serve()
+            except Exception as exc:  # the assertion below names it
+                raised.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        sock = ghost_session(coordinator.address)
+        try:
+            send_message(sock, {"type": "claim", "executor": "ghost"})
+            lease = recv_message(sock)
+            send_message(
+                sock,
+                {
+                    "type": "result",
+                    "executor": "ghost",
+                    "lease_id": lease["lease_id"],
+                    "index": lease["task"]["index"],
+                    "ok": False,
+                    "error": "  \n ",
+                },
+            )
+            assert recv_message(sock)["type"] == "ok"
+            send_message(sock, {"type": "bye", "executor": "ghost"})
+            assert recv_message(sock)["type"] == "ok"
+        finally:
+            sock.close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(raised) == 1 and isinstance(raised[0], CampaignError), raised
+        assert str(raised[0]).endswith(": unknown")
+        manifest = CampaignManifest.load(tmp_path / "dist" / "manifest.json")
+        [record] = manifest.records.values()
+        assert (record.status, record.error, record.executor) == (
+            "failed",
+            "unknown",
+            "ghost",
+        )
+
+
+#: Settle events that belong to one task attempt, and the fields that
+#: legitimately differ between execution paths.
+SETTLE_KINDS = ("task_finish", "task_failed", "task_retry", "task_resume", "warm_restore")
+PATH_FIELDS = {"ts", "elapsed_s", "worker", "executor"}
+
+
+@needs_fork
+class TestSettleParity:
+    """The serial loop, the process pool and the coordinator settle
+    every attempt through one outcome builder and one set of books."""
+
+    def run_three_ways(self, tmp_path, monkeypatch):
+        persisted: dict[str, list] = {}
+        path = ["serial"]
+        original = CampaignBooks.persist
+
+        def recording_persist(books, outcome, executor=None):
+            persisted.setdefault(path[0], []).append(outcome)
+            original(books, outcome, executor)
+
+        monkeypatch.setattr(CampaignBooks, "persist", recording_persist)
+        registry = parity_registry()
+        runs = {}
+        for name, jobs in (("serial", 1), ("pool", 2), ("coordinator", 1)):
+            path[0] = name
+            events = []
+            telemetry = Telemetry(subscribers=(events.append,))
+            plan = CampaignPlan(
+                factories=dict(registry),
+                traces=[TraceSpec.suite("FP1", 300), TraceSpec.suite("INT1", 300)],
+                store_dir=tmp_path / name,
+                manifest_path=tmp_path / name / "manifest.json",
+                jobs=jobs,
+                max_retries=1,
+                allow_failures=True,
+            )
+            if name == "coordinator":
+                coordinator = Coordinator(
+                    plan,
+                    registry_ref="tests.test_distribution:parity_registry",
+                    linger_s=3.0,
+                    telemetry=telemetry,
+                )
+                executor = threading.Thread(
+                    target=run_executor,
+                    args=(coordinator.address,),
+                    kwargs={
+                        "registry_ref": "tests.test_distribution:parity_registry",
+                        "executor_id": "in-thread",
+                        "poll_interval": 0.05,
+                    },
+                    daemon=True,
+                )
+                executor.start()
+                results = coordinator.serve()
+                executor.join(timeout=30)
+                assert not executor.is_alive()
+            else:
+                results = run_plan(plan, telemetry)
+            manifest = CampaignManifest.load(tmp_path / name / "manifest.json")
+            runs[name] = (results, events, manifest)
+        return runs, persisted
+
+    def test_three_paths_settle_identically(self, tmp_path, monkeypatch):
+        runs, persisted = self.run_three_ways(tmp_path, monkeypatch)
+
+        def outcomes(name):
+            return sorted(
+                (
+                    o.task.index,
+                    o.result,
+                    None if o.error is None else error_summary(o.error),
+                    o.attempts,
+                    o.from_cache,
+                    o.resumed_from,
+                    o.checkpoints,
+                    o.warmed,
+                    o.corrupt_purged,
+                )
+                for o in persisted[name]
+            )
+
+        def settle_events(events):
+            per_task: dict[int, list[dict]] = {}
+            for event in events:
+                if event["event"] in SETTLE_KINDS:
+                    fields = {k: v for k, v in event.items() if k not in PATH_FIELDS}
+                    per_task.setdefault(event["index"], []).append(fields)
+            finish = [
+                {k: v for k, v in e.items() if k not in PATH_FIELDS}
+                for e in events_of(events, "campaign_finish")
+            ]
+            return per_task, finish, len(events_of(events, "progress"))
+
+        def records(manifest):
+            return {
+                fingerprint: (r.status, r.attempts, r.error, r.resumed_from, r.checkpoints)
+                for fingerprint, r in manifest.records.items()
+            }
+
+        serial_results, serial_events, serial_manifest = runs["serial"]
+        assert serial_results["exploding"] == [None, None]
+        assert all(r is not None for r in serial_results["bimodal"])
+        failed = [e for e in serial_events if e["event"] == "task_failed"]
+        assert len(failed) == 4 and failed[0]["error"] == "RuntimeError: predictor exploded"
+        assert len(events_of(serial_events, "task_retry")) == 2
+        for name in ("pool", "coordinator"):
+            results, events, manifest = runs[name]
+            assert results == serial_results, name
+            assert outcomes(name) == outcomes("serial"), name
+            assert settle_events(events) == settle_events(serial_events), name
+            assert records(manifest) == records(serial_manifest), name
+        assert {
+            e["executor"] for e in runs["coordinator"][1] if e["event"] in SETTLE_KINDS
+        } == {"in-thread"}

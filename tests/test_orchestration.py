@@ -732,3 +732,57 @@ class TestWarmShare:
                 traces=[TraceSpec.suite("FP1", 100)],
                 warm_share={"b": "a"},
             )
+
+
+class TestPlanValidation:
+    """``CampaignPlan`` refuses knob values no campaign can run with."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jobs", 0),
+            ("max_retries", -1),
+            ("task_timeout", 0),
+            ("task_timeout", -1.0),
+            ("checkpoint_every", 0),
+            ("warmup_branches", -5),
+        ],
+    )
+    def test_out_of_range_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CampaignPlan(
+                factories={"a": GShare},
+                traces=[TraceSpec.suite("FP1", 100)],
+                **{field: value},
+            )
+
+    def test_boundary_values_accepted(self):
+        plan = CampaignPlan(
+            factories={"a": GShare},
+            traces=[TraceSpec.suite("FP1", 100)],
+            jobs=1,
+            max_retries=0,
+            task_timeout=0.5,
+            checkpoint_every=1,
+            warmup_branches=0,
+        )
+        assert plan.jobs == 1 and plan.max_retries == 0
+
+
+class TestErrorSummary:
+    def test_last_non_blank_line(self):
+        from repro.orchestration.tasks import error_summary
+
+        assert error_summary("Traceback:\n  frame\nValueError: x\n\n") == "ValueError: x"
+        assert error_summary("worker process died") == "worker process died"
+
+    @pytest.mark.parametrize("error", [None, "", "   ", " \n\t\n "])
+    def test_blank_is_unknown(self, error):
+        from repro.orchestration.tasks import TaskOutcome, error_summary
+
+        assert error_summary(error) == "unknown"
+        task = build_tasks(
+            CampaignPlan(factories={"a": GShare}, traces=[TraceSpec.suite("FP1", 100)])
+        )[0]
+        failure = CampaignError([TaskOutcome(task=task, error=error)])
+        assert str(failure).endswith(": unknown")
