@@ -46,15 +46,25 @@ def _predictor_registry() -> dict:
     return standard_registry()
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (``--branches``, ``--top``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """argparse type for counts of at least ``low``, named ``kind`` in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+#: ``--branches``, ``--top`` and the like must be at least 1.
+_positive_int = _int_at_least(1, "positive")
+#: ``diagnose --warmup`` may be 0.
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _load_trace(spec: str, branches: int | None) -> Trace:
@@ -549,7 +559,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     for spec in args.traces:
         trace = _load_trace(spec, args.branches)
         result = attribute(
-            registry[args.predictor](), trace, track_providers=args.providers
+            registry[args.predictor](),
+            trace,
+            track_providers=args.providers,
+            warmup_branches=args.warmup,
         )
         print(format_attribution(result, count=args.top))
         if args.providers and result.provider_misses:
@@ -929,6 +942,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--branches", type=_positive_int, default=None)
     p_diag.add_argument("--top", type=_positive_int, default=10)
     p_diag.add_argument("--providers", action="store_true")
+    p_diag.add_argument(
+        "--warmup",
+        type=_non_negative_int,
+        default=0,
+        help="warmup branches that train the predictor but are not attributed",
+    )
     p_diag.set_defaults(fn=_cmd_diagnose)
 
     p_storage = sub.add_parser("storage", help="storage budgets per predictor")

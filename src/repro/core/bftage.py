@@ -12,9 +12,11 @@ its folds cannot be kept incrementally like TAGE's CSRs.  Each
 prediction therefore folds every table's BF-GHR prefix (3 bits per
 position, at most 426 bits for the 142-position table) from scratch, as
 the hardware hash tree would.  ``fold_bits`` does this in a log-depth
-number of XOR steps; ``SegmentedRecencyStacks.packed_ghr`` reuses each
-segment's packed bits until a commit changes that segment; and the
-per-table fold widths and hash masks are fixed once in ``__init__``.
+number of XOR steps; the steps depend only on the prefix width and the
+fold target, so :func:`fold_steps` lists them once per (table, target)
+in ``__init__`` and each event only applies them.
+``SegmentedRecencyStacks.packed_ghr`` reuses each segment's packed bits
+until a commit changes that segment.
 
 ``BFISLTage`` adds the loop predictor and statistical corrector overlay,
 mirroring BF-ISL-TAGE in Figure 10.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.bitops import fold_bits
+from repro.common.bitops import mask
 from repro.common.state import expect_keys
 from repro.core.bst import BranchStatusTable
 from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks
@@ -38,6 +40,25 @@ BF_10_TABLE_LENGTHS = [3, 8, 14, 26, 40, 54, 70, 94, 118, 142]
 #: 2,2,1,1 and tag widths 7..15.
 _TABLE_I_LOG2 = [11, 11, 11, 12, 12, 12, 11, 11, 10, 10]
 _TABLE_I_TAGS = [7, 7, 8, 9, 10, 11, 11, 13, 14, 15]
+
+
+def fold_steps(width: int, target_bits: int) -> tuple[tuple[int, int], ...]:
+    """The XOR steps of ``fold_bits(value, width, target_bits)``.
+
+    Each ``(shift, low_mask)`` step maps ``v`` to
+    ``(v & low_mask) ^ (v >> shift)``; applied in order to
+    ``value & mask(width)`` they fold it exactly as ``fold_bits`` does,
+    the same log-depth chunk tree with its loop bounds precomputed.
+    """
+    if target_bits <= 0:
+        raise ValueError(f"target width must be positive, got {target_bits}")
+    steps = []
+    chunks = -(-width // target_bits)
+    while chunks > 1:
+        chunks = (chunks + 1) >> 1
+        shift = chunks * target_bits
+        steps.append((shift, (1 << shift) - 1))
+    return tuple(steps)
 
 
 def bf_lengths(num_tables: int) -> list[int]:
@@ -123,13 +144,18 @@ class BFTage(Tage):
             rs_size=self.bf_config.rs_size,
             unfiltered_bits=self.bf_config.unfiltered_bits,
         )
-        # Per-table fold geometry, fixed by the config: the BF-GHR prefix
-        # width in bits (3 per position) and the index and two tag fold
-        # targets.
+        # Per-table fold geometry, fixed by the config: the mask of the
+        # BF-GHR prefix (3 bits per position) and the fold steps to the
+        # index width and the two tag widths.
         cfg = self.config
         self._ghr_positions = cfg.history_lengths[-1]
         self._ghr_folds = tuple(
-            (3 * length, log2, tag_bits, max(1, tag_bits - 1))
+            (
+                mask(3 * length),
+                fold_steps(3 * length, log2),
+                fold_steps(3 * length, tag_bits),
+                fold_steps(3 * length, max(1, tag_bits - 1)),
+            )
             for length, log2, tag_bits in zip(
                 cfg.history_lengths, cfg.log2_entries, cfg.tag_bits
             )
@@ -141,20 +167,23 @@ class BFTage(Tage):
 
     def _compute_indices(self, pc: int) -> None:
         # TaggedTable.index_of/tag_of over BF-GHR prefix folds, inlined
-        # over the constants from __init__ (once per event per table).
-        # fold_bits reads only the low ``width`` bits: the table's prefix.
+        # over the constants from __init__ (once per event per table):
+        # each fold is fold_bits of the table's prefix, step by step.
         packed_ghr, _ = self.segments.packed_ghr(self._ghr_positions)
         path = self._path_history & self._path_mask
         indices = self._last_indices
         tags = self._last_tags
         i = 0
-        for (shift, index_mask, tag_mask), (width, index_bits, tag_bits, tag2_bits) in zip(
-            self._table_hash, self._ghr_folds
-        ):
-            index_fold = fold_bits(packed_ghr, width, index_bits)
+        for (shift, index_mask, tag_mask), folds in zip(self._table_hash, self._ghr_folds):
+            prefix_mask, index_steps, tag_steps, tag2_steps = folds
+            index_fold = tag_fold_1 = tag_fold_2 = packed_ghr & prefix_mask
+            for step, low in index_steps:
+                index_fold = (index_fold & low) ^ (index_fold >> step)
+            for step, low in tag_steps:
+                tag_fold_1 = (tag_fold_1 & low) ^ (tag_fold_1 >> step)
+            for step, low in tag2_steps:
+                tag_fold_2 = (tag_fold_2 & low) ^ (tag_fold_2 >> step)
             indices[i] = (pc ^ (pc >> shift) ^ index_fold ^ path) & index_mask
-            tag_fold_1 = fold_bits(packed_ghr, width, tag_bits)
-            tag_fold_2 = fold_bits(packed_ghr, width, tag2_bits)
             tags[i] = (pc ^ tag_fold_1 ^ (tag_fold_2 << 1)) & tag_mask
             i += 1
 

@@ -8,6 +8,13 @@ The paper's BF-Neural uses a 64-entry, 4-way skewed-associative LC
 predictor; ISL-TAGE uses the same structure.  It is a *side* predictor:
 ``lookup`` returns a prediction plus a confidence flag, and the host
 predictor decides whether to use it.
+
+A pc's skewed ``(set, tag)`` pair in every way is one splitmix64 hash per
+way.  ``lookup`` and ``update`` see the same pc in one event, so the
+pairs of the last pc hashed are kept in a one-slot cache: each event
+hashes its pc once however many ways ``_find`` and ``_allocate`` scan.
+The cache is a pure function of the pc and the geometry, so it bounds
+memory at one entry whatever pcs arrive and stays out of snapshots.
 """
 
 from __future__ import annotations
@@ -48,20 +55,31 @@ class LoopPredictor:
         # skew constant to the pc before hashing.
         self._way_skews = tuple(0x517C_C1B7 * (way + 1) for way in range(ways))
         self._tag_mask = (1 << tag_bits) - 1
+        # The one-slot hash cache: the last pc hashed and its (set, tag)
+        # per way, rewritten in place.
+        self._slots_pc: int | None = None
+        self._slots_of_pc = [(0, 0)] * ways
 
-    def _set_and_tag(self, pc: int, way: int) -> tuple[int, int]:
-        # mix64(pc + skew), inlined: this runs per way on every lookup.
-        hashed = (pc + self._way_skews[way]) & U64
-        hashed = (hashed ^ (hashed >> 30)) * MIX64_M1 & U64
-        hashed = (hashed ^ (hashed >> 27)) * MIX64_M2 & U64
-        hashed ^= hashed >> 31
-        return hashed % self.sets, (hashed >> 20) & self._tag_mask
+    def _slots(self, pc: int) -> list[tuple[int, int]]:
+        """``(set, tag)`` of ``pc`` in every way, cached for the last pc."""
+        slots = self._slots_of_pc
+        if pc == self._slots_pc:
+            return slots
+        sets = self.sets
+        tag_mask = self._tag_mask
+        for way, skew in enumerate(self._way_skews):
+            # mix64(pc + skew), inlined.
+            hashed = (pc + skew) & U64
+            hashed = (hashed ^ (hashed >> 30)) * MIX64_M1 & U64
+            hashed = (hashed ^ (hashed >> 27)) * MIX64_M2 & U64
+            hashed ^= hashed >> 31
+            slots[way] = (hashed % sets, (hashed >> 20) & tag_mask)
+        self._slots_pc = pc
+        return slots
 
     def _find(self, pc: int) -> _LoopEntry | None:
-        set_and_tag = self._set_and_tag
         table = self._table
-        for way in range(self.ways):
-            set_index, tag = set_and_tag(pc, way)
+        for way, (set_index, tag) in enumerate(self._slots(pc)):
             entry = table[set_index][way]
             if entry.valid and entry.tag == tag:
                 return entry
@@ -106,17 +124,15 @@ class LoopPredictor:
 
     def _allocate(self, pc: int) -> None:
         # Prefer an invalid way; otherwise decay ages and steal an old one.
-        set_and_tag = self._set_and_tag
+        slots = self._slots(pc)
         table = self._table
         victim_way = None
-        for way in range(self.ways):
-            set_index, _ = set_and_tag(pc, way)
+        for way, (set_index, _) in enumerate(slots):
             if not table[set_index][way].valid:
                 victim_way = way
                 break
         if victim_way is None:
-            for way in range(self.ways):
-                set_index, _ = set_and_tag(pc, way)
+            for way, (set_index, _) in enumerate(slots):
                 entry = table[set_index][way]
                 if entry.age == 0:
                     victim_way = way
@@ -124,7 +140,7 @@ class LoopPredictor:
                 entry.age -= 1
         if victim_way is None:
             return
-        set_index, tag = set_and_tag(pc, victim_way)
+        set_index, tag = slots[victim_way]
         entry = table[set_index][victim_way]
         entry.tag = tag
         entry.past_trip = 0

@@ -1,53 +1,16 @@
-"""TAGE building blocks: tagged tables and folded-history index sets.
+"""TAGE building block: the partially tagged table.
 
 A tagged table entry holds a 3-bit signed prediction counter, a partial
 tag and a 2-bit useful counter.  Entries are stored in parallel int lists
-(not objects) because every prediction touches every table.
-
-``FoldedIndexSet`` owns the three incrementally folded views of the
-global history a table needs (index fold, and two tag folds of widths
-``tag_bits`` and ``tag_bits - 1``), exactly as in Seznec's reference
-implementations.
+(not objects) because every prediction touches every table.  The folded
+global histories that index the tables live in ``Tage`` itself (tage.py),
+as one flat register list.
 """
 
 from __future__ import annotations
 
 from repro.common.bitops import is_power_of_two, mask
-from repro.common.histories import FoldedHistory
 from repro.common.state import expect_keys, expect_length, expect_range
-
-
-class FoldedIndexSet:
-    """The folded-history registers for one tagged table."""
-
-    __slots__ = ("history_length", "index_fold", "tag_fold_1", "tag_fold_2")
-
-    def __init__(self, history_length: int, index_bits: int, tag_bits: int) -> None:
-        if history_length <= 0:
-            raise ValueError(f"history_length must be positive, got {history_length}")
-        self.history_length = history_length
-        self.index_fold = FoldedHistory(history_length, index_bits)
-        self.tag_fold_1 = FoldedHistory(history_length, tag_bits)
-        self.tag_fold_2 = FoldedHistory(history_length, max(1, tag_bits - 1))
-
-    def update(self, incoming: int, outgoing: int) -> None:
-        self.index_fold.update(incoming, outgoing)
-        self.tag_fold_1.update(incoming, outgoing)
-        self.tag_fold_2.update(incoming, outgoing)
-
-    def snapshot(self) -> list[int]:
-        """The three fold register values."""
-        return [
-            self.index_fold.snapshot(),
-            self.tag_fold_1.snapshot(),
-            self.tag_fold_2.snapshot(),
-        ]
-
-    def restore(self, state: list[int]) -> None:
-        expect_length(state, 3, "FoldedIndexSet")
-        self.index_fold.restore(state[0])
-        self.tag_fold_1.restore(state[1])
-        self.tag_fold_2.restore(state[2])
 
 
 class TaggedTable:

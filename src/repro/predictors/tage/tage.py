@@ -9,6 +9,14 @@ longer history than the provider, steered by useful bits.
 
 The 10-table and 15-table configurations use the history length sets the
 paper quotes (§VI-C and footnote 2).
+
+Each table is indexed by three incrementally folded views of the global
+history (the index fold, and tag folds of ``tag_bits`` and
+``tag_bits - 1`` bits), the circular-shift registers (CSRs) of Seznec's
+reference implementations.  All 3·N registers are one flat int list,
+``_folds`` (table-major: index, tag 1, tag 2), advanced in one loop over
+per-register constants fixed in ``__init__``, the layout
+``MultiFoldedHistory`` gives BF-Neural's ladder.
 """
 
 from __future__ import annotations
@@ -17,10 +25,10 @@ from dataclasses import dataclass, field
 
 from repro.common.bitops import mask
 from repro.common.rng import XorShift64
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length, expect_range
 from repro.predictors.base import BranchPredictor
 from repro.predictors.static_ import Bimodal
-from repro.predictors.tage.components import FoldedIndexSet, TaggedTable
+from repro.predictors.tage.components import TaggedTable
 
 #: Maximum geometric history length per tagged-table count, anchoring the
 #: sweep of Figure 10.  The 10- and 15-table entries match the paper's
@@ -126,6 +134,8 @@ class TageConfig:
             )
         if self.history_lengths != sorted(self.history_lengths):
             raise ValueError(f"history lengths must increase: {self.history_lengths}")
+        if self.history_lengths[0] <= 0:
+            raise ValueError(f"history lengths must be positive: {self.history_lengths}")
 
     @classmethod
     def for_tables(cls, num_tables: int) -> "TageConfig":
@@ -145,12 +155,18 @@ class Tage(BranchPredictor):
             TaggedTable(cfg.log2_entries[i], cfg.tag_bits[i], cfg.history_lengths[i])
             for i in range(cfg.num_tables)
         ]
-        self._folds = [
-            FoldedIndexSet(
-                cfg.history_lengths[i], cfg.log2_entries[i], cfg.tag_bits[i]
+        # FoldedHistory.update constants per fold register, table-major
+        # (index fold, tag fold, tag fold one bit narrower): window
+        # length, width mask, top bit position and the folded position
+        # of the bit leaving the window.
+        self._fold_registers = tuple(
+            (length, mask(width), width - 1, length % width)
+            for length, log2, tag_bits in zip(
+                cfg.history_lengths, cfg.log2_entries, cfg.tag_bits
             )
-            for i in range(cfg.num_tables)
-        ]
+            for width in (log2, tag_bits, max(1, tag_bits - 1))
+        )
+        self._folds = [0] * len(self._fold_registers)
         # Per-table hash constants, fixed by the config: the index
         # shift, index mask and tag mask of TaggedTable.index_of/tag_of.
         self._table_hash = tuple(
@@ -186,12 +202,12 @@ class Tage(BranchPredictor):
         path = self._path_history & self._path_mask
         indices = self._last_indices
         tags = self._last_tags
+        folds = self._folds
         i = 0
-        for (shift, index_mask, tag_mask), folds in zip(self._table_hash, self._folds):
-            indices[i] = (pc ^ (pc >> shift) ^ folds.index_fold.value ^ path) & index_mask
-            tags[i] = (
-                pc ^ folds.tag_fold_1.value ^ (folds.tag_fold_2.value << 1)
-            ) & tag_mask
+        for shift, index_mask, tag_mask in self._table_hash:
+            r = 3 * i
+            indices[i] = (pc ^ (pc >> shift) ^ folds[r] ^ path) & index_mask
+            tags[i] = (pc ^ folds[r + 1] ^ (folds[r + 2] << 1)) & tag_mask
             i += 1
 
     def predict(self, pc: int) -> bool:
@@ -327,15 +343,25 @@ class Tage(BranchPredictor):
                     break
 
     def _advance_histories(self, pc: int, taken: bool) -> None:
+        # FoldedHistory.update per register: rotate left within the
+        # width, inject the new bit, cancel the bit leaving the window.
+        # ``buffer[head - length]`` wraps through negative indexing, as
+        # 0 <= head < capacity and every length < capacity.
         incoming = 1 if taken else 0
         head = self._history_head
         buffer = self._history_buffer
-        capacity = self._history_capacity
-        for folds in self._folds:
-            outgoing = buffer[(head - folds.history_length) % capacity]
-            folds.update(incoming, outgoing)
-        buffer[head % capacity] = incoming
-        self._history_head = (head + 1) % capacity
+        folds = self._folds
+        r = 0
+        for length, width_mask, top, out_pos in self._fold_registers:
+            v = folds[r]
+            folds[r] = (
+                (((v << 1) | incoming) & width_mask) ^ (v >> top)
+                ^ (buffer[head - length] << out_pos)
+            )
+            r += 1
+        buffer[head] = incoming
+        head += 1
+        self._history_head = 0 if head == self._history_capacity else head
         self._path_history = ((self._path_history << 1) | (pc & 1)) & self._path_mask
 
     def reset(self) -> None:
@@ -355,7 +381,7 @@ class Tage(BranchPredictor):
         return {
             "base": self.base.snapshot().payload,
             "tables": [table.snapshot() for table in self.tables],
-            "folds": [folds.snapshot() for folds in self._folds],
+            "folds": [self._folds[r : r + 3] for r in range(0, len(self._folds), 3)],
             "history_buffer": list(self._history_buffer),
             "history_head": self._history_head,
             "path_history": self._path_history,
@@ -383,17 +409,30 @@ class Tage(BranchPredictor):
             "Tage",
         )
         expect_length(payload["tables"], len(self.tables), "Tage.tables")
-        expect_length(payload["folds"], len(self._folds), "Tage.folds")
+        expect_length(payload["folds"], len(self.tables), "Tage.folds")
+        folds = []
+        for state in payload["folds"]:
+            expect_length(state, 3, "Tage.folds[table]")
+            folds.extend(state)
+        for value, (_, width_mask, _, _) in zip(folds, self._fold_registers):
+            if not isinstance(value, int) or not 0 <= value <= width_mask:
+                raise StateError(
+                    f"Tage.folds: value {value!r} outside "
+                    f"{width_mask.bit_length()}-bit register"
+                )
         expect_length(
             payload["history_buffer"], self._history_capacity, "Tage.history_buffer"
         )
+        history_buffer = [int(v) for v in payload["history_buffer"]]
+        expect_range(history_buffer, 0, 1, "Tage.history_buffer")
+        history_head = int(payload["history_head"])
+        expect_range([history_head], 0, self._history_capacity - 1, "Tage.history_head")
         self.base._restore_payload(payload["base"])
         for table, state in zip(self.tables, payload["tables"]):
             table.restore(state)
-        for folds, state in zip(self._folds, payload["folds"]):
-            folds.restore(state)
-        self._history_buffer = [int(v) for v in payload["history_buffer"]]
-        self._history_head = int(payload["history_head"])
+        self._folds = folds
+        self._history_buffer = history_buffer
+        self._history_head = history_head
         self._path_history = int(payload["path_history"])
         self._rng.restore(payload["rng"])
         self._use_alt_on_na = int(payload["use_alt_on_na"])

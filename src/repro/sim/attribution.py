@@ -69,15 +69,28 @@ class AttributionResult:
 
 
 def attribute(
-    predictor: BranchPredictor, trace: Trace, track_providers: bool = False
+    predictor: BranchPredictor,
+    trace: Trace,
+    track_providers: bool = False,
+    warmup_branches: int = 0,
 ) -> AttributionResult:
     """Replay ``trace`` once and attribute every misprediction to its
     static branch; ``branches`` and ``provider_misses`` keep first-
-    appearance order, so ranked ties read as in the trace."""
+    appearance order, so ranked ties read as in the trace.
+
+    The first ``warmup_branches`` events train the predictor but are
+    left out of every count, as in :func:`~repro.sim.simulate`.
+    """
     run_segment = segment_runner(predictor, "auto")
-    predictions, providers = run_segment(predictor, trace, 0, len(trace), track_providers)
+    if warmup_branches < 0:
+        raise ValueError(f"warmup_branches must be non-negative, got {warmup_branches}")
+    warmup = min(warmup_branches, len(trace))
+    if warmup:
+        run_segment(predictor, trace, 0, warmup, False)
+    predictions, providers = run_segment(predictor, trace, warmup, len(trace), track_providers)
     pcs, outcomes = trace.arrays()
-    missed = predictions != (outcomes == 1)
+    pcs = pcs[warmup:]
+    missed = predictions != (outcomes[warmup:] == 1)
     static_pcs, executions, misses = count_by_key(pcs, missed)
     branches = {
         pc: BranchAttribution(pc, count, missed_count)

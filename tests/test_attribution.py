@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.orchestration import standard_registry
 from repro.predictors import AlwaysTaken, Bimodal
+from repro.sim import simulate
 from repro.sim.attribution import (
     AttributionResult,
     BranchAttribution,
@@ -10,6 +12,7 @@ from repro.sim.attribution import (
     format_attribution,
 )
 from repro.trace.records import Trace, TraceMetadata
+from repro.workloads import build_trace
 
 
 def trace_of(events, name="t"):
@@ -43,6 +46,32 @@ class TestAttribute:
     def test_no_provider_tracking_by_default(self):
         result = attribute(AlwaysTaken(), trace_of([(4, False)]))
         assert result.provider_misses == {}
+
+
+class TestWarmup:
+    """``warmup_branches`` trains on a prefix that no count includes,
+    exactly as ``simulate(..., warmup_branches=N)`` measures."""
+
+    @pytest.mark.parametrize("name", ["gshare", "bf-neural", "tage10", "isl-tage10"])
+    @pytest.mark.parametrize("warmup", [0, 1, 733, 1_999, 2_000, 5_000])
+    def test_total_equals_simulate_with_warmup(self, name, warmup):
+        factory = standard_registry()[name]
+        trace = build_trace("SPEC03", 2_000)
+        result = attribute(factory(), trace, track_providers=True, warmup_branches=warmup)
+        measured = simulate(factory(), trace, track_providers=True, warmup_branches=warmup)
+        assert result.total_mispredictions == measured.mispredictions
+        assert sum(b.executions for b in result.branches.values()) == measured.branches
+        assert sum(result.provider_misses.values()) == measured.mispredictions
+
+    def test_warmup_events_leave_the_counts(self):
+        events = [(4, False)] * 3 + [(8, False)] * 2
+        result = attribute(AlwaysTaken(), trace_of(events), warmup_branches=3)
+        assert list(result.branches) == [8]
+        assert result.total_mispredictions == 2
+
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup_branches"):
+            attribute(AlwaysTaken(), trace_of([(4, False)]), warmup_branches=-1)
 
 
 class TestRanking:
@@ -93,6 +122,25 @@ class TestCLIDiagnose:
                      "--branches", "800", "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "misprediction attribution" in out
+
+    def test_diagnose_warmup(self, capsys):
+        from repro.cli import main
+
+        trace = build_trace("FP1", 800)
+        bimodal = standard_registry()["bimodal"]()
+        expected = simulate(bimodal, trace, warmup_branches=300).mispredictions
+        assert main(["diagnose", "FP1", "--predictor", "bimodal",
+                     "--branches", "800", "--warmup", "300"]) == 0
+        assert f": {expected} total," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-1", "many"])
+    def test_diagnose_warmup_rejected(self, value, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "FP1", "--warmup", value])
+        assert exc.value.code == 2
+        assert "--warmup" in capsys.readouterr().err
 
     def test_diagnose_unknown_predictor(self):
         from repro.cli import main

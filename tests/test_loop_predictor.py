@@ -1,5 +1,7 @@
 """Tests for the loop-count predictor."""
 
+import tracemalloc
+
 import pytest
 
 from repro.predictors.loop import LoopOnly, LoopPredictor
@@ -97,3 +99,50 @@ class TestLoopOnly:
 
     def test_default_prediction_is_taken(self):
         assert LoopOnly().predict(0x123)
+
+
+class TestHashCache:
+    """The per-pc (set, tag) cache is bounded and invisible to state."""
+
+    def test_bounded_over_distinct_pcs(self):
+        loop = LoopPredictor()
+        attributes = set(vars(loop))
+        pcs = [0x1000 + 4 * i for i in range(100_000)]
+        tracemalloc.start()
+        for i, pc in enumerate(pcs):
+            loop.lookup(pc)
+            loop.update(pc, i % 3 == 0, allocate=True)
+            if i == 999:
+                tracemalloc.reset_peak()
+                warm, _ = tracemalloc.get_traced_memory()
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # One cached pc, one (set, tag) pair per way, no new attributes.
+        assert set(vars(loop)) == attributes
+        assert loop._slots_pc == pcs[-1]
+        assert len(loop._slots_of_pc) == loop.ways
+        # 99k more distinct pcs leave memory flat.
+        assert peak - warm < 16 * 1024
+        assert current - warm < 16 * 1024
+
+    def test_cache_stays_out_of_snapshots(self):
+        trained = LoopOnly()
+        for i in range(3_000):
+            pc = 0x500 + 8 * (i % 11)
+            trained.predict(pc)
+            trained.train(pc, i % 7 != 0)
+        state = trained.snapshot()
+        assert set(state.payload["loop"]) == {"table"}
+        # Hashing another pc only moves the cache.
+        trained.predict(0xDEAD00)
+        assert trained.snapshot() == state
+
+        restored = LoopOnly()
+        restored.restore(state)
+        assert restored.loop._slots_pc is None
+        for i in range(3_000):
+            pc = 0x500 + 8 * (i % 13)
+            assert restored.predict(pc) == trained.predict(pc)
+            restored.train(pc, i % 5 != 0)
+            trained.train(pc, i % 5 != 0)
+        assert restored.state_hash() == trained.state_hash()

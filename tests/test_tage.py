@@ -1,11 +1,16 @@
 """Tests for TAGE components, TAGE, and ISL-TAGE."""
 
+import copy
+import random
+
 import pytest
 
 from repro.common.bitops import fold_bits, mask
-from repro.common.state import StateError
+from repro.common.histories import FoldedHistory, HistoryRing
+from repro.common.state import PredictorState, StateError
+from repro.core.bftage import BFTage, BFTageConfig, fold_steps
 from repro.orchestration import standard_registry
-from repro.predictors.tage.components import FoldedIndexSet, TaggedTable
+from repro.predictors.tage.components import TaggedTable
 from repro.predictors.tage.isl import ISLTage
 from repro.predictors.tage.tage import (
     ISL_15_TABLE_LENGTHS,
@@ -128,58 +133,121 @@ class TestTaggedTable:
         assert table.snapshot() == TaggedTable(4, 8, 10).snapshot()
 
 
-class TestFoldedIndexSet:
-    def test_updates_all_folds(self):
-        folds = FoldedIndexSet(history_length=20, index_bits=10, tag_bits=8)
-        folds.update(1, 0)
-        assert folds.index_fold.value != 0 or folds.tag_fold_1.value != 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FoldedIndexSet(0, 10, 8)
+def raw_history(predictor):
+    """TAGE's global history packed from its raw ring buffer, newest
+    outcome (the slot before ``_history_head``) in bit 0."""
+    buffer = predictor._history_buffer
+    head = predictor._history_head
+    oldest_first = buffer[head:] + buffer[:head]
+    return int("".join(map(str, oldest_first)), 2)
 
 
 def reference_hashes(predictor, pc):
     """Per-table (index, tag) from ``TaggedTable.index_of``/``tag_of``.
 
-    TAGE feeds them its incrementally folded histories; BF-TAGE folds
-    the prefix of the packed BF-GHR that each table's history length
-    covers (3 bits per position).
+    Both predictors fold each table's history window from scratch with
+    ``fold_bits``: TAGE the newest ``L(i)`` outcomes of its raw history
+    buffer, BF-TAGE the prefix of the packed BF-GHR that the table's
+    history length covers (3 bits per position).
     """
     path = predictor._path_history & mask(predictor.config.path_bits)
     lengths = predictor.config.history_lengths
     segments = getattr(predictor, "segments", None)
-    if segments is not None:
+    if segments is None:
+        packed = raw_history(predictor)
+        widths = lengths
+    else:
         packed, _ = segments.packed_ghr(lengths[-1])
+        widths = [3 * length for length in lengths]
     hashes = []
-    for i, table in enumerate(predictor.tables):
-        if segments is None:
-            folds = predictor._folds[i]
-            index_fold = folds.index_fold.value
-            tag_folds = folds.tag_fold_1.value, folds.tag_fold_2.value
-        else:
-            width = 3 * lengths[i]
-            prefix = packed & mask(width)
-            index_fold = fold_bits(prefix, width, table.log2_entries)
-            tag_folds = (
-                fold_bits(prefix, width, table.tag_bits),
-                fold_bits(prefix, width, max(1, table.tag_bits - 1)),
-            )
+    for table, width in zip(predictor.tables, widths):
+        prefix = packed & mask(width)
+        index_fold = fold_bits(prefix, width, table.log2_entries)
+        tag_folds = (
+            fold_bits(prefix, width, table.tag_bits),
+            fold_bits(prefix, width, max(1, table.tag_bits - 1)),
+        )
         hashes.append((table.index_of(pc, index_fold, path), table.tag_of(pc, *tag_folds)))
     return hashes
 
 
-@pytest.mark.parametrize("name", ["tage10", "bf-tage10"])
-def test_inlined_hashes_match_table_formula(name):
-    """The per-event index/tag computation equals the TaggedTable formula
-    for every table, throughout a trace with plenty of allocation."""
-    predictor = standard_registry()[name]()
-    trace = build_trace("SPEC03", 1_500)
-    for pc, taken in zip(trace.pcs, trace.outcomes):
+def assert_hashes_match(predictor, pcs, outcomes):
+    for pc, taken in zip(pcs, outcomes):
         expected = reference_hashes(predictor, pc)
         predictor.predict(pc)
         assert list(zip(predictor._last_indices, predictor._last_tags)) == expected
         predictor.train(pc, taken)
+
+
+def random_stream(seed, count=400, pcs=24):
+    rng = random.Random(seed)
+    branches = [0x400 + 4 * rng.randrange(1 << 12) for _ in range(pcs)]
+    return [rng.choice(branches) for _ in range(count)], [
+        rng.random() < 0.6 for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", ["tage10", "tage15", "bf-tage10"])
+def test_inlined_hashes_match_table_formula(name):
+    """The per-event index/tag computation equals the TaggedTable formula
+    over naive folds for every table, throughout a trace with plenty of
+    allocation."""
+    trace = build_trace("SPEC03", 1_500)
+    assert_hashes_match(standard_registry()[name](), trace.pcs, trace.outcomes)
+
+
+@pytest.mark.parametrize("num_tables", range(1, 11))
+def test_bf_tage_fold_steps_match_fold_bits(num_tables):
+    """BF-TAGE's precomputed fold steps equal ``fold_bits`` of every
+    table's BF-GHR prefix, for every table count it supports."""
+    pcs, outcomes = random_stream(num_tables)
+    assert_hashes_match(BFTage(BFTageConfig.for_tables(num_tables)), pcs, outcomes)
+
+
+def test_fold_steps_equal_fold_bits():
+    rng = random.Random(7)
+    for _ in range(300):
+        width = rng.randrange(0, 600)
+        target = rng.randrange(1, 20)
+        value = rng.getrandbits(width + 8)
+        folded = value & mask(width)
+        for shift, low in fold_steps(width, target):
+            folded = (folded & low) ^ (folded >> shift)
+        assert folded == fold_bits(value, width, target)
+    with pytest.raises(ValueError):
+        fold_steps(10, 0)
+
+
+class TestFlatFoldRegisters:
+    """``Tage._folds`` advances exactly like one standalone
+    ``FoldedHistory`` per (table, fold) fed from its own history ring."""
+
+    @pytest.mark.parametrize("num_tables", range(4, 16))
+    def test_registers_track_standalone_folds(self, num_tables):
+        predictor = Tage(TageConfig.for_tables(num_tables))
+        cfg = predictor.config
+        standalone = [
+            FoldedHistory(length, width)
+            for length, log2, tag_bits in zip(
+                cfg.history_lengths, cfg.log2_entries, cfg.tag_bits
+            )
+            for width in (log2, tag_bits, max(1, tag_bits - 1))
+        ]
+        ring = HistoryRing(cfg.history_lengths[-1] + 1)
+        pcs, outcomes = random_stream(num_tables, count=2_500)
+        for pc, taken in zip(pcs, outcomes):
+            predictor.predict(pc)
+            predictor.train(pc, taken)
+            for fold in standalone:
+                outgoing = ring.at(fold.length - 1) if len(ring) >= fold.length else 0
+                fold.update(int(taken), outgoing)
+            ring.push(taken)
+            assert predictor._folds == [fold.value for fold in standalone]
+        assert any(predictor._folds)
+
+    def test_zero_history_length_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            TageConfig(num_tables=1, history_lengths=[0], log2_entries=[10], tag_bits=[8])
 
 
 class TestTageConfig:
@@ -307,3 +375,59 @@ class TestISLTage:
             with_statistical_corrector=False,
         )
         assert with_all.storage_bits() > without.storage_bits()
+
+
+class TestTageState:
+    """The flat fold registers snapshot and restore as strictly as the
+    per-table ``FoldedHistory`` objects they replaced."""
+
+    @pytest.mark.parametrize("name", ["tage15", "isl-tage15", "bf-tage10"])
+    def test_restore_then_continue_matches_straight_run(self, name):
+        factory = standard_registry()[name]
+        trace = build_trace("SPEC03", 2_500)
+        split = 1_237
+        straight = factory()
+        simulate(straight, trace)
+
+        first = factory()
+        simulate(first, trace, stop_after=split)
+        resumed = factory()
+        resumed.restore(PredictorState.from_json(first.snapshot().to_json()))
+        assert resumed.state_hash() == first.state_hash()
+        for pc, taken in zip(trace.pcs[split:], trace.outcomes[split:]):
+            assert resumed.predict(pc) == first.predict(pc)
+            resumed.train(pc, taken)
+            first.train(pc, taken)
+        assert resumed.state_hash() == straight.state_hash()
+
+    def trained_payload(self):
+        predictor = Tage(TageConfig.for_tables(4))
+        pcs, outcomes = random_stream(3)
+        for pc, taken in zip(pcs, outcomes):
+            predictor.predict(pc)
+            predictor.train(pc, taken)
+        return predictor, predictor.snapshot().payload
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda p: p["folds"][0].__setitem__(0, 1 << 11), "Tage.folds"),
+            (lambda p: p["folds"][3].__setitem__(2, -1), "Tage.folds"),
+            (lambda p: p["folds"][1].__setitem__(1, "7"), "Tage.folds"),
+            (lambda p: p["folds"][2].pop(), r"Tage.folds\[table\]"),
+            (lambda p: p["folds"].pop(), "Tage.folds"),
+            (lambda p: p["history_buffer"].__setitem__(5, 2), "Tage.history_buffer"),
+            (lambda p: p.__setitem__("history_head", 27), "Tage.history_head"),
+            (lambda p: p.__setitem__("history_head", -1), "Tage.history_head"),
+        ],
+    )
+    def test_restore_rejects_corrupt_history(self, corrupt, match):
+        predictor, payload = self.trained_payload()
+        before = predictor.state_hash()
+        bad = copy.deepcopy(payload)
+        corrupt(bad)
+        with pytest.raises(StateError, match=match):
+            predictor._restore_payload(bad)
+        assert predictor.state_hash() == before
+        predictor._restore_payload(payload)
+        assert predictor.state_hash() == before
