@@ -28,6 +28,15 @@ python3 -m benchmarks.e2e run --smoke --seconds 0.5 || {
     echo E2E_SMOKE_FAILED
     exit 1
 }
+# BF-GHR stage: the in-place packed segmented recency stacks against
+# their frozen reference under random geometry, with ten times tier-1's
+# hypothesis examples, then the BF-TAGE-family goldens (straight and
+# JSON-resumed). Fig. 10-12 all run BF-TAGE, so a drift stops here.
+REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_segments.py \
+    tests/test_bftage_goldens.py -k "FrozenReference or golden" -q || {
+    echo SEGMENTS_DIFFERENTIAL_FAILED
+    exit 1
+}
 python3 -m repro.experiments.table1_storage --output results/table1.txt > /dev/null 2>&1
 python3 -m repro.experiments.fig2_bias     --output results/fig2.txt  > /dev/null 2>&1
 python3 -m repro.experiments.fig12_hits    --verbose --output results/fig12.txt

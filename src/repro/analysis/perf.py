@@ -15,7 +15,7 @@ REPRO401   Container/str allocation: list/dict/set displays and
            ``.format()`` calls.
 REPRO402   Attribute chains looked up inside a per-event loop — each
            iteration pays the lookup; hoist to a local before the loop
-           (the idiom ``packed_ghr`` already uses).
+           (the idiom ``SegmentedRecencyStacks.commit`` uses).
 REPRO403   ``try``/``except`` as control flow — zero-cost entry is a
            CPython 3.11 myth the exception path repays with interest.
 REPRO404   ``lambda``/nested ``def`` — builds a function object (and a

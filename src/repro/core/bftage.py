@@ -14,9 +14,10 @@ position, at most 426 bits for the 142-position table) from scratch, as
 the hardware hash tree would.  ``fold_bits`` does this in a log-depth
 number of XOR steps; the steps depend only on the prefix width and the
 fold target, so :func:`fold_steps` lists them once per (table, target)
-in ``__init__`` and each event only applies them.
-``SegmentedRecencyStacks.packed_ghr`` reuses each segment's packed bits
-until a commit changes that segment.
+in ``__init__`` and each event only applies them.  The BF-GHR itself is
+kept packed as it changes: ``SegmentedRecencyStacks.commit`` shifts each
+segment's packed bits in place, so ``packed_ghr`` is one OR-and-shift
+per segment.
 
 ``BFISLTage`` adds the loop predictor and statistical corrector overlay,
 mirroring BF-ISL-TAGE in Figure 10.
@@ -220,6 +221,18 @@ class BFTage(Tage):
 
     def _restore_payload(self, payload: dict) -> None:
         expect_keys(payload, ("bst", "segments"), "BFTage")
+        # Both restores are all-or-nothing, so trying them on fresh
+        # components catches a corrupt BST or segments payload before any
+        # table is touched.  The live components then take the validated
+        # state, keeping their identity (and any per-instance wrappers).
+        BranchStatusTable(
+            entries=self.bst.entries, probabilistic=self.bst.probabilistic
+        ).restore(payload["bst"])
+        SegmentedRecencyStacks(
+            boundaries=self.segments.boundaries,
+            rs_size=self.segments.rs_size,
+            unfiltered_bits=self.segments.unfiltered_bits,
+        ).restore(payload["segments"])
         super()._restore_payload(
             {k: v for k, v in payload.items() if k not in ("bst", "segments")}
         )

@@ -25,7 +25,7 @@ from enum import IntEnum
 
 from repro.common.bitops import is_power_of_two
 from repro.common.rng import XorShift64
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length
 
 
 class BranchStatus(IntEnum):
@@ -35,6 +35,10 @@ class BranchStatus(IntEnum):
     TAKEN = 1
     NOT_TAKEN = 2
     NON_BIASED = 3
+
+
+#: Restore's value -> member map: a dict lookup, not an enum call per entry.
+_STATUS = {int(status): status for status in BranchStatus}
 
 
 class BranchStatusTable:
@@ -158,15 +162,28 @@ class BranchStatusTable:
         }
 
     def restore(self, state: dict) -> None:
-        """Re-install a :meth:`snapshot`; geometry and mode must match."""
+        """Re-install a :meth:`snapshot`; geometry and mode must match.
+
+        Every field is converted before any is assigned, so a malformed
+        state raises :class:`StateError` and leaves the table as it was.
+        """
         expect_keys(state, ("state", "disagree", "streak", "streak_dir", "rng"), "BST")
         expect_length(state["state"], self.entries, "BST.state")
         aux = self.entries if self.probabilistic else 0
         expect_length(state["disagree"], aux, "BST.disagree")
         expect_length(state["streak"], aux, "BST.streak")
         expect_length(state["streak_dir"], aux, "BST.streak_dir")
-        self._state = [BranchStatus(s) for s in state["state"]]
-        self._disagree = [int(v) for v in state["disagree"]]
-        self._streak = [int(v) for v in state["streak"]]
+        try:
+            status = [_STATUS[s] for s in state["state"]]
+            disagree = [int(v) for v in state["disagree"]]
+            streak = [int(v) for v in state["streak"]]
+            # The generator validates its state before taking it.
+            self._rng.restore(state["rng"])
+        except KeyError as error:
+            raise StateError(f"BST: {error.args[0]!r} is not a branch status") from error
+        except (TypeError, ValueError) as error:
+            raise StateError(f"BST: {error}") from error
+        self._state = status
+        self._disagree = disagree
+        self._streak = streak
         self._streak_dir = [bool(v) for v in state["streak_dir"]]
-        self._rng.restore(state["rng"])

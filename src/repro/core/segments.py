@@ -17,11 +17,19 @@ entries, shallow segment first, most recent entry first.  Only valid
 entries are packed, so the compression — and therefore the effective
 reach of a given number of BF-GHR bits — grows with the biased-branch
 fraction of the workload, which is exactly the paper's premise.
+
+As in hardware, where each RS is a small shift register and the BF-GHR
+is those registers wired one after another, the packed form is kept
+current as it changes: the unfiltered outcomes are a rolling register
+that every commit shifts, and each segment's packed part shifts a new
+entry in at position 0 and splices a deduplicated one out with two
+masks.  Entries enter a segment in crossing order, so their stamps
+strictly descend from the shallow end: the deepest entry, and any entry
+leaving at the deep boundary, is always the last one, and eviction and
+deep-boundary removal are tail pops.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.common.state import StateError, expect_keys, expect_length
 
@@ -31,11 +39,9 @@ DEFAULT_BOUNDARIES = [
 ]
 
 
-@dataclass
-class _SegmentEntry:
-    hashed_pc: int
-    stamp: int  # commit index of this occurrence
-    outcome: bool
+def _element(hashed_pc: int, outcome: bool) -> int:
+    """One BF-GHR position packed in 3 bits: ``outcome | (addr & 3) << 1``."""
+    return (1 if outcome else 0) | ((hashed_pc & 3) << 1)
 
 
 class SegmentedRecencyStacks:
@@ -66,15 +72,23 @@ class SegmentedRecencyStacks:
         self.unfiltered_bits = unfiltered_bits
         self.hashed_pc_bits = hashed_pc_bits
         self.num_segments = len(self.boundaries) - 1
-        self._segments: list[list[_SegmentEntry]] = [[] for _ in range(self.num_segments)]
+        self._pc_mask = (1 << hashed_pc_bits) - 1
+        # Per segment, parallel and most recent first: hashed pcs, stamps
+        # (commit index of the occurrence, strictly descending) and the
+        # packed part — entry i's 3-bit element at bit 3i.
+        self._pcs: list[list[int]] = [[] for _ in range(self.num_segments)]
+        self._stamps: list[list[int]] = [[] for _ in range(self.num_segments)]
+        self._parts: list[int] = [0] * self.num_segments
+        # _keep[n] keeps the first n packed entries of a part.
+        self._keep = [(1 << (3 * n)) - 1 for n in range(rs_size + 1)]
         # Commit ring: (hashed pc, outcome, non_biased) per committed branch.
         depth_needed = self.boundaries[-1] + 2
         self._ring: list[tuple[int, bool, bool]] = [(0, False, False)] * depth_needed
         self._head = 0
         self._count = 0
-        # Each segment's entries packed as in packed_ghr (from position
-        # 0); None once the segment has changed since it was last packed.
-        self._packed_parts: list[int | None] = [0] * self.num_segments
+        # The unfiltered_bits latest outcomes packed (latest at bit 0).
+        self._recent = 0
+        self._recent_mask = (1 << (3 * unfiltered_bits)) - 1
 
     # ------------------------------------------------------------------
 
@@ -88,7 +102,10 @@ class SegmentedRecencyStacks:
         """Record a committed branch and advance every segment."""
         ring = self._ring
         ring_len = len(ring)
-        ring[self._head % ring_len] = (pc & ((1 << self.hashed_pc_bits) - 1), taken, non_biased)
+        hashed_pc = pc & self._pc_mask
+        ring[self._head % ring_len] = (hashed_pc, taken, non_biased)
+        element = ((hashed_pc & 3) << 1) | (1 if taken else 0)  # _element, inlined
+        self._recent = ((self._recent << 3) | element) & self._recent_mask
         self._head += 1
         if self._count < ring_len:
             self._count += 1
@@ -99,50 +116,55 @@ class SegmentedRecencyStacks:
         # whose depth just became boundary+1 leaves the segment above the
         # boundary (if any) and enters the one below it (if any).  Biased
         # records never enter a segment, so their crossings are skipped.
-        # Bound methods and counters are hoisted — this loop runs per
-        # committed branch over every boundary (REPRO402).
-        remove = self._remove
+        # Per-segment lists are hoisted — this loop runs per committed
+        # branch over every boundary (REPRO402).
+        all_pcs = self._pcs
+        all_stamps = self._stamps
+        parts = self._parts
+        keep = self._keep
         insert = self._insert
-        num_segments = self.num_segments
+        last = self.num_segments
         for k, boundary in enumerate(self.boundaries):
             depth = boundary + 1
             if depth > count:
                 break  # deeper boundaries cannot have been reached either
-            hashed_pc, outcome, was_non_biased = ring[(head - depth) % ring_len]
+            stamp = head - depth
+            crossing_pc, outcome, was_non_biased = ring[stamp % ring_len]
             if not was_non_biased:
                 continue
-            stamp = head - depth
-            if k > 0:
-                remove(k - 1, hashed_pc, stamp)
-            if k < num_segments:
-                insert(k, hashed_pc, stamp, outcome)
-
-    def _remove(self, segment: int, hashed_pc: int, stamp: int) -> None:
-        entries = self._segments[segment]
-        for position, entry in enumerate(entries):
-            if entry.hashed_pc == hashed_pc and entry.stamp == stamp:
-                del entries[position]
-                self._packed_parts[segment] = None
-                return
+            if k:
+                # Leaving segment k-1 at its deep boundary: its stamp is
+                # the oldest the segment can hold, so if the entry is still
+                # there (not deduplicated or evicted) it is the tail.
+                stamps = all_stamps[k - 1]
+                if stamps and stamps[-1] == stamp:
+                    stamps.pop()
+                    all_pcs[k - 1].pop()
+                    parts[k - 1] &= keep[len(stamps)]
+            if k < last:
+                insert(k, crossing_pc, stamp, outcome)
 
     def _insert(self, segment: int, hashed_pc: int, stamp: int, outcome: bool) -> None:
-        entries = self._segments[segment]
-        self._packed_parts[segment] = None
-        # Dedup: a new occurrence evicts an older one of the same address.
-        for position, entry in enumerate(entries):
-            if entry.hashed_pc == hashed_pc:
-                del entries[position]
-                break
-        entries.insert(0, _SegmentEntry(hashed_pc, stamp, outcome))
-        if len(entries) > self.rs_size:
-            # Evict the deepest (oldest stamp) entry.  Explicit scan —
-            # min(..., key=lambda...) builds a closure per eviction
-            # (REPRO404); first minimal index wins, same as min().
-            deepest = 0
-            for position in range(1, len(entries)):
-                if entries[position].stamp < entries[deepest].stamp:
-                    deepest = position
-            del entries[deepest]
+        pcs = self._pcs[segment]
+        stamps = self._stamps[segment]
+        part = self._parts[segment]
+        if hashed_pc in pcs:
+            # Dedup: a new occurrence evicts an older one of the same
+            # address; its 3 bits are spliced out of the packed part.
+            position = pcs.index(hashed_pc)
+            del pcs[position]
+            del stamps[position]
+            low = 3 * position
+            part = (part & self._keep[position]) | ((part >> (low + 3)) << low)
+        pcs.insert(0, hashed_pc)
+        stamps.insert(0, stamp)
+        part = (part << 3) | ((hashed_pc & 3) << 1) | (1 if outcome else 0)  # _element
+        if len(pcs) > self.rs_size:
+            # Evict the deepest entry: stamps descend, so it is the tail.
+            pcs.pop()
+            stamps.pop()
+            part &= self._keep[self.rs_size]
+        self._parts[segment] = part
 
     # ------------------------------------------------------------------
 
@@ -163,12 +185,10 @@ class SegmentedRecencyStacks:
             else:
                 bits.append(1 if record[1] else 0)
                 addresses.append(record[0])
-        for entries in self._segments:
-            # Entries are maintained most-recent-first (insertion order is
-            # crossing order), so no per-prediction sort is needed.
-            for entry in entries:
-                bits.append(1 if entry.outcome else 0)
-                addresses.append(entry.hashed_pc)
+        for pcs, part in zip(self._pcs, self._parts):
+            for position, hashed_pc in enumerate(pcs):
+                bits.append((part >> (3 * position)) & 1)
+                addresses.append(hashed_pc)
         return bits, addresses
 
     def packed_ghr(self, max_length: int) -> tuple[int, int]:
@@ -176,33 +196,17 @@ class SegmentedRecencyStacks:
 
         Position p contributes ``outcome | (addr & 3) << 1`` at bit 3p.
         Returns ``(packed value, number of positions packed)``; at most
-        ``max_length`` positions are packed.  Each segment's part is packed
-        once and reused until a commit changes that segment.
+        ``max_length`` positions are packed.  The unfiltered register and
+        every segment's part are kept current by :meth:`commit`, so this
+        is one OR-and-shift per segment.
         """
-        packed = 0
-        position = 0
-        ring = self._ring
-        ring_len = len(ring)
-        head = self._head
-        upto = min(self.unfiltered_bits, self._count, max_length)
-        for depth in range(1, upto + 1):
-            hashed_pc, outcome, _ = ring[(head - depth) % ring_len]
-            packed |= (int(outcome) | ((hashed_pc & 3) << 1)) << (3 * position)
-            position += 1
-        if position < self.unfiltered_bits:
-            position = min(self.unfiltered_bits, max_length)
-        if position >= max_length:
-            return packed, position
-        parts = self._packed_parts
-        for segment, entries in enumerate(self._segments):
-            part = parts[segment]
-            if part is None:
-                part = 0
-                for depth, entry in enumerate(entries):
-                    part |= (int(entry.outcome) | ((entry.hashed_pc & 3) << 1)) << (3 * depth)
-                parts[segment] = part
+        position = self.unfiltered_bits
+        if max_length <= position:
+            return self._recent & ((1 << (3 * max_length)) - 1), max_length
+        packed = self._recent
+        for part, pcs in zip(self._parts, self._pcs):
             packed |= part << (3 * position)
-            position += len(entries)
+            position += len(pcs)
             if position >= max_length:
                 return packed & ((1 << (3 * max_length)) - 1), max_length
         return packed, position
@@ -213,7 +217,7 @@ class SegmentedRecencyStacks:
 
     def segment_fill(self) -> list[int]:
         """Current number of valid entries per segment (diagnostics)."""
-        return [len(entries) for entries in self._segments]
+        return [len(pcs) for pcs in self._pcs]
 
     def storage_bits(self) -> int:
         """Ring + per-segment RS storage, per Table I's accounting."""
@@ -225,8 +229,11 @@ class SegmentedRecencyStacks:
         """Commit ring, cursor, and every segment's valid entries."""
         return {
             "segments": [
-                [[e.hashed_pc, e.stamp, e.outcome] for e in entries]
-                for entries in self._segments
+                [
+                    [hashed_pc, stamp, bool((part >> (3 * position)) & 1)]
+                    for position, (hashed_pc, stamp) in enumerate(zip(pcs, stamps))
+                ]
+                for pcs, stamps, part in zip(self._pcs, self._stamps, self._parts)
             ],
             "ring": [[pc, taken, nb] for pc, taken, nb in self._ring],
             "head": self._head,
@@ -234,22 +241,90 @@ class SegmentedRecencyStacks:
         }
 
     def restore(self, state: dict) -> None:
-        """Re-install a :meth:`snapshot`; segmentation must match."""
+        """Re-install a :meth:`snapshot`; segmentation must match.
+
+        Everything is validated before anything is assigned, so a
+        malformed state raises :class:`StateError` and leaves the stacks
+        as they were.  Beyond the shapes and field types, each segment
+        entry must be the non-biased ring record at its stamp, inside the
+        segment's depth window, with stamps strictly descending and no
+        hashed pc repeated: the invariants the tail pops of
+        :meth:`commit` rely on.
+        """
         expect_keys(state, ("segments", "ring", "head", "count"), "SegmentedRS")
         expect_length(state["segments"], self.num_segments, "SegmentedRS.segments")
         expect_length(state["ring"], len(self._ring), "SegmentedRS.ring")
-        for entries in state["segments"]:
+        ring = [
+            _fields(record, (int, bool, bool), f"SegmentedRS.ring[{index}]")
+            for index, record in enumerate(state["ring"])
+        ]
+        head, count = _fields((state["head"], state["count"]), (int, int), "SegmentedRS.head/count")
+        if head < 0 or count < 0 or count > head:
+            raise StateError(
+                f"SegmentedRS: need 0 <= count <= head, got head {head}, count {count}"
+            )
+        ring_len = len(ring)
+        count = min(count, ring_len)
+        all_pcs: list[list[int]] = []
+        all_stamps: list[list[int]] = []
+        parts: list[int] = []
+        for segment, entries in enumerate(state["segments"]):
+            context = f"SegmentedRS.segments[{segment}]"
             if not isinstance(entries, list) or len(entries) > self.rs_size:
                 found = len(entries) if isinstance(entries, list) else type(entries).__name__
                 raise StateError(
-                    f"SegmentedRS.segments: expected at most rs_size {self.rs_size} "
-                    f"entries per segment, got {found}"
+                    f"{context}: expected at most rs_size {self.rs_size} entries, got {found}"
                 )
-        self._segments = [
-            [_SegmentEntry(int(pc), int(stamp), bool(out)) for pc, stamp, out in entries]
-            for entries in state["segments"]
-        ]
-        self._ring = [(int(pc), bool(taken), bool(nb)) for pc, taken, nb in state["ring"]]
-        self._head = int(state["head"])
-        self._count = min(int(state["count"]), len(self._ring))
-        self._packed_parts = [None] * self.num_segments
+            shallow, deep = self.boundaries[segment] + 1, self.boundaries[segment + 1]
+            pcs: list[int] = []
+            stamps: list[int] = []
+            part = 0
+            for position, entry in enumerate(entries):
+                hashed_pc, stamp, outcome = _fields(
+                    entry, (int, int, bool), f"{context}[{position}]"
+                )
+                depth = head - stamp
+                if stamps and stamp >= stamps[-1]:
+                    raise StateError(
+                        f"{context}: stamps must strictly descend, got {stamp} after {stamps[-1]}"
+                    )
+                if hashed_pc in pcs:
+                    raise StateError(f"{context}: hashed pc {hashed_pc} appears twice")
+                if not shallow <= depth <= min(deep, count):
+                    raise StateError(
+                        f"{context}[{position}]: stamp {stamp} is at depth {depth}, "
+                        f"outside the segment's window [{shallow}, {deep}]"
+                    )
+                if ring[stamp % ring_len] != (hashed_pc, outcome, True):
+                    raise StateError(
+                        f"{context}[{position}]: entry does not match the non-biased "
+                        f"ring record at stamp {stamp}"
+                    )
+                pcs.append(hashed_pc)
+                stamps.append(stamp)
+                part |= _element(hashed_pc, outcome) << (3 * position)
+            all_pcs.append(pcs)
+            all_stamps.append(stamps)
+            parts.append(part)
+        recent = 0
+        for depth in range(1, min(self.unfiltered_bits, count) + 1):
+            hashed_pc, taken, _ = ring[(head - depth) % ring_len]
+            recent |= _element(hashed_pc, taken) << (3 * (depth - 1))
+        self._pcs = all_pcs
+        self._stamps = all_stamps
+        self._parts = parts
+        self._ring = ring
+        self._head = head
+        self._count = count
+        self._recent = recent
+
+
+def _fields(values, types: tuple[type, ...], context: str) -> tuple:
+    """``values`` as a tuple, each of exactly its type in ``types`` (so
+    an ``int`` field refuses a bool)."""
+    if type(values) not in (list, tuple) or len(values) != len(types):
+        raise StateError(f"{context}: expected {len(types)} fields, got {values!r:.60}")
+    for value, kind in zip(values, types):
+        if type(value) is not kind:
+            raise StateError(f"{context}: expected {kind.__name__}, got {value!r:.40}")
+    return tuple(values)

@@ -1,7 +1,10 @@
 """Tests for BF-TAGE and BF-ISL-TAGE."""
 
+import copy
+
 import pytest
 
+from repro.common.state import StateError
 from repro.core.bftage import (
     BF_10_TABLE_LENGTHS,
     BFISLTage,
@@ -11,6 +14,7 @@ from repro.core.bftage import (
 )
 from repro.sim import simulate
 from repro.trace.records import Trace, TraceMetadata
+from repro.workloads import build_trace
 from tests.test_neural_predictors import correlated_stream, follower_misses
 
 
@@ -117,3 +121,53 @@ class TestBFISLTage:
             providers.add(p.provider)
             p.train(0x800, i < trip - 1)
         assert "loop" in providers
+
+
+def first_filled_segment(payload):
+    segments = payload["segments"]["segments"]
+    return next(k for k, entries in enumerate(segments) if len(entries) >= 2)
+
+
+class TestBFTageState:
+    """A corrupt BST or segments payload raises StateError before any
+    table is touched; a good one restores into the live components."""
+
+    def trained(self, branches, probabilistic=False):
+        predictor = BFTage(BFTageConfig(num_tables=4, probabilistic_bst=probabilistic))
+        simulate(predictor, build_trace("SERV3", branches))
+        return predictor
+
+    @pytest.mark.parametrize("probabilistic", [False, True])
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda p: p["segments"]["ring"].__setitem__(5, ["x", True, False]),
+             r"SegmentedRS.ring\[5\]"),
+            (lambda p: p["segments"].__setitem__("head", -1), "SegmentedRS"),
+            (lambda p: p["segments"].pop("count"), "SegmentedRS"),
+            (lambda p: p["segments"]["segments"][first_filled_segment(p)].reverse(),
+             "strictly descend"),
+            (lambda p: p["bst"]["state"].__setitem__(7, 9), "BST"),
+            (lambda p: p["bst"]["state"].pop(), "BST.state"),
+            (lambda p: p["bst"].__setitem__("rng", 0), "BST"),
+            (lambda p: p.pop("bst"), "BFTage"),
+        ],
+    )
+    def test_corrupt_payload_changes_nothing(self, probabilistic, corrupt, match):
+        predictor = self.trained(600, probabilistic)
+        before = predictor.state_hash()
+        # Another run's payload: had the tables been restored first, the
+        # state hash would have moved.
+        payload = copy.deepcopy(self.trained(1_400, probabilistic).snapshot().payload)
+        corrupt(payload)
+        with pytest.raises(StateError, match=match):
+            predictor._restore_payload(payload)
+        assert predictor.state_hash() == before
+
+    def test_restore_keeps_live_components(self):
+        predictor = self.trained(600)
+        other = self.trained(1_400)
+        bst, segments = predictor.bst, predictor.segments
+        predictor.restore(other.snapshot())
+        assert predictor.bst is bst and predictor.segments is segments
+        assert predictor.state_hash() == other.state_hash()

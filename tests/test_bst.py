@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.rng import XorShift64
+from repro.common.state import StateError
 from repro.core.bst import BranchStatus, BranchStatusTable
 
 
@@ -117,3 +118,29 @@ class TestProbabilisticBST:
             return states
 
         assert run(9) == run(9)
+
+
+class TestRestore:
+    """A malformed snapshot raises StateError and leaves the table as it was."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s: s["state"].__setitem__(3, 9),
+            lambda s: s["disagree"].__setitem__(3, "x"),
+            lambda s: s["streak"].__setitem__(3, None),
+            lambda s: s.__setitem__("rng", 0),
+        ],
+    )
+    def test_corrupt_snapshot_changes_nothing(self, corrupt):
+        bst = BranchStatusTable(entries=64, probabilistic=True, rng=XorShift64(11))
+        for i in range(300):
+            bst.observe(0x40 + 4 * (i % 7), bool(i % 3))
+        before = bst.snapshot()
+        bad = bst.snapshot()
+        for key in ("state", "disagree", "streak"):
+            bad[key] = [0] * len(bad[key])
+        corrupt(bad)
+        with pytest.raises(StateError, match="BST"):
+            bst.restore(bad)
+        assert bst.snapshot() == before

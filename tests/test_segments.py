@@ -1,12 +1,16 @@
 """Tests for segmented recency stacks and BF-GHR construction."""
 
+import copy
+import json
+import os
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.state import StateError
+from repro.common.state import StateError, expect_keys, expect_length
 from repro.core.bftage import BFTage
 from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks
 from repro.sim import simulate
@@ -172,10 +176,10 @@ class TestInvariants:
             seg.commit(pc, taken, non_biased)
             fills = seg.segment_fill()
             assert all(0 <= fill <= 3 for fill in fills)
-            for entries in seg._segments:
-                addresses = [e.hashed_pc for e in entries]
+            for entries in seg.snapshot()["segments"]:
+                addresses = [entry[0] for entry in entries]
                 assert len(addresses) == len(set(addresses))
-                stamps = [e.stamp for e in entries]
+                stamps = [entry[1] for entry in entries]
                 assert stamps == sorted(stamps, reverse=True)
         bits, addrs = seg.ghr_components()
         assert len(bits) == len(addrs)
@@ -247,3 +251,371 @@ def test_bftage_resumed_equals_straight_on_mixes(seed):
     final = simulate(predictor, trace, resume_from=checkpoint)
     assert final.mispredictions == straight.mispredictions
     assert predictor.state_hash() == straight_predictor.state_hash()
+
+
+# ----------------------------------------------------------------------
+# Frozen reference: the object-per-entry form of the stacks, which
+# invalidated a segment's packed part on every change and repacked it at
+# the next prediction, removed by a (pc, stamp) search and evicted by a
+# minimum-stamp scan.  Kept verbatim (only the class renamed).
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _SegmentEntry:
+    hashed_pc: int
+    stamp: int  # commit index of this occurrence
+    outcome: bool
+
+
+class ReferenceSegmentedRecencyStacks:
+    """The BF-GHR generator: a ring of commits driving per-segment RSs."""
+
+    def __init__(
+        self,
+        boundaries: list[int] | None = None,
+        rs_size: int = 8,
+        unfiltered_bits: int = 16,
+        hashed_pc_bits: int = 14,
+    ) -> None:
+        self.boundaries = list(boundaries) if boundaries is not None else list(DEFAULT_BOUNDARIES)
+        if self.boundaries != sorted(self.boundaries) or len(set(self.boundaries)) != len(
+            self.boundaries
+        ):
+            raise ValueError(f"boundaries must strictly increase: {self.boundaries}")
+        if rs_size <= 0:
+            raise ValueError(f"rs_size must be positive, got {rs_size}")
+        if unfiltered_bits <= 0:
+            raise ValueError(f"unfiltered_bits must be positive, got {unfiltered_bits}")
+        if self.boundaries[0] < unfiltered_bits:
+            raise ValueError(
+                f"first boundary {self.boundaries[0]} must cover the "
+                f"{unfiltered_bits} unfiltered bits"
+            )
+        self.rs_size = rs_size
+        self.unfiltered_bits = unfiltered_bits
+        self.hashed_pc_bits = hashed_pc_bits
+        self.num_segments = len(self.boundaries) - 1
+        self._segments: list[list[_SegmentEntry]] = [[] for _ in range(self.num_segments)]
+        # Commit ring: (hashed pc, outcome, non_biased) per committed branch.
+        depth_needed = self.boundaries[-1] + 2
+        self._ring: list[tuple[int, bool, bool]] = [(0, False, False)] * depth_needed
+        self._head = 0
+        self._count = 0
+        # Each segment's entries packed as in packed_ghr (from position
+        # 0); None once the segment has changed since it was last packed.
+        self._packed_parts: list[int | None] = [0] * self.num_segments
+
+    # ------------------------------------------------------------------
+
+    def _at_depth(self, depth: int) -> tuple[int, bool, bool] | None:
+        """The commit record ``depth`` branches ago (depth 1 = latest)."""
+        if depth > self._count:
+            return None
+        return self._ring[(self._head - depth) % len(self._ring)]
+
+    def commit(self, pc: int, taken: bool, non_biased: bool) -> None:
+        """Record a committed branch and advance every segment."""
+        ring = self._ring
+        ring_len = len(ring)
+        ring[self._head % ring_len] = (pc & ((1 << self.hashed_pc_bits) - 1), taken, non_biased)
+        self._head += 1
+        if self._count < ring_len:
+            self._count += 1
+        head = self._head
+        count = self._count
+
+        # One boundary-crossing event per boundary per commit: the branch
+        # whose depth just became boundary+1 leaves the segment above the
+        # boundary (if any) and enters the one below it (if any).  Biased
+        # records never enter a segment, so their crossings are skipped.
+        # Bound methods and counters are hoisted — this loop runs per
+        # committed branch over every boundary (REPRO402).
+        remove = self._remove
+        insert = self._insert
+        num_segments = self.num_segments
+        for k, boundary in enumerate(self.boundaries):
+            depth = boundary + 1
+            if depth > count:
+                break  # deeper boundaries cannot have been reached either
+            hashed_pc, outcome, was_non_biased = ring[(head - depth) % ring_len]
+            if not was_non_biased:
+                continue
+            stamp = head - depth
+            if k > 0:
+                remove(k - 1, hashed_pc, stamp)
+            if k < num_segments:
+                insert(k, hashed_pc, stamp, outcome)
+
+    def _remove(self, segment: int, hashed_pc: int, stamp: int) -> None:
+        entries = self._segments[segment]
+        for position, entry in enumerate(entries):
+            if entry.hashed_pc == hashed_pc and entry.stamp == stamp:
+                del entries[position]
+                self._packed_parts[segment] = None
+                return
+
+    def _insert(self, segment: int, hashed_pc: int, stamp: int, outcome: bool) -> None:
+        entries = self._segments[segment]
+        self._packed_parts[segment] = None
+        # Dedup: a new occurrence evicts an older one of the same address.
+        for position, entry in enumerate(entries):
+            if entry.hashed_pc == hashed_pc:
+                del entries[position]
+                break
+        entries.insert(0, _SegmentEntry(hashed_pc, stamp, outcome))
+        if len(entries) > self.rs_size:
+            # Evict the deepest (oldest stamp) entry.  Explicit scan —
+            # min(..., key=lambda...) builds a closure per eviction
+            # (REPRO404); first minimal index wins, same as min().
+            deepest = 0
+            for position in range(1, len(entries)):
+                if entries[position].stamp < entries[deepest].stamp:
+                    deepest = position
+            del entries[deepest]
+
+    # ------------------------------------------------------------------
+
+    def ghr_components(self) -> tuple[list[int], list[int]]:
+        """The BF-GHR as parallel (outcome bit, hashed address) lists.
+
+        Position 0 is the most recent element: first the
+        ``unfiltered_bits`` latest raw outcomes, then each segment's
+        valid entries (shallow segment first, most recent first).
+        """
+        bits: list[int] = []
+        addresses: list[int] = []
+        for depth in range(1, self.unfiltered_bits + 1):
+            record = self._at_depth(depth)
+            if record is None:
+                bits.append(0)
+                addresses.append(0)
+            else:
+                bits.append(1 if record[1] else 0)
+                addresses.append(record[0])
+        for entries in self._segments:
+            # Entries are maintained most-recent-first (insertion order is
+            # crossing order), so no per-prediction sort is needed.
+            for entry in entries:
+                bits.append(1 if entry.outcome else 0)
+                addresses.append(entry.hashed_pc)
+        return bits, addresses
+
+    def packed_ghr(self, max_length: int) -> tuple[int, int]:
+        """The BF-GHR packed 3 bits per position (hot path for BF-TAGE).
+
+        Position p contributes ``outcome | (addr & 3) << 1`` at bit 3p.
+        Returns ``(packed value, number of positions packed)``; at most
+        ``max_length`` positions are packed.  Each segment's part is packed
+        once and reused until a commit changes that segment.
+        """
+        packed = 0
+        position = 0
+        ring = self._ring
+        ring_len = len(ring)
+        head = self._head
+        upto = min(self.unfiltered_bits, self._count, max_length)
+        for depth in range(1, upto + 1):
+            hashed_pc, outcome, _ = ring[(head - depth) % ring_len]
+            packed |= (int(outcome) | ((hashed_pc & 3) << 1)) << (3 * position)
+            position += 1
+        if position < self.unfiltered_bits:
+            position = min(self.unfiltered_bits, max_length)
+        if position >= max_length:
+            return packed, position
+        parts = self._packed_parts
+        for segment, entries in enumerate(self._segments):
+            part = parts[segment]
+            if part is None:
+                part = 0
+                for depth, entry in enumerate(entries):
+                    part |= (int(entry.outcome) | ((entry.hashed_pc & 3) << 1)) << (3 * depth)
+                parts[segment] = part
+            packed |= part << (3 * position)
+            position += len(entries)
+            if position >= max_length:
+                return packed & ((1 << (3 * max_length)) - 1), max_length
+        return packed, position
+
+    def max_ghr_length(self) -> int:
+        """Upper bound on BF-GHR length (all segment RSs full)."""
+        return self.unfiltered_bits + self.num_segments * self.rs_size
+
+    def segment_fill(self) -> list[int]:
+        """Current number of valid entries per segment (diagnostics)."""
+        return [len(entries) for entries in self._segments]
+
+    def storage_bits(self) -> int:
+        """Ring + per-segment RS storage, per Table I's accounting."""
+        ring_bits = self.boundaries[-1] * (self.hashed_pc_bits + 1 + 1)
+        rs_bits = self.num_segments * self.rs_size * 16
+        return ring_bits + rs_bits
+
+    def snapshot(self) -> dict:
+        """Commit ring, cursor, and every segment's valid entries."""
+        return {
+            "segments": [
+                [[e.hashed_pc, e.stamp, e.outcome] for e in entries]
+                for entries in self._segments
+            ],
+            "ring": [[pc, taken, nb] for pc, taken, nb in self._ring],
+            "head": self._head,
+            "count": self._count,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Re-install a :meth:`snapshot`; segmentation must match."""
+        expect_keys(state, ("segments", "ring", "head", "count"), "SegmentedRS")
+        expect_length(state["segments"], self.num_segments, "SegmentedRS.segments")
+        expect_length(state["ring"], len(self._ring), "SegmentedRS.ring")
+        for entries in state["segments"]:
+            if not isinstance(entries, list) or len(entries) > self.rs_size:
+                found = len(entries) if isinstance(entries, list) else type(entries).__name__
+                raise StateError(
+                    f"SegmentedRS.segments: expected at most rs_size {self.rs_size} "
+                    f"entries per segment, got {found}"
+                )
+        self._segments = [
+            [_SegmentEntry(int(pc), int(stamp), bool(out)) for pc, stamp, out in entries]
+            for entries in state["segments"]
+        ]
+        self._ring = [(int(pc), bool(taken), bool(nb)) for pc, taken, nb in state["ring"]]
+        self._head = int(state["head"])
+        self._count = min(int(state["count"]), len(self._ring))
+        self._packed_parts = [None] * self.num_segments
+
+
+#: Examples per differential property; REPRO_FULL_DIFFERENTIAL=1 runs more.
+DIFFERENTIAL_EXAMPLES = 400 if os.environ.get("REPRO_FULL_DIFFERENTIAL") else 40
+
+
+@st.composite
+def geometries(draw):
+    """Random segmentation: boundaries, RS size, unfiltered and pc bits."""
+    unfiltered_bits = draw(st.integers(min_value=1, max_value=16))
+    deeper = draw(st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=6))
+    boundaries = [unfiltered_bits + draw(st.integers(min_value=0, max_value=8))]
+    for step in deeper:
+        boundaries.append(boundaries[-1] + step)
+    return {
+        "boundaries": boundaries,
+        "rs_size": draw(st.integers(min_value=1, max_value=8)),
+        "unfiltered_bits": unfiltered_bits,
+        "hashed_pc_bits": draw(st.integers(min_value=1, max_value=14)),
+    }
+
+
+class TestFrozenReference:
+    """The in-place packed stacks against the frozen reference: equal
+    snapshots and equal packed BF-GHR prefixes after every commit, with
+    snapshot -> JSON -> restore points along the way."""
+
+    @given(
+        geometry=geometries(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        commits=st.integers(min_value=1, max_value=600),
+        pc_pool=st.integers(min_value=1, max_value=40),
+        non_biased_share=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    )
+    @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
+    def test_matches_reference_after_every_commit(
+        self, geometry, seed, commits, pc_pool, non_biased_share
+    ):
+        # Hypothesis draws the shape; a seeded stream supplies commits
+        # long enough to reach the deep boundaries, and a small pc pool
+        # makes dedup and eviction frequent.
+        rnd = random.Random(seed)
+        stacks = SegmentedRecencyStacks(**geometry)
+        reference = ReferenceSegmentedRecencyStacks(**geometry)
+        unfiltered = geometry["unfiltered_bits"]
+        longest = stacks.max_ghr_length()
+        assert longest == reference.max_ghr_length()
+        lengths = sorted({1, max(1, unfiltered - 1), unfiltered, unfiltered + 1, 142, longest})
+        for _ in range(commits):
+            if rnd.random() < 0.02:
+                document = json.loads(json.dumps(stacks.snapshot()))
+                stacks = SegmentedRecencyStacks(**geometry)
+                stacks.restore(document)
+                reference = ReferenceSegmentedRecencyStacks(**geometry)
+                reference.restore(copy.deepcopy(document))
+            pc = rnd.randrange(pc_pool) * 0x1F3
+            taken = rnd.random() < 0.5
+            non_biased = rnd.random() < non_biased_share
+            stacks.commit(pc, taken, non_biased)
+            reference.commit(pc, taken, non_biased)
+            assert stacks.snapshot() == reference.snapshot()
+            for length in lengths:
+                assert stacks.packed_ghr(length) == reference.packed_ghr(length), length
+        assert stacks.ghr_components() == reference.ghr_components()
+
+
+def trained_stacks():
+    stacks = SegmentedRecencyStacks(boundaries=[4, 8, 16, 32], rs_size=3, unfiltered_bits=4)
+    rnd = random.Random(5)
+    for _ in range(200):
+        stacks.commit(rnd.randrange(12), rnd.random() < 0.5, rnd.random() < 0.6)
+    assert sum(stacks.segment_fill()) >= 3
+    return stacks
+
+
+def first_full_segment(state):
+    return next(k for k, entries in enumerate(state["segments"]) if len(entries) >= 2)
+
+
+class TestRestoreValidation:
+    """A malformed state raises StateError and changes nothing."""
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda s: s["ring"].__setitem__(3, ["x", True, False]), r"ring\[3\]"),
+            (lambda s: s["ring"].__setitem__(3, [1, True]), r"ring\[3\]: expected 3 fields"),
+            (lambda s: s["ring"].__setitem__(0, [1, 1, False]), "expected bool"),
+            (lambda s: s["ring"].__setitem__(0, 5), "expected 3 fields"),
+            (lambda s: s.__setitem__("head", -1), "head"),
+            (lambda s: s.__setitem__("count", -2), "count"),
+            (lambda s: s.__setitem__("count", s["head"] + 1), "count"),
+            (lambda s: s.__setitem__("head", "12"), "expected int"),
+            (lambda s: s.__setitem__("count", True), "expected int"),
+            (
+                lambda s: s["segments"][first_full_segment(s)].reverse(),
+                "strictly descend",
+            ),
+            (
+                lambda s: s["segments"][first_full_segment(s)][1].__setitem__(
+                    0, s["segments"][first_full_segment(s)][0][0]
+                ),
+                "appears twice",
+            ),
+            (
+                lambda s: s["segments"][first_full_segment(s)][0].__setitem__(2, None),
+                "expected bool",
+            ),
+            (
+                lambda s: s["segments"][first_full_segment(s)][0].__setitem__(1, 10**9),
+                "window",
+            ),
+            (
+                lambda s: s["segments"][first_full_segment(s)][0].__setitem__(
+                    2, not s["segments"][first_full_segment(s)][0][2]
+                ),
+                "ring record",
+            ),
+            (
+                lambda s: s["segments"][first_full_segment(s)].__setitem__(0, [1, 2]),
+                "expected 3 fields",
+            ),
+        ],
+    )
+    def test_corrupt_state_raises_and_changes_nothing(self, corrupt, match):
+        stacks = trained_stacks()
+        before = json.dumps(stacks.snapshot())
+        packed = stacks.packed_ghr(stacks.max_ghr_length())
+        bad = json.loads(before)
+        corrupt(bad)
+        with pytest.raises(StateError, match=match):
+            stacks.restore(bad)
+        assert json.dumps(stacks.snapshot()) == before
+        assert stacks.packed_ghr(stacks.max_ghr_length()) == packed
+        stacks.restore(json.loads(before))
+        assert json.dumps(stacks.snapshot()) == before
