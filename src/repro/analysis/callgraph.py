@@ -1,10 +1,11 @@
 """Project-wide module index and interprocedural call-graph resolver.
 
-Every analysis family before this one was intraprocedural: a rule saw
-one function body at a time and could not tell that a cheap-looking
-helper called from ``BranchPredictor.predict()`` allocates a dict per
-branch event.  This module builds the shared machinery the ``perf``
-family (and the upgraded ``det`` taint pass) need:
+A rule that sees one function body at a time cannot tell that a
+cheap-looking helper called from ``BranchPredictor.predict()``
+allocates a dict per branch event.  This module builds the one index
+every analysis family reads, once per lint run (``hw`` takes the
+predictor hierarchy from it, ``det`` its import maps and call sites,
+``perf`` and ``concurrency`` its call closure):
 
 * a **module index** over the parsed :class:`ModuleSource` list —
   top-level functions, classes, their methods and resolved base classes;
@@ -13,7 +14,8 @@ family (and the upgraded ``det`` taint pass) need:
 * **class/method binding through ``self``** — ``self.bst.observe(...)``
   resolves via the attribute types recorded from ``__init__``
   constructor assignments, including element types of container
-  attributes (``self.tables[i].predict_at`` → ``TaggedTable``);
+  attributes (``self.tables[i].predict_at`` → ``TaggedTable``); a
+  method read as a value (``step = self._step``) is an edge as well;
 * **registry-ref indirection** — ``orchestration/registry.py`` maps
   names to factory functions (possibly through :func:`functools.
   partial`); factories are chased through their ``return`` expressions
@@ -32,8 +34,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.analysis.rules import ModuleSource, _import_map
+if TYPE_CHECKING:
+    from repro.analysis.rules import ModuleSource
 
 #: Decorator name marking an explicitly-declared hot function.
 HOT_PATH_DECORATOR = "hot_path"
@@ -47,6 +51,20 @@ HOT_ROOT_METHODS = ("predict", "train", "update", "provider")
 
 #: Dotted name of the predictor registry factory table.
 REGISTRY_FUNCTION = "repro.orchestration.registry.standard_registry"
+
+
+def _import_map(tree: ast.Module) -> dict[str, str]:
+    """Local name -> dotted target for every import in a module."""
+    mapping: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                mapping[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if alias.name != "*":
+                    mapping[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return mapping
 
 
 @dataclass
@@ -461,9 +479,21 @@ class CallGraph:
             return frozenset()
         env = self._local_types(fn)
         edges: set[str] = set()
+        call_funcs: set[int] = set()
+        values: list[ast.Attribute] = []
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Call):
                 edges.update(self._resolve_call(fn, node, env))
+                call_funcs.add(id(node.func))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                values.append(node)
+        # A method read as a value (``step = self._step``, ``callback=
+        # self._on_x``) is called wherever the value goes: an edge too.
+        for node in values:
+            if id(node) not in call_funcs:
+                owner = self._expr_type(node.value, fn, env)
+                if owner is not None:
+                    edges.update(self._method_targets(owner, node.attr))
         edges.discard(qualname)
         result = frozenset(edges)
         self._callee_cache[qualname] = result

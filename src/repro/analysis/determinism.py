@@ -51,7 +51,7 @@ from typing import Callable
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ModuleSource, _call_tail, _import_map
+from repro.analysis.rules import ModuleSource, _call_tail
 
 #: Short titles for ``--list-rules``.
 RULES = {
@@ -545,20 +545,12 @@ def _scopes(source: ModuleSource):
     yield from descend(source.tree.body, "")
 
 
-def _return_summaries(
-    graph, sources: list[ModuleSource]
-) -> dict[str, frozenset[_Taint]]:
+def _return_summaries(graph: CallGraph) -> dict[str, frozenset[_Taint]]:
     """Intraprocedural return-taint summary for every indexed function."""
-    by_module = {source.module: source for source in sources}
-    import_maps = {
-        source.module: _import_map(source.tree) for source in sources
-    }
     summaries: dict[str, frozenset[_Taint]] = {}
     for qualname, fn in graph.functions.items():
-        source = by_module.get(fn.module)
-        if source is None:
-            continue
-        walk = _ScopeWalk(source, import_maps[fn.module], qualname, findings=[])
+        source = graph.sources[fn.module]
+        walk = _ScopeWalk(source, graph.imports[fn.module], qualname, findings=[])
         # Two reporting-off passes: the first carries loop taint forward,
         # the second reads stable return taint.  Findings stay empty —
         # summaries must not double-report the callee's own sinks.
@@ -587,12 +579,12 @@ def _helper_taint_resolver(graph, summaries, fn_qualname: str):
 
 def check_sources(sources: list[ModuleSource], graph: CallGraph) -> list[Finding]:
     """Run the REPRO1xx determinism taint pass over parsed sources."""
-    summaries = _return_summaries(graph, sources)
+    summaries = _return_summaries(graph)
     findings: list[Finding] = []
     for source in sources:
         if source.module.startswith("repro.analysis"):
             continue
-        imports = _import_map(source.tree)
+        imports = graph.imports[source.module]
         for qualname, body, is_state_func in _scopes(source):
             resolver = _helper_taint_resolver(
                 graph, summaries, f"{source.module}.{qualname}"

@@ -15,12 +15,16 @@ concurrency  REPRO5xx   lock discipline, whole-program lock order/
                         conformance (:mod:`.concurrency`)
 ===========  =========  =============================================
 
-Every family consumes the same parsed :class:`~repro.analysis.rules.
-ModuleSource` list and produces :class:`~repro.analysis.findings.
-Finding` records, so baselining, JSON output and CI wiring are shared.
-The ``det``, ``perf`` and ``concurrency`` checkers also take the
-interprocedural :class:`~repro.analysis.callgraph.CallGraph`, which
-:func:`lint_sources` builds once per run and hands to each of them.
+Every family checker takes ``(sources, graph)``: the parsed
+:class:`~repro.analysis.rules.ModuleSource` list and the one module
+index and interprocedural :class:`~repro.analysis.callgraph.CallGraph`
+that :func:`lint_sources` builds per run.  Imports, classes, base
+resolution and call edges are therefore resolved once, the same way,
+for every family: ``hw`` reads the predictor hierarchy from the graph,
+``det`` its import maps and call sites, ``perf`` and ``concurrency``
+its call closure.  Each family produces :class:`~repro.analysis.
+findings.Finding` records, so baselining, JSON output and CI wiring
+are shared.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.analysis.callgraph import CallGraph
 from repro.analysis.findings import Finding, canonical_file
 from repro.analysis.rules import ModuleSource, collect_sources, module_name_for
 
-#: family name -> (checker over sources, rule-id -> short title).
+#: family name -> (checker over sources and graph, rule-id -> short title).
 FAMILIES = {
     "hw": (rules.check_sources, {k: v[0] for k, v in rules.RULES.items()}),
     "det": (determinism.check_sources, determinism.RULES),
@@ -41,9 +45,6 @@ FAMILIES = {
     "perf": (perf.check_sources, perf.RULES),
     "concurrency": (concurrency.check_sources, concurrency.RULES),
 }
-
-#: Families whose checker takes the shared call graph as a second argument.
-GRAPH_FAMILIES = frozenset({"det", "perf", "concurrency"})
 
 #: Every rule id across all families -> short title.
 ALL_RULES = {
@@ -89,14 +90,11 @@ def lint_sources(
 ) -> list[Finding]:
     """Run the selected families (default: all) over parsed sources."""
     selected = _resolve(families)
-    graph = CallGraph(sources) if GRAPH_FAMILIES.intersection(selected) else None
+    graph = CallGraph(sources)
     findings: list[Finding] = []
     for name in selected:
         checker, _ = FAMILIES[name]
-        if name in GRAPH_FAMILIES:
-            findings.extend(checker(sources, graph))
-        else:
-            findings.extend(checker(sources))
+        findings.extend(checker(sources, graph))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings
 

@@ -39,6 +39,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.callgraph import PREDICTOR_ROOT, CallGraph, ClassNode
 from repro.analysis.findings import Finding, canonical_file
 
 #: Modules that implement the sanctioned saturation/randomness
@@ -50,9 +51,6 @@ _STATE_PACKAGES = ("repro.core", "repro.predictors", "repro.common")
 
 #: Subpackages whose predict/train paths must be integer-only (REPRO003).
 _INTEGER_PACKAGES = ("repro.core", "repro.predictors")
-
-#: The root of the predictor class hierarchy (REPRO005).
-_PREDICTOR_ROOT = "BranchPredictor"
 
 #: Members every concrete predictor must define below the root.
 _REQUIRED_MEMBERS = ("name", "storage_bits", "reset")
@@ -455,150 +453,54 @@ def _check_determinism(source: ModuleSource) -> list[Finding]:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _ClassInfo:
-    qualname: str
-    name: str
-    module: str
-    relpath: str
-    line: int
-    bases: list[str] = field(default_factory=list)
-    members: set[str] = field(default_factory=set)
-    abstract: bool = False
-    #: ``self.<attr>`` assignments in ``__init__`` whose right-hand side
-    #: builds a mutable container/component (attr name -> line).
-    init_mutable: dict[str, int] = field(default_factory=dict)
-    #: ``self.<attr>`` names referenced inside ``snapshot``/
-    #: ``_state_payload`` bodies.
-    state_refs: set[str] = field(default_factory=set)
-    #: Whether the class defines ``snapshot`` or ``_state_payload``.
-    defines_state: bool = False
+def _is_abstract(node: ast.ClassDef) -> bool:
+    """An ``ABC`` subclass, or a class declaring an ``@abstractmethod``."""
+    return any(ast.unparse(base) in ("ABC", "abc.ABC") for base in node.bases) or any(
+        "abstractmethod" in ast.unparse(decorator)
+        for stmt in node.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in stmt.decorator_list
+    )
 
 
-def _import_map(tree: ast.Module) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                mapping[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                if alias.name != "*":
-                    mapping[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return mapping
+def _class_members(node: ast.ClassDef) -> set[str]:
+    """Names a class body defines: methods and class-level assignments."""
+    members: set[str] = set()
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members.add(stmt.name)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            members.add(stmt.target.id)
+        elif isinstance(stmt, ast.Assign):
+            members.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+    return members
 
 
-def _class_index(sources: list[ModuleSource]) -> dict[str, _ClassInfo]:
-    index: dict[str, _ClassInfo] = {}
-    for source in sources:
-        imports = _import_map(source.tree)
-        local_classes = {
-            node.name
-            for node in ast.walk(source.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            info = _ClassInfo(
-                qualname=f"{source.module}.{node.name}",
-                name=node.name,
-                module=source.module,
-                relpath=source.relpath,
-                line=node.lineno,
-            )
-            for base in node.bases:
-                base_src = ast.unparse(base)
-                head = base_src.split(".")[0].split("[")[0]
-                if base_src in ("ABC", "abc.ABC"):
-                    info.abstract = True
-                    continue
-                if head in local_classes and "." not in base_src:
-                    info.bases.append(f"{source.module}.{base_src}")
-                elif head in imports:
-                    resolved = imports[head]
-                    tail = base_src.split(".", 1)[1] if "." in base_src else ""
-                    info.bases.append(f"{resolved}.{tail}" if tail else resolved)
-                else:
-                    info.bases.append(base_src)
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    info.members.add(stmt.name)
-                    for decorator in stmt.decorator_list:
-                        if "abstractmethod" in ast.unparse(decorator):
-                            info.abstract = True
-                    if stmt.name == "__init__":
-                        _collect_init_mutable(stmt, info)
-                    elif stmt.name in _STATE_METHODS:
-                        info.defines_state = True
-                        info.state_refs |= _self_attr_refs(stmt)
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    info.members.add(stmt.target.id)
-                elif isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            info.members.add(target.id)
-            index[info.qualname] = info
-            # Allow resolution by bare name for fixture modules whose
-            # imports the index cannot see.
-            index.setdefault(info.name, info)
-    return index
-
-
-def _is_predictor_root(base: str) -> bool:
-    return base == _PREDICTOR_ROOT or base.endswith(f".{_PREDICTOR_ROOT}")
-
-
-def _descends_from_root(
-    info: _ClassInfo, index: dict[str, _ClassInfo], seen: set[str]
-) -> bool:
-    for base in info.bases:
-        if _is_predictor_root(base):
-            return True
-        parent = index.get(base)
-        if parent is not None and parent.qualname not in seen:
-            seen.add(parent.qualname)
-            if _descends_from_root(parent, index, seen):
-                return True
-    return False
-
-
-def _chain_defines(
-    info: _ClassInfo, member: str, index: dict[str, _ClassInfo], seen: set[str]
-) -> bool:
-    """Whether the class chain *below* BranchPredictor defines ``member``."""
-    if member in info.members:
-        return True
-    for base in info.bases:
-        if _is_predictor_root(base):
+def _concrete_predictors(
+    graph: CallGraph,
+) -> list[tuple[ClassNode, list[ClassNode]]]:
+    """Each concrete predictor outside the analyzer, with the class chain
+    *below* ``BranchPredictor`` (the class itself first)."""
+    found = []
+    for info in graph.subclasses_of(PREDICTOR_ROOT):
+        if (
+            info.name == PREDICTOR_ROOT
+            or info.module.startswith("repro.analysis")
+            or _is_abstract(info.node)
+        ):
             continue
-        parent = index.get(base)
-        if parent is not None and parent.qualname not in seen:
-            seen.add(parent.qualname)
-            if _chain_defines(parent, member, index, seen):
-                return True
-    return False
+        chain = [cls for cls in graph.mro(info.qualname) if cls.name != PREDICTOR_ROOT]
+        found.append((info, chain))
+    return found
 
 
-def _check_predictor_interface(sources: list[ModuleSource]) -> list[Finding]:
-    index = _class_index(sources)
+def _check_predictor_interface(
+    predictors: list[tuple[ClassNode, list[ClassNode]]],
+) -> list[Finding]:
     findings: list[Finding] = []
-    reported: set[str] = set()
-    for info in index.values():
-        if info.qualname in reported:
-            continue
-        reported.add(info.qualname)
-        if info.name == _PREDICTOR_ROOT or info.abstract:
-            continue
-        if not _descends_from_root(info, index, set()):
-            continue
-        missing = [
-            member
-            for member in _REQUIRED_MEMBERS
-            if not _chain_defines(info, member, index, set())
-        ]
+    for info, chain in predictors:
+        defined = set().union(*(_class_members(cls.node) for cls in chain))
+        missing = [member for member in _REQUIRED_MEMBERS if member not in defined]
         if missing:
             findings.append(
                 Finding(
@@ -666,7 +568,9 @@ def _rhs_is_mutable(node: ast.AST) -> bool:
     return False
 
 
-def _collect_init_mutable(init: ast.FunctionDef, info: _ClassInfo) -> None:
+def _collect_init_mutable(init: ast.FunctionDef) -> dict[str, int]:
+    """``self.<attr>`` -> line for each mutable ``__init__`` assignment."""
+    mutable: dict[str, int] = {}
     for node in ast.walk(init):
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -682,7 +586,8 @@ def _collect_init_mutable(init: ast.FunctionDef, info: _ClassInfo) -> None:
                 and target.value.id == "self"
                 and _rhs_is_mutable(value)
             ):
-                info.init_mutable.setdefault(target.attr, node.lineno)
+                mutable.setdefault(target.attr, node.lineno)
+    return mutable
 
 
 def _self_attr_refs(func: ast.FunctionDef) -> set[str]:
@@ -695,64 +600,46 @@ def _self_attr_refs(func: ast.FunctionDef) -> set[str]:
     }
 
 
-def _chain_classes(
-    info: _ClassInfo, index: dict[str, _ClassInfo]
-) -> list[_ClassInfo]:
-    """The class and its ancestors below ``BranchPredictor``."""
-    chain = [info]
-    seen = {info.qualname}
-    stack = list(info.bases)
-    while stack:
-        base = stack.pop()
-        if _is_predictor_root(base):
-            continue
-        parent = index.get(base)
-        if parent is None or parent.qualname in seen:
-            continue
-        seen.add(parent.qualname)
-        chain.append(parent)
-        stack.extend(parent.bases)
-    return chain
-
-
-def _check_snapshot_coverage(sources: list[ModuleSource]) -> list[Finding]:
-    index = _class_index(sources)
+def _check_snapshot_coverage(
+    graph: CallGraph, predictors: list[tuple[ClassNode, list[ClassNode]]]
+) -> list[Finding]:
     findings: list[Finding] = []
-    visited: set[str] = set()
     flagged: set[tuple[str, str]] = set()
-    for info in index.values():
-        if info.qualname in visited:
+
+    def method_node(cls: ClassNode, name: str) -> ast.FunctionDef | None:
+        qualname = cls.methods.get(name)
+        return graph.functions[qualname].node if qualname else None
+
+    for info, chain in predictors:
+        init_mutable = []
+        for cls in chain:
+            init = method_node(cls, "__init__")
+            init_mutable.append((cls, _collect_init_mutable(init) if init else {}))
+        if not any(mutable for _, mutable in init_mutable):
             continue
-        visited.add(info.qualname)
-        if info.name == _PREDICTOR_ROOT or info.abstract:
-            continue
-        if not _descends_from_root(info, index, set()):
-            continue
-        chain = _chain_classes(info, index)
-        if not any(cls.init_mutable for cls in chain):
-            continue
-        if not any(cls.defines_state for cls in chain):
-            key = (info.relpath, info.name)
-            if key not in flagged:
-                flagged.add(key)
-                findings.append(
-                    Finding(
-                        rule="REPRO006",
-                        file=info.relpath,
-                        line=info.line,
-                        symbol=info.name,
-                        message="predictor holds mutable state but defines no "
-                        "snapshot (`_state_payload`)",
-                        hint="implement _state_payload/_restore_payload so "
-                        "campaigns can checkpoint and resume this predictor",
-                    )
+        state_methods = [
+            node
+            for cls in chain
+            for name in _STATE_METHODS
+            if (node := method_node(cls, name)) is not None
+        ]
+        if not state_methods:
+            findings.append(
+                Finding(
+                    rule="REPRO006",
+                    file=info.relpath,
+                    line=info.line,
+                    symbol=info.name,
+                    message="predictor holds mutable state but defines no "
+                    "snapshot (`_state_payload`)",
+                    hint="implement _state_payload/_restore_payload so "
+                    "campaigns can checkpoint and resume this predictor",
                 )
+            )
             continue
-        refs: set[str] = set()
-        for cls in chain:
-            refs |= cls.state_refs
-        for cls in chain:
-            for attr, line in sorted(cls.init_mutable.items()):
+        refs = set().union(*(_self_attr_refs(node) for node in state_methods))
+        for cls, mutable in init_mutable:
+            for attr, line in sorted(mutable.items()):
                 if attr in refs:
                     continue
                 key = (cls.relpath, f"{cls.name}.{attr}")
@@ -771,7 +658,6 @@ def _check_snapshot_coverage(sources: list[ModuleSource]) -> list[Finding]:
                         "with a justification if it is a derived constant",
                     )
                 )
-    findings.sort(key=lambda f: (f.file, f.line))
     return findings
 
 
@@ -790,7 +676,7 @@ RULES = {
 }
 
 
-def check_sources(sources: list[ModuleSource]) -> list[Finding]:
+def check_sources(sources: list[ModuleSource], graph: CallGraph) -> list[Finding]:
     """Run the REPRO0xx hardware-faithfulness family over parsed sources."""
     findings: list[Finding] = []
     for source in sources:
@@ -799,9 +685,9 @@ def check_sources(sources: list[ModuleSource]) -> list[Finding]:
         for rule_id, (_, checker) in RULES.items():
             if checker is not None:
                 findings.extend(checker(source))
-    non_analysis = [s for s in sources if not s.module.startswith("repro.analysis")]
-    findings.extend(_check_predictor_interface(non_analysis))
-    findings.extend(_check_snapshot_coverage(non_analysis))
+    predictors = _concrete_predictors(graph)
+    findings.extend(_check_predictor_interface(predictors))
+    findings.extend(_check_snapshot_coverage(graph, predictors))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings
 

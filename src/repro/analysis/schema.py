@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.findings import Finding
 from repro.analysis.rules import ModuleSource
 
@@ -202,8 +203,9 @@ def _qualname_at(source: ModuleSource, node: ast.AST) -> str:
     return best
 
 
-def check_sources(sources: list[ModuleSource]) -> list[Finding]:
-    """Run the REPRO3xx schema-drift pass over parsed sources."""
+def check_sources(sources: list[ModuleSource], graph: CallGraph) -> list[Finding]:
+    """Run the REPRO3xx schema-drift pass over parsed sources (the call
+    graph is unused: schema drift is a per-declaration check)."""
     sources = [s for s in sources if not s.module.startswith("repro.analysis")]
     events = _declared(sources, _EVENT_DECL)
     messages = _declared(sources, _MESSAGE_DECL)

@@ -388,9 +388,17 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_predict(args: argparse.Namespace) -> int:
+    import signal
+    import threading
+
     from repro.orchestration import Telemetry
     from repro.serving import PredictionServer, WarmSnapshotPool
 
+    if threading.current_thread() is threading.main_thread():
+        # A background job starts with SIGINT ignored: install the default
+        # handler, and let SIGTERM stop the server the same clean way.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     pool = None
     if not args.no_pool:
         pool = WarmSnapshotPool(
@@ -412,8 +420,8 @@ def _cmd_serve_predict(args: argparse.Namespace) -> int:
             telemetry=telemetry,
         )
         host, port = server.address
-        print(f"serving predictions on {host}:{port}", flush=True)
         try:
+            print(f"serving predictions on {host}:{port}", flush=True)
             server.serve_forever()
         except KeyboardInterrupt:
             pass

@@ -221,18 +221,6 @@ class BFTage(Tage):
 
     def _restore_payload(self, payload: dict) -> None:
         expect_keys(payload, ("bst", "segments"), "BFTage")
-        # Both restores are all-or-nothing, so trying them on fresh
-        # components catches a corrupt BST or segments payload before any
-        # table is touched.  The live components then take the validated
-        # state, keeping their identity (and any per-instance wrappers).
-        BranchStatusTable(
-            entries=self.bst.entries, probabilistic=self.bst.probabilistic
-        ).restore(payload["bst"])
-        SegmentedRecencyStacks(
-            boundaries=self.segments.boundaries,
-            rs_size=self.segments.rs_size,
-            unfiltered_bits=self.segments.unfiltered_bits,
-        ).restore(payload["segments"])
         super()._restore_payload(
             {k: v for k, v in payload.items() if k not in ("bst", "segments")}
         )

@@ -114,7 +114,9 @@ class BranchPredictor(ABC):
 
         The target must be the same class (``kind``) with the same
         payload layout revision (``version``); geometry mismatches are
-        caught by the per-component length checks during install.
+        caught by the per-component length checks during install.  The
+        restore is all-or-nothing: a payload that fails part-way leaves
+        the predictor exactly as it was and raises :class:`StateError`.
         """
         if state.kind != self.state_kind:
             raise StateError(
@@ -125,7 +127,7 @@ class BranchPredictor(ABC):
                 f"{self.state_kind}: snapshot layout v{state.version} is not "
                 f"readable by this build (expects v{self.state_version})"
             )
-        self._restore_payload(state.payload)
+        self._install(state.payload, self._state_payload())
 
     def restore_components(
         self, state: PredictorState, components: tuple[str, ...] | list[str]
@@ -136,15 +138,25 @@ class BranchPredictor(ABC):
         configurations share a structural prefix (e.g. Figure 9 stages
         all warm the same BST and ``Wb``/``Wm`` tables): the current
         state is re-assembled with the shared subtrees replaced, then
-        validated by the normal restore path.  Returns the entries that
-        were actually transplanted.
+        validated by the normal restore path, all-or-nothing like
+        :meth:`restore`.  Returns the entries that were actually
+        transplanted.
         """
-        payload = self._state_payload()
-        moved = [name for name in components if name in state.payload and name in payload]
-        for name in moved:
-            payload[name] = state.payload[name]
-        self._restore_payload(payload)
+        previous = self._state_payload()
+        moved = [name for name in components if name in state.payload and name in previous]
+        self._install({**previous, **{name: state.payload[name] for name in moved}}, previous)
         return moved
+
+    def _install(self, payload: dict, previous: dict) -> None:
+        """Install ``payload``; on any failure re-install ``previous`` (this
+        predictor's own payload, taken just before) and raise StateError."""
+        try:
+            self._restore_payload(payload)
+        except Exception as exc:
+            self._restore_payload(previous)
+            if isinstance(exc, StateError):
+                raise
+            raise StateError(f"{self.state_kind}: malformed state: {exc}") from exc
 
     def state_hash(self) -> str:
         """Canonical SHA-256 digest of the current state snapshot."""

@@ -12,6 +12,7 @@ from repro.analysis import (
     ALL_RULES,
     FAMILIES,
     Finding,
+    callgraph,
     family_of,
     lint_paths,
     lint_source,
@@ -38,6 +39,7 @@ RACE = FIXTURES / "violation_race.py"
 SCHEMA = FIXTURES / "violation_schema.py"
 PERF = FIXTURES / "violation_perf.py"
 CONC = FIXTURES / "violation_concurrency.py"
+REEXPORT = FIXTURES / "violation_reexport.py"
 
 
 def rules_of(path, family):
@@ -60,20 +62,47 @@ class TestFamilyRegistry:
                 family_of(rule)
 
     def test_one_call_graph_per_run(self, monkeypatch):
-        # det, perf and concurrency share one graph; hw/schema need none.
+        # Every family reads the one graph, whatever the selection, and
+        # the graph parses each module's imports exactly once.
         built = []
+        import_maps = []
         original = CallGraph.__init__
+        original_imports = callgraph._import_map
 
         def counting_init(graph, sources):
             built.append(len(sources))
             original(graph, sources)
 
+        def counting_imports(tree):
+            import_maps.append(id(tree))
+            return original_imports(tree)
+
         monkeypatch.setattr(CallGraph, "__init__", counting_init)
-        sources = collect_sources([CONC, RACE, PERF, TAINT])
-        lint_sources(sources)
-        assert len(built) == 1
-        lint_sources(sources, families=["hw", "schema"])
-        assert len(built) == 1
+        monkeypatch.setattr(callgraph, "_import_map", counting_imports)
+        sources = collect_sources([CONC, RACE, PERF, TAINT, REEXPORT])
+        trees = sorted(id(source.tree) for source in sources)
+        for families in (None, ["hw"], ["hw", "schema"], ["det"], ["perf", "concurrency"]):
+            built.clear()
+            import_maps.clear()
+            lint_sources(sources, families=families)
+            assert built == [len(sources)], families
+            assert sorted(import_maps) == trees, families
+
+    def test_all_families_equal_union_of_single_family_runs(self):
+        # Each single-family run builds its own graph, so a family that
+        # leaned on caches another family filled would differ here.
+        sources = collect_sources([SRC, FIXTURES])
+
+        def key(finding):
+            return (finding.rule, finding.file, finding.line, finding.symbol, finding.message)
+
+        combined = sorted(map(key, lint_sources(sources)))
+        union = sorted(
+            key(finding)
+            for family in FAMILIES
+            for finding in lint_sources(sources, families=[family])
+        )
+        assert combined == union
 
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown analysis family"):
@@ -82,6 +111,29 @@ class TestFamilyRegistry:
     def test_family_selection_restricts_rules(self):
         assert all(r.startswith("REPRO1") for r in rules_of(TAINT, "det"))
         assert all(r.startswith("REPRO0") for r in rules_of(TAINT, "hw"))
+
+
+class TestSharedPredictorIndex:
+    def test_bases_through_package_reexports_resolve(self):
+        # REPRO005/006 read the predictor hierarchy from the call graph,
+        # which chases `from repro.predictors import Tage` to its module.
+        findings = [
+            f
+            for f in lint_paths([SRC, REEXPORT], families=["hw"])
+            if f.file == "violation_reexport.py"
+        ]
+        assert [(f.rule, f.symbol, f.message) for f in findings] == [
+            (
+                "REPRO006",
+                "LeakyTage._extra",
+                "__init__ assigns mutable `self._extra` not covered by snapshot",
+            ),
+            (
+                "REPRO005",
+                "HalfBakedReexport",
+                "BranchPredictor subclass missing storage_bits, reset",
+            ),
+        ]
 
 
 class TestDeterminismTaint:
@@ -366,6 +418,24 @@ class TestPerfFamily:
         )
         findings = lint_source(code, families=["perf"])
         assert [(f.rule, f.symbol) for f in findings] == [("REPRO401", "helper")]
+
+    def test_method_hoisted_as_value_joins_hot_closure(self):
+        code = (
+            "from repro.predictors.base import BranchPredictor\n"
+            "class Hoisting(BranchPredictor):\n"
+            "    name = 'hoisting'\n"
+            "    def predict(self, pc):\n"
+            "        step = self._step\n"
+            "        for offset in (1, 2):\n"
+            "            step(pc + offset)\n"
+            "        return True\n"
+            "    def train(self, pc, taken):\n"
+            "        pass\n"
+            "    def _step(self, pc):\n"
+            "        return {v: v for v in (pc, pc + 1)}\n"
+        )
+        findings = lint_source(code, families=["perf"])
+        assert [(f.rule, f.symbol) for f in findings] == [("REPRO401", "Hoisting._step")]
 
 
 class TestConcurrencyFamily:

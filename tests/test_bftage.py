@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.common.state import StateError
+from repro.common.state import PredictorState, StateError
 from repro.core.bftage import (
     BF_10_TABLE_LENGTHS,
     BFISLTage,
@@ -129,8 +129,9 @@ def first_filled_segment(payload):
 
 
 class TestBFTageState:
-    """A corrupt BST or segments payload raises StateError before any
-    table is touched; a good one restores into the live components."""
+    """Restoring a corrupt BST or segments payload raises StateError and
+    leaves every table as it was; a good one restores into the live
+    components."""
 
     def trained(self, branches, probabilistic=False):
         predictor = BFTage(BFTageConfig(num_tables=4, probabilistic_bst=probabilistic))
@@ -158,10 +159,11 @@ class TestBFTageState:
         before = predictor.state_hash()
         # Another run's payload: had the tables been restored first, the
         # state hash would have moved.
-        payload = copy.deepcopy(self.trained(1_400, probabilistic).snapshot().payload)
+        state = self.trained(1_400, probabilistic).snapshot()
+        payload = copy.deepcopy(state.payload)
         corrupt(payload)
         with pytest.raises(StateError, match=match):
-            predictor._restore_payload(payload)
+            predictor.restore(PredictorState(state.kind, state.version, payload))
         assert predictor.state_hash() == before
 
     def test_restore_keeps_live_components(self):

@@ -125,6 +125,14 @@ class TestCallResolution:
 
 
 class TestHotClosure:
+    def test_method_read_as_value_is_an_edge(self, graph):
+        # SegmentedRecencyStacks.commit hoists `insert = self._insert`
+        # and calls the local; the bound method joins the hot closure.
+        segments = "repro.core.segments.SegmentedRecencyStacks"
+        assert f"{segments}._insert" in graph.callees(f"{segments}.commit")
+        closure = graph.transitive_closure(set(graph.hot_roots()))
+        assert f"{segments}._insert" in closure
+
     def test_predict_resolves_for_every_registered_predictor(self, graph):
         registry = graph.registered_predictors()
         for name, class_qualname in registry.items():

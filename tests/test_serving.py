@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 from repro.orchestration import CampaignPlan, Telemetry, TraceSpec, run_plan
 from repro.orchestration.distserver import Coordinator
 from repro.orchestration.registry import standard_registry, trace_spec_for
+from repro.orchestration.telemetry import read_events
 from repro.orchestration.remote import (
     MESSAGE_TYPES,
     PROTOCOL_VERSION,
@@ -567,6 +568,30 @@ class TestServerFailures:
         with PredictClient(server.address) as client:
             with pytest.raises(ServeError, match="no warm pool"):
                 client.open_session("bimodal", "FP1", warm=True)
+
+    def test_sigint_stops_server_started_with_sigint_ignored(self, tmp_path):
+        # A background job inherits SIG_IGN for SIGINT; the server must
+        # still stop cleanly on it instead of waiting to be killed.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        telemetry = tmp_path / "serve.jsonl"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-predict", "--port", "0",
+             "--no-pool", "--telemetry", str(telemetry)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            line = process.stdout.readline()
+            assert "serving predictions on" in line, line
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=10) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.wait(timeout=10)
+        assert "serve_stop" in [event["event"] for event in read_events(telemetry)]
 
     def test_killed_server_surfaces_as_client_error(self, tmp_path):
         env = dict(os.environ)

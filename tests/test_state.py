@@ -23,7 +23,7 @@ from repro.common.state import (
     payload_hash,
 )
 from repro.orchestration import standard_registry
-from repro.predictors import Bimodal, GShare
+from repro.predictors import Bimodal, GShare, Tage, TageConfig
 from repro.sim import simulate
 from repro.sim.metrics import SimCheckpoint
 from repro.workloads import build_trace
@@ -207,6 +207,48 @@ class TestRestoreComponents:
         target = GShare()
         target.restore_components(state, tuple(state.payload))
         assert target.state_hash() == donor.state_hash()
+
+
+def _short_third_ctr(payload):
+    tables = [dict(table) for table in payload["tables"]]
+    tables[2]["ctr"] = tables[2]["ctr"][:-1]
+    return {**payload, "tables": tables}
+
+
+def _malformed_rs(payload):
+    return {**payload, "rs": {"entries": [["x", 0, True]], "clock": 0}}
+
+
+def _empty_loop_table(payload):
+    return {**payload, "loop": {**payload["loop"], "table": []}}
+
+
+#: (factory, corruption) pairs whose restore fails after some components
+#: have already taken the new state.
+PARTIAL_RESTORES = {
+    "tage4-short-ctr": (lambda: Tage(TageConfig.for_tables(4)), _short_third_ctr),
+    "bf-neural-malformed-rs": (REGISTRY["bf-neural"], _malformed_rs),
+    "isl-tage10-empty-loop": (REGISTRY["isl-tage10"], _empty_loop_table),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_RESTORES))
+@pytest.mark.parametrize("via", ["restore", "restore_components"])
+def test_failed_restore_leaves_predictor_untouched(case, via, trace):
+    factory, corrupt = PARTIAL_RESTORES[case]
+    predictor = factory()
+    drive(predictor, trace, 0, 150)
+    early = predictor.snapshot()
+    drive(predictor, trace, 150, 600)
+    bad = PredictorState(kind=early.kind, version=early.version, payload=corrupt(early.payload))
+    before_hash, before = predictor.state_hash(), predictor.snapshot().payload
+    with pytest.raises(StateError):
+        if via == "restore":
+            predictor.restore(bad)
+        else:
+            predictor.restore_components(bad, tuple(bad.payload))
+    assert predictor.state_hash() == before_hash
+    assert predictor.snapshot().payload == before
 
 
 class TestSimCheckpoint:
