@@ -107,6 +107,16 @@ cmp examples/suites/imported_fp1.csv results/wl.csv || {
     echo INTERCHANGE_ROUND_TRIP_FAILED
     exit 1
 }
+# Every interchange format is a trace argument as it stands: the same
+# trace as BFBP, BFT text and CSV must simulate to identical lines.
+expected=$(python3 -m repro simulate --predictors gshare -- results/wl.bfbp | grep gshare)
+for trace in results/wl.bft results/wl.csv examples/suites/imported_fp1.csv; do
+    actual=$(python3 -m repro simulate --predictors gshare -- "$trace" | grep gshare)
+    [ -n "$expected" ] && [ "$actual" = "$expected" ] || {
+        echo TRACE_ARGUMENT_MISMATCH
+        exit 1
+    }
+done
 python3 -m repro campaign "@examples/suites/demo.toml" \
     --predictors gshare bf-neural \
     --telemetry results/campaign-suite-telemetry.jsonl \

@@ -155,7 +155,26 @@ def collect_sources(paths: list[Path | str]) -> list[ModuleSource]:
             continue
         seen.add(resolved)
         sources.append(ModuleSource.parse(file))
+    _distinct_module_names(sources)
     return sources
+
+
+def _distinct_module_names(sources: list[ModuleSource]) -> None:
+    """Give files outside the package that share a basename distinct
+    module keys: each takes on parent directories until the names differ
+    (``a/pred.py`` and ``b/pred.py`` become ``a.pred`` and ``b.pred``),
+    so the call graph indexes every one of them."""
+    clashes: dict[str, list[ModuleSource]] = {}
+    for source in sources:
+        if not source.in_repro:
+            clashes.setdefault(source.module, []).append(source)
+    for group in clashes.values():
+        depth = 1
+        while len({source.module for source in group}) < len(group):
+            depth += 1
+            for source in group:
+                parts = source.path.resolve().with_suffix("").parts[-depth:]
+                source.module = ".".join(parts)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``suite``     — list the 40 suite traces and their categories.
 * ``generate``  — write suite traces to disk in the BFBP binary format.
-* ``stats``     — bias statistics for traces (by name or .bfbp file).
+* ``stats``     — bias statistics for traces.
 * ``simulate``  — run predictors over traces and print MPKI.
 * ``campaign``  — run a predictor × trace grid through the orchestration
   engine: parallel workers, content-addressed caching, manifest
@@ -23,6 +23,10 @@ Subcommands:
 * ``diagnose``  — attribute mispredictions to static branches.
 * ``storage``   — storage budgets of the standard configurations.
 
+Every trace argument — a workload name, ``@suite.toml#ENTRY`` or a
+BFBP/BFT/CSV trace file — is parsed by ``trace_spec_for`` and loaded by
+``TraceSpec.resolve`` (``docs/workloads.md``, "Running suites").
+
 The per-figure experiments keep their own entry points under
 ``python -m repro.experiments.<name>``.
 """
@@ -34,16 +38,22 @@ import sys
 from pathlib import Path
 
 from repro.trace.io import write_trace
-from repro.trace.records import Trace
 from repro.trace.stats import compute_stats
-from repro.workloads import build_trace, is_workload, trace_names
+from repro.workloads import build_trace, trace_names
 
 
-def _predictor_registry() -> dict:
-    """Named predictor factories (picklable, shared with ``campaign``)."""
+def _factories(names: list[str]) -> dict:
+    """The named predictor factories (picklable, shared with
+    ``campaign``); an unknown name exits listing the available ones."""
     from repro.orchestration import standard_registry
 
-    return standard_registry()
+    registry = standard_registry()
+    unknown = [name for name in names if name not in registry]
+    if unknown:
+        raise SystemExit(
+            f"unknown predictor(s) {unknown}; available: {', '.join(sorted(registry))}"
+        )
+    return {name: registry[name] for name in names}
 
 
 def _int_at_least(low: int, kind: str):
@@ -67,37 +77,27 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
-def _load_trace(spec: str, branches: int | None) -> Trace:
-    """A trace spec: workload name, ``@manifest#entry`` ref, or trace file."""
-    if spec.startswith("@"):
-        from repro.workloads import ManifestError, load_manifest, resolve_entry
+def _or_exit(resolver, *args):
+    """Call a trace-argument resolver; a malformed, unknown or unreadable
+    trace exits with the resolver's message instead of a traceback."""
+    try:
+        return resolver(*args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(str(exc)) from None
 
-        manifest_path, sep, entry = spec[1:].partition("#")
-        if not sep or not entry:
-            raise SystemExit(
-                f"manifest trace reference {spec!r} must look like "
-                "'@path/to/suite.toml#ENTRY'"
-            )
-        try:
-            trace = resolve_entry(load_manifest(manifest_path), entry)
-        except ManifestError as exc:
-            raise SystemExit(str(exc))
-        return trace.truncated(branches) if branches is not None else trace
-    if is_workload(spec):
-        return build_trace(spec, branches)
-    path = Path(spec)
-    if path.exists():
-        from repro.workloads import InterchangeError, read_any
 
-        try:
-            trace = read_any(path)
-        except (InterchangeError, ValueError) as exc:
-            raise SystemExit(str(exc))
-        return trace.truncated(branches) if branches is not None else trace
-    raise SystemExit(
-        f"unknown trace {spec!r}: not a workload name, a @manifest#entry "
-        "reference or a file"
-    )
+def _trace_specs(args: argparse.Namespace) -> list:
+    """Specs for the command's trace arguments, limited by ``--branches``.
+
+    A bare ``@suite.toml`` argument expands to every entry the manifest
+    declares; ``@suite.toml#ENTRY`` selects one of them.
+    """
+    from repro.orchestration import expand_trace_arg
+
+    specs = []
+    for spec in args.traces:
+        specs.extend(_or_exit(expand_trace_arg, spec, args.branches))
+    return specs
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -149,8 +149,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"{'trace':10s} {'branches':>9s} {'static':>7s} {'%biased':>8s} {'%taken':>7s}")
-    for spec in args.traces:
-        trace = _load_trace(spec, args.branches)
+    for spec in _trace_specs(args):
+        trace = _or_exit(spec.resolve)
         stats = compute_stats(trace)
         print(
             f"{trace.name:10s} {stats.dynamic_branches:9d} "
@@ -159,30 +159,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"{100 * stats.taken_fraction:6.1f}%"
         )
     return 0
-
-
-def _grid_specs(args: argparse.Namespace) -> tuple[dict, list]:
-    """Resolve predictor names and trace specs for a simulation grid.
-
-    A bare ``@suite.toml`` argument expands to every entry the manifest
-    declares; ``@suite.toml#ENTRY`` selects one of them.
-    """
-    from repro.orchestration import expand_trace_arg
-
-    registry = _predictor_registry()
-    unknown = [name for name in args.predictors if name not in registry]
-    if unknown:
-        raise SystemExit(
-            f"unknown predictor(s) {unknown}; available: {', '.join(sorted(registry))}"
-        )
-    factories = {name: registry[name] for name in args.predictors}
-    specs = []
-    try:
-        for spec in args.traces:
-            specs.extend(expand_trace_arg(spec, args.branches))
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    return factories, specs
 
 
 def _plan_from_flags(**fields):
@@ -198,22 +174,25 @@ def _plan_from_flags(**fields):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.orchestration import run_plan
+    from repro.orchestration import CampaignError, run_plan
 
-    factories, specs = _grid_specs(args)
+    factories, specs = _factories(args.predictors), _trace_specs(args)
     state_dir = Path(args.state_dir) if args.state_dir else None
     if args.checkpoint_every and state_dir is None:
         raise SystemExit("--checkpoint-every requires --state-dir")
-    results = run_plan(
-        _plan_from_flags(
-            factories=factories,
-            traces=specs,
-            jobs=args.jobs,
-            state_dir=state_dir,
-            checkpoint_every=args.checkpoint_every,
-            kernel=args.kernel,
+    try:
+        results = run_plan(
+            _plan_from_flags(
+                factories=factories,
+                traces=specs,
+                jobs=args.jobs,
+                state_dir=state_dir,
+                checkpoint_every=args.checkpoint_every,
+                kernel=args.kernel,
+            )
         )
-    )
+    except CampaignError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"{'trace':10s} {'predictor':16s} {'MPKI':>8s} {'rate':>8s}")
     for position, spec in enumerate(specs):
         for name in args.predictors:
@@ -268,7 +247,7 @@ def _campaign_plan(args: argparse.Namespace, jobs: int = 1):
     """Shared plan construction for ``campaign run`` and ``campaign serve``."""
     if not args.traces:
         args.traces = trace_names(args.categories)
-    factories, specs = _grid_specs(args)
+    factories, specs = _factories(args.predictors), _trace_specs(args)
     store_dir = Path(args.cache_dir) if args.cache_dir else None
     manifest_path = args.manifest
     if manifest_path is None and store_dir is not None:
@@ -318,21 +297,18 @@ def _campaign_report(args: argparse.Namespace, results: dict, telemetry) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.orchestration import CampaignError, Telemetry, run_plan
+    from repro.orchestration import Telemetry, run_plan
 
     plan = _campaign_plan(args, jobs=args.jobs)
     subscribers = () if args.quiet else (_progress_printer(),)
     with Telemetry(jsonl_path=args.telemetry, subscribers=subscribers) as telemetry:
-        try:
-            results = run_plan(plan, telemetry)
-        except CampaignError as exc:  # pragma: no cover - allow_failures=True
-            raise SystemExit(str(exc))
+        results = run_plan(plan, telemetry)
         failed = _campaign_report(args, results, telemetry)
     return 1 if failed else 0
 
 
 def _cmd_campaign_serve(args: argparse.Namespace) -> int:
-    from repro.orchestration import CampaignError, Telemetry
+    from repro.orchestration import Telemetry
     from repro.orchestration.distserver import Coordinator
 
     plan = _campaign_plan(args)
@@ -350,10 +326,7 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
         host, port = coordinator.address
         total = len(coordinator.tasks)
         print(f"serving {total} tasks on {host}:{port}", flush=True)
-        try:
-            results = coordinator.serve()
-        except CampaignError as exc:  # pragma: no cover - allow_failures=True
-            raise SystemExit(str(exc))
+        results = coordinator.serve()
         failed = _campaign_report(args, results, telemetry)
     return 1 if failed else 0
 
@@ -391,7 +364,7 @@ def _cmd_serve_predict(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.orchestration import Telemetry
+    from repro.orchestration import Telemetry, standard_registry
     from repro.serving import PredictionServer, WarmSnapshotPool
 
     if threading.current_thread() is threading.main_thread():
@@ -402,7 +375,7 @@ def _cmd_serve_predict(args: argparse.Namespace) -> int:
     pool = None
     if not args.no_pool:
         pool = WarmSnapshotPool(
-            _predictor_registry(),
+            standard_registry(),
             state_dir=args.state_dir,
             warmup_branches=args.warmup,
             max_shards=args.max_shards,
@@ -412,7 +385,6 @@ def _cmd_serve_predict(args: argparse.Namespace) -> int:
         if pool is not None:
             pool.telemetry = telemetry
         server = PredictionServer(
-            registry=_predictor_registry(),
             host=args.host,
             port=args.port,
             pool=pool,
@@ -483,17 +455,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _trained_predictor(args: argparse.Namespace):
     """Build the named predictor and train it over the given trace."""
+    from repro.orchestration import trace_spec_for
     from repro.sim.simulator import simulate
 
-    registry = _predictor_registry()
-    if args.predictor not in registry:
-        raise SystemExit(
-            f"unknown predictor {args.predictor!r}; "
-            f"available: {', '.join(sorted(registry))}"
-        )
-    predictor = registry[args.predictor]()
+    predictor = _factories([args.predictor])[args.predictor]()
     if args.trace:
-        simulate(predictor, _load_trace(args.trace, args.branches))
+        spec = _or_exit(trace_spec_for, args.trace, args.branches)
+        simulate(predictor, _or_exit(spec.resolve))
     return predictor
 
 
@@ -558,17 +526,11 @@ def _cmd_state_diff(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.sim.attribution import attribute, format_attribution
 
-    registry = _predictor_registry()
-    if args.predictor not in registry:
-        raise SystemExit(
-            f"unknown predictor {args.predictor!r}; "
-            f"available: {', '.join(sorted(registry))}"
-        )
-    for spec in args.traces:
-        trace = _load_trace(spec, args.branches)
+    factory = _factories([args.predictor])[args.predictor]
+    for spec in _trace_specs(args):
         result = attribute(
-            registry[args.predictor](),
-            trace,
+            factory(),
+            _or_exit(spec.resolve),
             track_providers=args.providers,
             warmup_branches=args.warmup,
         )
@@ -581,7 +543,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage(args: argparse.Namespace) -> int:
-    registry = _predictor_registry()
+    from repro.orchestration import standard_registry
+
+    registry = standard_registry()
     print(f"{'predictor':16s} {'KB':>8s}")
     for name in sorted(registry):
         predictor = registry[name]()
@@ -668,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "traces",
             nargs="*",
-            help="workload names, .bfbp files, @suite.toml manifests or "
-            "@suite.toml#ENTRY references (default: full suite)",
+            help="workload names, trace files (.bfbp/.bft/.csv), @suite.toml "
+            "manifests or @suite.toml#ENTRY references (default: full suite)",
         )
         parser.add_argument("--categories", nargs="*", default=None)
         parser.add_argument("--predictors", nargs="+", default=["bf-neural"])
@@ -922,7 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
         "dump", help="train a predictor over a trace and dump its state JSON"
     )
     p_dump.add_argument("--predictor", required=True)
-    p_dump.add_argument("--trace", default=None, help="suite name or .bfbp file")
+    p_dump.add_argument(
+        "--trace", default=None, help="workload name, @suite.toml#ENTRY or trace file"
+    )
     p_dump.add_argument("--branches", type=_positive_int, default=None)
     p_dump.add_argument("--output", default=None, help="write state JSON here")
     p_dump.set_defaults(fn=_cmd_state_dump)

@@ -100,12 +100,15 @@ def standard_registry() -> dict[str, PredictorFactory]:
 
 
 def trace_spec_for(spec: str, branches: int | None = None) -> TraceSpec:
-    """Map a CLI trace argument to a spec.
+    """Map a CLI trace argument to a spec — the one parser of the grammar.
 
     Accepts any registered workload name (the calibrated suite, the
     wild set, the sparse set — everything ``repro.workloads.registry``
     resolves), a ``@manifest.toml#ENTRY`` suite-manifest reference, or
-    a trace file path.
+    a trace file in any interchange format (BFBP, BFT text or CSV,
+    sniffed by content).  ``branches`` cuts a file or manifest entry to
+    its first ``branches`` events and is a workload's generation budget.
+    A malformed or unknown argument raises :class:`ValueError`.
     """
     from repro.workloads import is_workload
 
@@ -117,7 +120,7 @@ def trace_spec_for(spec: str, branches: int | None = None) -> TraceSpec:
                 "'@path/to/suite.toml#ENTRY' (or bare '@path/to/suite.toml' "
                 "where a whole-suite expansion is accepted)"
             )
-        return TraceSpec.from_manifest(manifest_path, entry)
+        return TraceSpec.from_manifest(manifest_path, entry, branches)
     if is_workload(spec):
         return TraceSpec.suite(spec, branches)
     path = Path(spec)
@@ -138,7 +141,7 @@ def expand_trace_arg(spec: str, branches: int | None = None) -> list[TraceSpec]:
 
         manifest = load_manifest(spec[1:])
         return [
-            TraceSpec.from_manifest(spec[1:], name)
+            TraceSpec.from_manifest(spec[1:], name, branches)
             for name in manifest.entry_names()
         ]
     return [trace_spec_for(spec, branches)]

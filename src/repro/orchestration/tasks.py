@@ -37,9 +37,12 @@ class TraceSpec:
         return cls(kind="suite", name=name, branches=branches)
 
     @classmethod
-    def from_manifest(cls, path: str | Path, entry: str) -> "TraceSpec":
-        """One entry of a suite manifest (``repro.workloads.manifest``)."""
-        return cls(kind="manifest", name=entry, path=str(path))
+    def from_manifest(
+        cls, path: str | Path, entry: str, branches: int | None = None
+    ) -> "TraceSpec":
+        """One entry of a suite manifest (``repro.workloads.manifest``),
+        cut to its first ``branches`` events when given."""
+        return cls(kind="manifest", name=entry, branches=branches, path=str(path))
 
     @classmethod
     def from_file(cls, path: str | Path, branches: int | None = None) -> "TraceSpec":
@@ -68,15 +71,17 @@ class TraceSpec:
             from repro.workloads.manifest import load_manifest, resolve_entry
 
             trace = resolve_entry(load_manifest(self.path), self.name)
+            if self.branches:
+                trace = trace.truncated(self.branches)
             # Memoized through the non-compared payload slot: manifest
             # resolution re-reads (and may re-generate) the suite, so
             # identity() and repeated resolve() calls share one trace.
             object.__setattr__(self, "payload", trace)
             return trace
         if self.kind == "file":
-            from repro.trace.io import read_trace
+            from repro.workloads.interchange import read_any
 
-            trace = read_trace(self.path)
+            trace = read_any(self.path)
             return trace.truncated(self.branches) if self.branches else trace
         raise ValueError(f"unknown trace spec kind {self.kind!r}")
 
@@ -126,7 +131,7 @@ class TraceSpec:
         if self.kind == "inline":
             raise ValueError(
                 f"inline trace {self.name!r} cannot be distributed; "
-                "use a suite name or a .bfbp file"
+                "use a suite name, a manifest entry or a trace file"
             )
         return {
             "kind": self.kind,

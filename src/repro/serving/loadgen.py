@@ -22,10 +22,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.orchestration.registry import trace_spec_for
 from repro.orchestration.telemetry import Telemetry, monotonic
 from repro.serving.client import PredictClient
 from repro.trace.records import Trace
-from repro.workloads import build_trace
 
 #: Default events streamed per session.
 DEFAULT_SESSION_EVENTS = 2_000
@@ -74,17 +74,6 @@ def suite_profile(
         configs=tuple(configs),
         description=f"entries of suite manifest {manifest_path}",
     )
-
-
-def _build_workload(workload: str, session_events: int) -> Trace:
-    """Resolve one profile workload: registry name or ``@manifest#entry``."""
-    if workload.startswith("@"):
-        from repro.workloads import load_manifest, resolve_entry
-
-        manifest_path, _, entry = workload[1:].partition("#")
-        trace = resolve_entry(load_manifest(manifest_path), entry)
-        return trace.truncated(session_events) if session_events else trace
-    return build_trace(workload, session_events)
 
 
 #: Built-in client mixes, keyed by name for the CLI.
@@ -251,7 +240,7 @@ def run_load(
     traces: dict[str, Trace] = {}
     for _config, workload in assignments:
         if workload not in traces:
-            traces[workload] = _build_workload(workload, session_events)
+            traces[workload] = trace_spec_for(workload, session_events).resolve()
 
     latencies: list[float] = []
     summaries: list[dict] = []

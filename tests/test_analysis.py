@@ -85,6 +85,24 @@ class TestFixtures:
     def test_clean_fixture(self):
         assert lint_paths([FIXTURES / "clean.py"]) == []
 
+    def test_same_basename_in_two_directories(self, tmp_path):
+        # Each a/pred.py and b/pred.py keeps its own module key, so both
+        # incomplete predictors are indexed and reported.
+        code = (
+            "from repro.predictors.base import BranchPredictor\n\n\n"
+            "class A(BranchPredictor):\n"
+            '    name = "a"\n\n'
+            "    def predict(self, pc: int) -> bool:\n"
+            "        return True\n\n"
+            "    def train(self, pc: int, taken: bool) -> None:\n"
+            "        pass\n"
+        )
+        for directory in ("a", "b"):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "pred.py").write_text(code)
+        findings = lint_paths([tmp_path / "a", tmp_path / "b"])
+        assert [(f.rule, f.symbol) for f in findings] == [("REPRO005", "A")] * 2
+
 
 class TestRuleEdgeCases:
     def test_enclosing_while_guard(self):

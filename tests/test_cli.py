@@ -1,26 +1,36 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import _load_trace, _predictor_registry, build_parser, main
+from repro.cli import build_parser, main
+from repro.orchestration import standard_registry, trace_spec_for
+
+DEMO = Path(__file__).resolve().parent.parent / "examples/suites/demo.toml"
 
 
 class TestRegistry:
     def test_all_entries_construct(self):
-        for name, factory in _predictor_registry().items():
+        for name, factory in standard_registry().items():
             predictor = factory()
             assert predictor.predict(0x40) in (True, False)
 
     def test_expected_names_present(self):
-        registry = _predictor_registry()
+        registry = standard_registry()
         for name in ("bimodal", "gshare", "filter", "oh-snap", "tage10",
                      "bf-tage10", "bf-neural", "bf-neural-ahead"):
             assert name in registry
 
 
+def _load(spec: str, branches: int | None = None):
+    """A trace argument through the one resolver every command uses."""
+    return trace_spec_for(spec, branches).resolve()
+
+
 class TestLoadTrace:
     def test_suite_name(self):
-        trace = _load_trace("FP1", 1000)
+        trace = _load("FP1", 1000)
         assert trace.name == "FP1"
         assert len(trace) >= 1000
 
@@ -31,7 +41,7 @@ class TestLoadTrace:
         trace = build_trace("MM1", 800)
         path = tmp_path / "mm1.bfbp"
         write_trace(trace, path)
-        loaded = _load_trace(str(path), None)
+        loaded = _load(str(path))
         assert loaded.pcs == trace.pcs
 
     def test_file_with_truncation(self, tmp_path):
@@ -41,12 +51,14 @@ class TestLoadTrace:
         trace = build_trace("MM1", 800)
         path = tmp_path / "mm1.bfbp"
         write_trace(trace, path)
-        loaded = _load_trace(str(path), 100)
+        loaded = _load(str(path), 100)
         assert len(loaded) == 100
 
-    def test_unknown_spec(self):
-        with pytest.raises(SystemExit):
-            _load_trace("NOSUCH9", None)
+    def test_unknown_spec(self, capsys):
+        with pytest.raises(ValueError, match="unknown trace 'NOSUCH9'"):
+            _load("NOSUCH9")
+        with pytest.raises(SystemExit, match="unknown trace 'NOSUCH9'"):
+            main(["stats", "NOSUCH9"])
 
     def test_interchange_file(self, tmp_path):
         from repro.workloads import build_trace, format_csv
@@ -54,7 +66,7 @@ class TestLoadTrace:
         trace = build_trace("MM1", 400)
         path = tmp_path / "mm1.csv"
         path.write_text(format_csv(trace), encoding="utf-8")
-        loaded = _load_trace(str(path), None)
+        loaded = _load(str(path))
         assert loaded.pcs == trace.pcs
 
     def test_manifest_entry_ref(self, tmp_path):
@@ -64,7 +76,7 @@ class TestLoadTrace:
             '[[entry]]\nkind = "synthetic"\nname = "FP1"\nbranches = 600\n',
             encoding="utf-8",
         )
-        loaded = _load_trace(f"@{manifest}#FP1", None)
+        loaded = _load(f"@{manifest}#FP1")
         assert loaded.name == "FP1"
         assert len(loaded) >= 600
 
@@ -75,8 +87,83 @@ class TestLoadTrace:
             '[[entry]]\nkind = "synthetic"\nname = "FP1"\n',
             encoding="utf-8",
         )
-        with pytest.raises(SystemExit):
-            _load_trace(f"@{manifest}#GHOST", None)
+        with pytest.raises(ValueError, match="GHOST"):
+            _load(f"@{manifest}#GHOST")
+        for argv in (["stats"], ["diagnose"], ["state", "hash", "--predictor",
+                                                "gshare", "--trace"]):
+            with pytest.raises(SystemExit, match="GHOST"):
+                main([*argv, f"@{manifest}#GHOST"])
+
+
+class TestOneTraceResolver:
+    """``stats``, ``simulate`` and ``state hash --trace`` read every kind
+    of trace argument exactly as ``trace_spec_for(...).resolve()`` does."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        from repro.workloads import build_trace, write_any
+
+        trace = build_trace("MM1", 800)
+        root = tmp_path_factory.mktemp("traces")
+        for suffix in ("bfbp", "bft", "csv"):
+            write_any(trace, root / f"mm1.{suffix}")
+        return root
+
+    @pytest.mark.parametrize("branches", [None, 300], ids=["full", "cut"])
+    @pytest.mark.parametrize(
+        "arg", ["FP1", "mm1.bfbp", "mm1.bft", "mm1.csv", f"@{DEMO}#DEMO_MIX"],
+        ids=["name", "bfbp", "bft", "csv", "manifest"],
+    )
+    def test_commands_match_simulate(self, arg, branches, files, capsys):
+        from repro.sim.simulator import simulate
+
+        if arg.startswith("mm1."):
+            arg = str(files / arg)
+        cut = [] if branches is None else ["--branches", str(branches)]
+        trace = trace_spec_for(arg, branches).resolve()
+        predictor = standard_registry()["gshare"]()
+        expected = simulate(predictor, trace)
+
+        assert main(["stats", arg, *cut]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert int(row[1]) == len(trace) == expected.branches
+
+        assert main(["simulate", arg, "--predictors", "gshare", *cut]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == (
+            f"{expected.trace_name:10s} {'gshare':16s} {expected.mpki:8.3f} "
+            f"{expected.misprediction_rate:7.2%}"
+        )
+
+        assert main(["state", "hash", "--predictor", "gshare",
+                     "--trace", arg, *cut]) == 0
+        assert capsys.readouterr().out.strip() == predictor.state_hash()
+
+    def test_bare_manifest_expands_for_stats(self, capsys):
+        from repro.workloads import load_manifest
+
+        assert main(["stats", f"@{DEMO}", "--branches", "50"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[1] for row in rows] == ["50"] * len(rows)
+        assert len(rows) == len(load_manifest(DEMO).entry_names())
+
+    def test_state_trace_takes_one_entry(self):
+        with pytest.raises(SystemExit, match="#ENTRY"):
+            main(["state", "hash", "--predictor", "gshare", "--trace", f"@{DEMO}"])
+
+    def test_failed_simulate_task_exits_without_traceback(self, tmp_path, capsys):
+        from repro.trace.io import write_trace
+        from repro.workloads import build_trace
+
+        path = tmp_path / "cut.bfbp"
+        write_trace(build_trace("MM1", 400), path)
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(path), "--predictors", "gshare"])
+        message = str(exc.value.code)
+        assert exc.value.code not in (0, None)
+        assert str(path) in message
+        assert "Traceback" not in message + capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -199,10 +286,7 @@ class TestCountArguments:
         assert exc.value.code == 2
 
     def test_manifest_entry_truncates(self):
-        from pathlib import Path
-
-        demo = Path(__file__).resolve().parent.parent / "examples/suites/demo.toml"
-        assert len(_load_trace(f"@{demo}#DEMO_MIX", 1)) == 1
+        assert len(_load(f"@{DEMO}#DEMO_MIX", 1)) == 1
 
     def test_one_branch_accepted(self, capsys):
         assert main(["diagnose", "FP1", "--predictor", "bimodal",

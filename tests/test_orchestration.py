@@ -786,3 +786,50 @@ class TestErrorSummary:
         )[0]
         failure = CampaignError([TaskOutcome(task=task, error=error)])
         assert str(failure).endswith(": unknown")
+
+
+class TestTraceSpecFingerprintGolden:
+    """Task fingerprints of every spec kind the CLI resolves, recorded
+    before trace loading moved onto ``TraceSpec.resolve`` alone: a change
+    here turns every cached result of that kind cold."""
+
+    GOLDEN = [
+        ("suite", "SPEC02", 3000,
+         "40201f89ca1190eb0a18efa21587bc46eee503b5a0974299ab6f8a1b025db5de"),
+        ("suite", "SPEC02", None,
+         "3e30405dc0e71c9677ee2d606bdcec1effd9c836693d33ae5432caeca24b13ba"),
+        ("file", "mm1", None,
+         "f540a4832784d9fc64ac628cb6a206fd3e8f830d00c9381846fae61eea96752d"),
+        ("file", "mm1", 100,
+         "3732e7d38a93a6cdb99b06b5d3dd6014469594467d316a94ff6ca7d9790588fe"),
+        ("manifest", "FP1", None,
+         "e8e40d9ce15889070e8f7c3457e4f4350c0945d899d605296d5da4270e9057a5"),
+        ("manifest", "DEMO_STORM", None,
+         "7aa4c3a84b18a304c78abc5ae36652cfeab0ebd83db26e275f8ff9c8f4dc4aed"),
+        ("manifest", "DEMO_IMPORT", None,
+         "ab863d3e05ba505ae7290e889637fc3cd3e1a04acafe103981b08e641215f431"),
+        ("manifest", "DEMO_MIX", None,
+         "ce32fc0627bbf138a231dfdb3f03ae1473f77168ed94126e434dc771a48acc35"),
+    ]
+
+    def test_fingerprints_unchanged(self, tmp_path):
+        from repro.orchestration import expand_trace_arg, trace_spec_for
+        from repro.trace.io import write_trace
+
+        demo = Path(__file__).resolve().parent.parent / "examples/suites/demo.toml"
+        path = tmp_path / "mm1.bfbp"
+        write_trace(build_trace("MM1", 800), path)
+        specs = [
+            trace_spec_for("SPEC02", 3000),
+            trace_spec_for("SPEC02"),
+            trace_spec_for(str(path)),
+            trace_spec_for(str(path), 100),
+            *expand_trace_arg(f"@{demo}"),
+        ]
+        tasks = build_tasks(
+            CampaignPlan(factories={"gshare": standard_registry()["gshare"]}, traces=specs)
+        )
+        assert [
+            (task.trace.kind, task.trace.name, task.trace.branches, task.fingerprint)
+            for task in tasks
+        ] == self.GOLDEN

@@ -386,6 +386,15 @@ class TestTraceSpecManifest:
         ]
         assert all(spec.kind == "manifest" for spec in specs)
 
+    def test_branches_cut_manifest_entries(self):
+        full = TraceSpec.from_manifest(DEMO_MANIFEST, "DEMO_MIX")
+        cut = trace_spec_for(f"@{DEMO_MANIFEST}#DEMO_MIX", 100)
+        assert cut.resolve().pcs == full.resolve().pcs[:100]
+        assert cut.identity() != full.identity()
+        assert TraceSpec.from_wire(cut.to_wire()) == cut
+        specs = expand_trace_arg(f"@{DEMO_MANIFEST}", 100)
+        assert [len(spec.resolve()) for spec in specs] == [100] * len(specs)
+
 
 class TestLoadgenSuite:
     def test_suite_profile_builds_refs(self):
