@@ -20,13 +20,14 @@ from pathlib import Path
 import pytest
 
 from repro.core import BFNeural
+from repro.experiments import common
 from repro.orchestration import CampaignPlan, StateStore, TraceSpec, run_plan
 from repro.orchestration.registry import standard_registry
 from repro.orchestration.telemetry import monotonic
-from repro.predictors import Bimodal, GlobalPerceptron, GShare, ISLTage, TageConfig
+from repro.predictors import Bimodal, GlobalPerceptron, GShare, ISLTage, Tage, TageConfig
 from repro.serving import PredictionServer, WarmSnapshotPool, run_load
 from repro.sim import simulate
-from repro.workloads import build_trace
+from repro.workloads import build_trace, trace_names
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -49,14 +50,16 @@ def _isl_tage(num_tables: int) -> ISLTage:
 
 #: Predictors ported to the batch kernel, with the speedup floor each
 #: one contracts over the scalar loop on a warm plan cache.  Bimodal
-#: and gshare are pure gather/scatter; perceptron and BF-Neural keep a
-#: sequential python segment (the weight-update chain), so their floors
-#: are conservative.
+#: and gshare are pure gather/scatter; perceptron, BF-Neural and the
+#: TAGE family keep a sequential python segment (the weight-update
+#: chain, the table side), so their floors are conservative.
 VEC_CONTENDERS = {
     "bimodal": (Bimodal, 10.0),
     "gshare": (GShare, 10.0),
     "perceptron": (lambda: GlobalPerceptron(1024, 64), 1.5),
     "bf-neural": (BFNeural, 3.0),
+    "tage15": (lambda: Tage(TageConfig.for_tables(15)), 2.0),
+    "isl-tage15": (partial(_isl_tage, 15), 2.0),
 }
 
 
@@ -96,6 +99,46 @@ def test_vectorized_kernel_speedup(vec_trace, name):
     assert speedup >= min_speedup, (
         f"{name}: vectorized kernel {speedup:.1f}x vs scalar "
         f"(contract is >= {min_speedup}x)"
+    )
+
+
+#: Figure campaigns run short traces (the e2e ``campaign`` workload:
+#: 400 branches over Fig. 8's 40 traces), where a kernel's per-call
+#: staging weighs most.  ``auto`` is their default kernel.
+CAMPAIGN_BRANCHES = 400
+CAMPAIGN_CONFIGS = {
+    "bf-neural": common.bf_neural,
+    "fig8-tage15": partial(common.tage_with_loop, 15),
+}
+
+
+@pytest.mark.vectorized
+@pytest.mark.parametrize("name", list(CAMPAIGN_CONFIGS))
+def test_auto_kernel_at_campaign_size(name):
+    """At campaign trace length ``auto`` is bit-identical to the scalar
+    loop (mispredictions, provider hits, final ``state_hash`` per trace)
+    and no slower over the 40 traces, best of three interleaved rounds."""
+    factory = CAMPAIGN_CONFIGS[name]
+    traces = [build_trace(trace, CAMPAIGN_BRANCHES) for trace in trace_names()]
+
+    def run(kernel: str, check: bool = False) -> list:
+        outcomes = []
+        for trace in traces:
+            predictor = factory()
+            result = simulate(predictor, trace, track_providers=True, kernel=kernel)
+            if check:
+                outcomes.append(
+                    (result.mispredictions, result.provider_hits, predictor.state_hash())
+                )
+        return outcomes
+
+    assert run("auto", check=True) == run("scalar", check=True)
+    scalar_s, auto_s = _best_of_interleaved(
+        lambda: run("scalar"), lambda: run("auto"), rounds=3
+    )
+    assert auto_s <= scalar_s, (
+        f"{name}: auto {auto_s:.3f}s vs scalar {scalar_s:.3f}s over "
+        f"{len(traces)} traces of {CAMPAIGN_BRANCHES} branches"
     )
 
 

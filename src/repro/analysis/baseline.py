@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from repro.analysis.families import ALL_RULES, family_of
 from repro.analysis.findings import Finding, canonical_file
@@ -35,7 +35,10 @@ class BaselineEntry:
 
     @property
     def key(self) -> tuple[str, str, str]:
-        return (self.rule, canonical_file(self.file), self.symbol)
+        # Package paths are respelled from ``src/``; any other file is
+        # matched as written, the spelling its finding was reported with.
+        keep = len(PurePath(self.file).parts)
+        return (self.rule, canonical_file(self.file, keep=keep), self.symbol)
 
 
 @dataclass

@@ -6,13 +6,14 @@ from dataclasses import asdict, dataclass
 from pathlib import PurePath
 
 
-def canonical_file(path: object) -> str:
+def canonical_file(path: object, keep: int = 1) -> str:
     """A stable, location-independent spelling of a source path.
 
     Paths inside the package are canonicalized to start at ``src/`` so a
     finding matches its baseline entry whether the linter was invoked on
     ``src``, ``src/repro`` or an absolute path; files outside the
-    package (test fixtures) reduce to their basename.
+    package (test fixtures) reduce to their last ``keep`` parts: the
+    basename, or as many directories as tell same-named files apart.
     """
     parts = PurePath(str(path)).parts
     for anchor in ("src", "repro"):
@@ -21,7 +22,7 @@ def canonical_file(path: object) -> str:
             if anchor == "repro":
                 return "/".join(("src",) + parts[start:])
             return "/".join(parts[start:])
-    return parts[-1] if parts else str(path)
+    return "/".join(parts[-keep:]) if parts else str(path)
 
 
 @dataclass(frozen=True)

@@ -161,9 +161,11 @@ def collect_sources(paths: list[Path | str]) -> list[ModuleSource]:
 
 def _distinct_module_names(sources: list[ModuleSource]) -> None:
     """Give files outside the package that share a basename distinct
-    module keys: each takes on parent directories until the names differ
-    (``a/pred.py`` and ``b/pred.py`` become ``a.pred`` and ``b.pred``),
-    so the call graph indexes every one of them."""
+    module keys and file names: each takes on parent directories until
+    the names differ (``a/pred.py`` and ``b/pred.py`` become modules
+    ``a.pred`` and ``b.pred``, reported as ``a/pred.py`` and
+    ``b/pred.py``), so the call graph indexes every one of them and
+    their findings keep distinct baseline keys."""
     clashes: dict[str, list[ModuleSource]] = {}
     for source in sources:
         if not source.in_repro:
@@ -173,8 +175,9 @@ def _distinct_module_names(sources: list[ModuleSource]) -> None:
         while len({source.module for source in group}) < len(group):
             depth += 1
             for source in group:
-                parts = source.path.resolve().with_suffix("").parts[-depth:]
-                source.module = ".".join(parts)
+                path = source.path.resolve()
+                source.module = ".".join(path.with_suffix("").parts[-depth:])
+                source.relpath = canonical_file(path, keep=depth)
 
 
 # ----------------------------------------------------------------------

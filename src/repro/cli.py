@@ -175,6 +175,7 @@ def _plan_from_flags(**fields):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.orchestration import CampaignError, run_plan
+    from repro.workloads.manifest import ManifestError
 
     factories, specs = _factories(args.predictors), _trace_specs(args)
     state_dir = Path(args.state_dir) if args.state_dir else None
@@ -191,7 +192,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 kernel=args.kernel,
             )
         )
-    except CampaignError as exc:
+    except (CampaignError, ManifestError) as exc:
+        # A manifest entry is fingerprinted before any task runs, so a
+        # drifted pin or a missing imported file surfaces here.
         raise SystemExit(str(exc)) from None
     print(f"{'trace':10s} {'predictor':16s} {'MPKI':>8s} {'rate':>8s}")
     for position, spec in enumerate(specs):
@@ -269,7 +272,7 @@ def _campaign_plan(args: argparse.Namespace, jobs: int = 1):
         state_dir=state_dir,
         checkpoint_every=args.checkpoint_every,
         warmup_branches=args.warmup,
-        kernel=getattr(args, "kernel", "scalar"),
+        kernel=args.kernel,
     )
 
 
@@ -298,11 +301,15 @@ def _campaign_report(args: argparse.Namespace, results: dict, telemetry) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.orchestration import Telemetry, run_plan
+    from repro.workloads.manifest import ManifestError
 
     plan = _campaign_plan(args, jobs=args.jobs)
     subscribers = () if args.quiet else (_progress_printer(),)
     with Telemetry(jsonl_path=args.telemetry, subscribers=subscribers) as telemetry:
-        results = run_plan(plan, telemetry)
+        try:
+            results = run_plan(plan, telemetry)
+        except ManifestError as exc:
+            raise SystemExit(str(exc)) from None
         failed = _campaign_report(args, results, telemetry)
     return 1 if failed else 0
 
@@ -310,19 +317,23 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     from repro.orchestration import Telemetry
     from repro.orchestration.distserver import Coordinator
+    from repro.workloads.manifest import ManifestError
 
     plan = _campaign_plan(args)
     subscribers = () if args.quiet else (_progress_printer(),)
     with Telemetry(jsonl_path=args.telemetry, subscribers=subscribers) as telemetry:
-        coordinator = Coordinator(
-            plan,
-            registry_ref=args.registry,
-            host=args.host,
-            port=args.port,
-            lease_ttl=args.lease_ttl,
-            telemetry=telemetry,
-            auth_token=args.auth_token,
-        )
+        try:
+            coordinator = Coordinator(
+                plan,
+                registry_ref=args.registry,
+                host=args.host,
+                port=args.port,
+                lease_ttl=args.lease_ttl,
+                telemetry=telemetry,
+                auth_token=args.auth_token,
+            )
+        except ManifestError as exc:
+            raise SystemExit(str(exc)) from None
         host, port = coordinator.address
         total = len(coordinator.tasks)
         print(f"serving {total} tasks on {host}:{port}", flush=True)
@@ -613,10 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--kernel",
         choices=("scalar", "vectorized", "auto"),
-        default="scalar",
+        default="auto",
         help="simulation kernel: the scalar reference loop, the "
         "vectorized batch kernel (bit-identical, much faster for "
-        "supported predictors), or auto-selection per predictor",
+        "supported predictors), or auto-selection per predictor "
+        "(the default)",
     )
     p_sim.set_defaults(fn=_cmd_simulate)
 
@@ -681,9 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--kernel",
             choices=("scalar", "vectorized", "auto"),
-            default="scalar",
-            help="simulation kernel (fingerprints distinguish kernels, "
-            "so scalar and vectorized runs never share a cache entry)",
+            default="auto",
+            help="simulation kernel, auto-selected per predictor by default "
+            "(fingerprints distinguish kernels, so scalar and vectorized "
+            "runs never share a cache entry)",
         )
         parser.add_argument(
             "--output", default=None, help="also write the report here"

@@ -41,6 +41,26 @@ def table_list(array: np.ndarray) -> list[int]:
     return array.tolist()
 
 
+# perf: allow(REPRO401): per-trace staging, runs once per batch
+def ring_history(buf: list, head: int) -> list:
+    """A circular history buffer's bits in push order, oldest first
+    (``head`` is the slot the next push writes)."""
+    return buf[head:] + buf[:head]
+
+
+# perf: allow(REPRO401): per-trace writeback, runs once per batch
+def ring_write(buf: list, head: int, values: np.ndarray) -> int:
+    """Push ``values`` (oldest first) into the circular buffer ``buf`` in
+    place, as one push per value would; returns the new head."""
+    capacity = len(buf)
+    kept = values[-capacity:].tolist()
+    start = (head + len(values) - len(kept)) % capacity
+    first = min(len(kept), capacity - start)
+    buf[start : start + first] = kept[:first]
+    buf[: len(kept) - first] = kept[first:]
+    return (head + len(values)) % capacity
+
+
 def mix64_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.common.bitops.mix64` (splitmix64 finalizer).
 
@@ -109,79 +129,58 @@ def signed_history_matrix(
     return np.stack(cols, axis=1)
 
 
-def _rot_terms(terms: np.ndarray, shifts: np.ndarray, width: int, left: bool) -> np.ndarray:
-    """Rotate each ``width``-bit term by its own shift count."""
-    t = terms.astype(np.uint32)
-    s = shifts.astype(np.uint32)
-    wmask = np.uint32((1 << width) - 1)
-    if left:
-        rotated = ((t << s) | (t >> (np.uint32(width) - s) % np.uint32(width))) & wmask
-    else:
-        rotated = ((t >> s) | (t << (np.uint32(width) - s) % np.uint32(width))) & wmask
-    return rotated
+# Elements per temporary in folded_history_block: register groups are
+# sized to it, so the temporaries stay cache-sized (a 20,000-event
+# segment folds one register at a time, a campaign-length one all of
+# them in one pass).
+_FOLD_BLOCK_ELEMENTS = 1 << 14
 
 
-# perf: allow(REPRO401): per-trace staging, runs once per batch
-def folded_history_series(
-    outcomes: np.ndarray,
-    length: int,
-    width: int,
-    seed_value: int = 0,
-    prior_tail: np.ndarray | None = None,
-    prior_count: int = 0,
+# perf: allow(REPRO401, REPRO402): per-trace staging, runs once per batch
+def folded_history_block(
+    history: np.ndarray,
+    prior: int,
+    lengths,
+    widths,
+    seeds,
 ) -> np.ndarray:
-    """Per-event values of an incremental :class:`FoldedHistory` register.
+    """Per-event values of many :class:`FoldedHistory` registers at once.
 
-    Returns ``F`` (uint16) where ``F[i]`` is the register value *after*
-    pushing ``outcomes[i]`` — i.e. the value a scalar predictor would
-    read when predicting event ``i + 1``.  The recurrence
+    ``history`` is one outcome stream: ``prior`` outcomes pushed before
+    the segment (oldest first, zeros standing in for pushes that never
+    happened) followed by the segment's own outcomes.  Register ``r``
+    folds the last ``lengths[r] <= prior`` outcomes to ``widths[r] <=
+    16`` bits and holds ``seeds[r]`` before the segment.  Returns ``F``
+    (uint16, one row per register) where ``F[r, i]`` is register ``r``
+    *after* pushing segment outcome ``i``.
 
-        f = rotl(f, 1) XOR incoming XOR (outgoing << (length % width))
-
-    is linear over GF(2); de-rotating each per-event term by its push
-    index turns the whole series into one prefix-XOR scan.
-
-    ``seed_value`` is the register before event 0; ``prior_count`` is how
-    many pushes produced it and ``prior_tail`` holds the most recent
-    ``min(prior_count, length)`` of those outcomes (oldest first), which
-    supply the bits that fall out of the window during the first
-    ``length`` local pushes.
+    The recurrence ``f = rotl(f, 1) ^ incoming ^ (outgoing << (length %
+    width))`` is linear over GF(2): de-rotating each per-push term by
+    its push index turns a register's whole series into one prefix-XOR
+    scan, and rows with their own width rotate side by side.
     """
-    n = len(outcomes)
-    result = np.zeros(n, dtype=np.uint16)
-    if length == 0 or n == 0:
-        result[:] = seed_value
+    history = np.asarray(history, dtype=np.uint32)
+    n = len(history) - prior
+    count = len(lengths)
+    result = np.empty((count, max(n, 0)), dtype=np.uint16)
+    if n <= 0:
         return result
-    # Outgoing bit for local push i (0-based): with g = prior_count + i
-    # pushes already applied, the window is full once g >= length and the
-    # leaving bit is the one pushed at global index g - length — served
-    # from ``prior_tail`` while that index predates this segment, from
-    # ``outcomes`` afterwards.
-    outgoing = np.zeros(n, dtype=np.uint16)
-    tail = (
-        np.zeros(0, dtype=np.uint16)
-        if prior_tail is None
-        else np.asarray(prior_tail, dtype=np.uint16)
-    )
-    first = max(0, length - prior_count)
-    tail_end = min(n, length)  # local pushes [first, tail_end) drain the tail
-    if tail_end > first and len(tail) > 0:
-        tail0 = first - length + len(tail)
-        if tail0 < 0:
-            raise ValueError(
-                f"prior_tail holds {len(tail)} bits but the {length}-deep "
-                f"window needs {min(prior_count, length)}"
-            )
-        outgoing[first:tail_end] = tail[tail0 : tail0 + (tail_end - first)]
-    if n > length:
-        outgoing[length:] = outcomes[: n - length]
-
-    shifts = (np.arange(1, n + 1, dtype=np.uint32)) % np.uint32(width)
-    terms = np.asarray(outcomes, dtype=np.uint16) ^ (
-        outgoing << np.uint16(length % width)
-    )
-    derot = _rot_terms(terms, shifts, width, left=False).astype(np.uint16)
-    np.bitwise_xor.accumulate(derot, out=derot)
-    derot ^= np.uint16(seed_value)
-    rerot = _rot_terms(derot, shifts, width, left=True).astype(np.uint16)
-    return rerot
+    incoming = history[prior:]
+    pushes = np.arange(1, n + 1, dtype=np.uint32)
+    step = max(1, _FOLD_BLOCK_ELEMENTS // n)
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        length = np.asarray(lengths[lo:hi], dtype=np.int64)
+        width = np.asarray(widths[lo:hi], dtype=np.uint32)[:, None]
+        # The bit leaving register r's window at push i was pushed
+        # ``length`` pushes earlier: a shifted slice of the stream.
+        outgoing = np.stack([history[prior - d : prior - d + n] for d in length.tolist()])
+        terms = incoming ^ (outgoing << (length[:, None] % width).astype(np.uint32))
+        wmask = (np.uint32(1) << width) - np.uint32(1)
+        shift = pushes % width
+        back = (width - shift) % width
+        terms = ((terms >> shift) | (terms << back)) & wmask
+        np.bitwise_xor.accumulate(terms, axis=1, out=terms)
+        terms ^= np.asarray(seeds[lo:hi], dtype=np.uint32)[:, None]
+        result[lo:hi] = ((terms << shift) | (terms >> back)) & wmask
+    return result

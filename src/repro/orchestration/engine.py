@@ -82,10 +82,12 @@ class CampaignPlan:
     warmup_branches: int = 0
     warm_share: dict[str, str] = field(default_factory=dict)
     #: Simulation kernel for every task: "scalar" | "vectorized" | "auto"
-    #: (see ``repro.sim.batchkernel``).  Non-scalar kernels join the task
+    #: (see ``repro.sim.batchkernel``).  ``auto``, the default, runs each
+    #: predictor on its batch kernel where one supports it and on the
+    #: scalar loop otherwise.  Non-scalar kernels join the task
     #: fingerprints, so scalar and vectorized results never share a
     #: cache entry.
-    kernel: str = "scalar"
+    kernel: str = "auto"
     trace_specs: list[TraceSpec] = field(init=False)
 
     def __post_init__(self) -> None:

@@ -39,7 +39,12 @@ from repro.trace.records import Trace
 _SOURCE_CACHE: dict[type, str] = {}
 
 #: The modules a non-scalar kernel mode runs on top of the simulator.
-KERNEL_MODULES = ("repro.sim.batchkernel", "repro.sim.bfkernel", "repro.common.tablestate")
+KERNEL_MODULES = (
+    "repro.sim.batchkernel",
+    "repro.sim.bfkernel",
+    "repro.sim.tagekernel",
+    "repro.common.tablestate",
+)
 
 
 def _canonical(data: object) -> str:

@@ -93,7 +93,9 @@ def _run_one(task: Task, trace_cache: dict) -> tuple[dict, float, dict]:
         )
         if warm is None:
             source = task.warm_factory()
-            warm = simulate(source, trace, stop_after=warm_position).checkpoint
+            warm = simulate(
+                source, trace, stop_after=warm_position, kernel=task.kernel
+            ).checkpoint
             if state_store is not None:
                 state_store.save(task.warm_key, warm)
         components = (

@@ -176,10 +176,11 @@ class Task:
     checkpoint_every: int | None = None
     state_dir: str | None = None
     #: Simulation kernel: "scalar" (the reference loop), "vectorized"
-    #: (require a registered batch kernel) or "auto" (vectorized when one
-    #: supports the predictor, scalar otherwise).  Part of the task
-    #: fingerprint whenever non-scalar — see ``task_fingerprint``.
-    kernel: str = "scalar"
+    #: (require a registered batch kernel) or "auto" (the default:
+    #: vectorized when one supports the predictor, scalar otherwise).
+    #: Part of the task fingerprint whenever non-scalar — see
+    #: ``task_fingerprint``.
+    kernel: str = "auto"
     #: Warm-share source: the context key its warmed state is stored
     #: under, the factory that computes it on a cold store, and which
     #: top-level payload components to transplant (None = all shared).

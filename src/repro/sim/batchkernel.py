@@ -31,12 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.tablestate import (
-    folded_history_series,
-    mix64_array,
-    packed_history_series,
-    signed_history_matrix,
-)
+from repro.common.tablestate import packed_history_series, signed_history_matrix
 from repro.predictors.base import BranchPredictor, hot_path
 from repro.sim.simulator import simulate
 
@@ -59,8 +54,10 @@ from repro.sim.simulator import simulate
 
 
 def _build_counter_luts():
-    code = np.arange(256)
-    a = (code & 0xF).astype(np.int64) - 4
+    # int16 lanes: every value fits, and the 256 x 256 temporaries stay
+    # small when the module is imported.
+    code = np.arange(256, dtype=np.int16)
+    a = (code & 0xF) - 4
     b = (code >> 4) & 3
     c = (code >> 6) & 3
     # COMP[early << 8 | late]: apply ``early`` first, then ``late``.
@@ -417,13 +414,18 @@ def _register_builtins() -> None:
     from repro.predictors.gshare import GShare
     from repro.predictors.perceptron import GlobalPerceptron
     from repro.predictors.static_ import AlwaysTaken, Bimodal
+    from repro.predictors.tage import ISLTage, Tage
     from repro.sim.bfkernel import BFNeuralKernel
+    from repro.sim.tagekernel import TageKernel
 
     register_kernel(AlwaysTaken, _AlwaysTakenKernel())
     register_kernel(Bimodal, _BimodalKernel())
     register_kernel(GShare, _GShareKernel())
     register_kernel(GlobalPerceptron, _PerceptronKernel())
     register_kernel(BFNeural, BFNeuralKernel())
+    tage_kernel = TageKernel()
+    register_kernel(Tage, tage_kernel)
+    register_kernel(ISLTage, tage_kernel)
 
 
 def simulate_batch(predictor, trace, kernel: str = "auto", **options):

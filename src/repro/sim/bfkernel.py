@@ -46,16 +46,141 @@ from itertools import repeat
 import numpy as np
 
 from repro.common.tablestate import (
-    folded_history_series,
+    folded_history_block,
     mix64_array,
     packed_history_series,
+    ring_history,
+    ring_write,
 )
 from repro.core.bst import BranchStatus
 from repro.core.recency_stack import RSEntry
 from repro.predictors.base import hot_path
 
 _PROVIDERS = ("default", "bst", "neural", "loop")
+_STATUSES = tuple(BranchStatus)
 _LOOP_SKEW = 0x517C_C1B7
+_LOOP_FIELDS = ("tag", "past_trip", "current_trip", "confidence", "age", "valid")
+
+
+# ---------------------------------------------------------------------------
+# Loop predictor staging, shared with the TAGE kernel (tagekernel.py): the
+# entries as per-field ``[set][way]`` lists the replay loop indexes
+# directly, every event's skewed (set, tag) per way from one vectorized
+# hash, and the writeback into the entry objects.
+# ---------------------------------------------------------------------------
+
+
+# perf: allow(REPRO401): a 64-entry table, staged once per batch
+def stage_loop(loop) -> tuple:
+    """The loop table as one ``[set][way]`` list per field of
+    :data:`_LOOP_FIELDS` (tag, past, current, confidence, age, valid)."""
+    return tuple(
+        [[getattr(entry, name) for entry in ways] for ways in loop._table]
+        for name in _LOOP_FIELDS
+    )
+
+
+def loop_rows(loop, pcs: np.ndarray) -> tuple[list, list]:
+    """Per event, the set and the tag of its pc in every way (lists of
+    per-way lists): ``LoopPredictor._slots`` for a whole pc array."""
+    way_ix = np.arange(1, loop.ways + 1, dtype=np.uint64)
+    hashed = mix64_array(pcs[:, None] + np.uint64(_LOOP_SKEW) * way_ix[None, :])
+    sets = (hashed % np.uint64(loop.sets)).astype(np.int64).tolist()
+    tags = ((hashed >> np.uint64(20)) & np.uint64((1 << loop.tag_bits) - 1)).astype(
+        np.int64
+    ).tolist()
+    return sets, tags
+
+
+def write_back_loop(loop, fields: tuple) -> None:
+    """Install :func:`stage_loop` field lists back into the loop entries."""
+    for si, ws in enumerate(loop._table):
+        for wy, entry in enumerate(ws):
+            for name, values in zip(_LOOP_FIELDS, fields):
+                setattr(entry, name, values[si][wy])
+
+
+# perf: allow(REPRO401): per-trace staging, runs once per batch
+def _stage_weights(predictor, bias_idx, wm_rows_mat, widx_raw, pad) -> tuple:
+    """Gather the weights the weight-touching events use into one arena.
+
+    Each event's index row addresses the whole-table layout Wb | Wm
+    (row-major) | Wrs | dummy slot (padding RS lanes point at the
+    dummy).  Returns the arena (the touched slots in that order, then
+    the dummy), the index rows remapped onto it, and the touched Wb
+    indices, Wm rows and Wrs indices :func:`_write_back_weights`
+    scatters it back to: staging and writeback scale with the segment,
+    not the tables.  A long segment that touches most of the tables
+    converts them whole instead (``touched`` is None, the rows stay in
+    the whole-table layout): past that point the per-slot gathers and
+    the remap cost more than one conversion per table.
+    """
+    cfg = predictor.config
+    ht = cfg.ht
+    wm_off = cfg.bias_entries
+    wrs_off = wm_off + cfg.wm_rows * ht
+    dummy = wrs_off + cfg.wrs_entries
+    aidx = np.empty((len(bias_idx), 1 + ht + cfg.rs_depth), dtype=np.int64)
+    aidx[:, 0] = bias_idx
+    aidx[:, 1 : 1 + ht] = wm_off + wm_rows_mat * ht + np.arange(ht)[None, :]
+    aidx[:, 1 + ht :] = np.where(pad, dummy, wrs_off + widx_raw)
+    used = np.zeros(dummy + 1, dtype=bool)
+    used[aidx.ravel()] = True
+    used[dummy] = True
+    if 2 * np.count_nonzero(used) > len(used):
+        arena = np.empty(dummy + 1, dtype=np.int32)
+        arena[:wm_off] = predictor._wb
+        arena[wm_off:wrs_off] = np.asarray(predictor._wm, dtype=np.int32).ravel()
+        arena[wrs_off:dummy] = predictor._wrs
+        arena[dummy] = 0
+        return arena, aidx, None
+    # Wm is staged in whole rows (one list each in the predictor).
+    wm_used = used[wm_off:wrs_off].reshape(cfg.wm_rows, ht)
+    wm_used |= wm_used.any(axis=1)[:, None]
+    slots = np.flatnonzero(used)
+    nb, nm, nr = np.searchsorted(slots, (wm_off, wrs_off, dummy)).tolist()
+    touched = (
+        slots[:nb].tolist(),
+        ((slots[nb:nm:ht] - wm_off) // ht).tolist(),
+        (slots[nm:nr] - wrs_off).tolist(),
+    )
+    wb_slots, wm_rows, wrs_slots = touched
+    staged = list(map(predictor._wb.__getitem__, wb_slots))
+    wm = predictor._wm
+    for row in wm_rows:
+        staged += wm[row]
+    staged += map(predictor._wrs.__getitem__, wrs_slots)
+    staged.append(0)
+    remap = np.cumsum(used, dtype=np.intp)
+    remap -= 1
+    return np.array(staged, dtype=np.int32), remap[aidx], touched
+
+
+# perf: allow(REPRO401): per-trace writeback, runs once per batch
+def _write_back_weights(predictor, arena: np.ndarray, touched: tuple | None) -> None:
+    """Scatter a :func:`_stage_weights` arena back into Wb, Wm and Wrs."""
+    cfg = predictor.config
+    if touched is None:
+        wm_off = cfg.bias_entries
+        wrs_off = wm_off + cfg.wm_rows * cfg.ht
+        predictor._wb = arena[:wm_off].tolist()
+        predictor._wm = arena[wm_off:wrs_off].reshape(cfg.wm_rows, cfg.ht).tolist()
+        predictor._wrs = arena[wrs_off:-1].tolist()
+        return
+    wb_slots, wm_rows, wrs_slots = touched
+    weights = arena.tolist()
+    wb = predictor._wb
+    for slot, value in zip(wb_slots, weights):
+        wb[slot] = value
+    ht = cfg.ht
+    lo = len(wb_slots)
+    wm = predictor._wm
+    for row in wm_rows:
+        wm[row] = weights[lo : lo + ht]
+        lo += ht
+    wrs = predictor._wrs
+    for slot, value in zip(wrs_slots, weights[lo:]):
+        wrs[slot] = value
 
 
 # perf: allow(REPRO402): dtype lookups amortize over the whole column fold
@@ -109,15 +234,20 @@ class BFNeuralKernel:
         np.maximum.accumulate(starts, out=starts)
         pos = positions - starts
 
-        s0 = np.fromiter((int(s) for s in bst._state), np.uint8, count=bst.entries)
-        init = s0[sidx]
+        # Stage only the entries this segment touches: one read per
+        # distinct BST index, spread over its events by group number.
+        state_list = bst._state
+        group = np.cumsum(seg_start, dtype=np.int64)
+        touched = sidx[seg_start].tolist()
+        init = np.fromiter(
+            map(state_list.__getitem__, touched), np.uint8, count=len(touched)
+        )[group - 1]
         first_out = souts[starts]
         dir_ = np.where(init == 1, 1, np.where(init == 2, 0, first_out)).astype(
             np.uint8
         )
         disagree = souts != dir_
         disagree &= ~((init == 0) & (pos == 0))  # first sighting only records
-        group = np.cumsum(seg_start, dtype=np.int64)
         running = np.maximum.accumulate(group * 2 + disagree)
         nb_after_s = (running - group * 2) == 1
         nb_after_s |= init == 3
@@ -207,33 +337,22 @@ class BFNeuralKernel:
         # ------------------------------------------------------------------
         folds = predictor._folds
         ring = folds.ring
-        count0 = len(ring)
         depths = folds.depths
-        fold_final = []
-        want_ladder = bool(nc) and use_fold
-        if want_ladder:
-            ladder = np.empty((nc, len(depths)), dtype=np.uint16)
-            cidx_prev = np.maximum(cidx - 1, 0)
-            at_zero = cidx == 0
-        for t, depth in enumerate(depths):
-            usable = min(count0, depth)
-            tail = np.array(
-                [ring.at(k) for k in range(usable - 1, -1, -1)], dtype=np.uint16
-            )
-            seed_value = folds.values[t]
-            series = folded_history_series(
-                outs,
-                depth,
-                width,
-                seed_value=seed_value,
-                prior_tail=tail,
-                prior_count=count0,
-            )
-            fold_final.append(int(series[-1]))
-            if want_ladder:
-                before = series[cidx_prev]
-                before[at_zero] = seed_value
-                ladder[:, t] = before
+        deepest = depths[-1]
+        usable = min(len(ring), deepest)
+        history = np.zeros(deepest + n, dtype=np.uint32)
+        if usable:
+            history[deepest - usable : deepest] = ring_history(ring._buf, ring._head)[
+                ring.capacity - usable :
+            ]
+        history[deepest:] = outs
+        series = folded_history_block(
+            history, deepest, depths, [width] * len(depths), folds.values
+        )
+        fold_final = series[:, -1].tolist()
+        if nc and use_fold:
+            ladder = series.T[np.maximum(cidx - 1, 0)]
+            ladder[cidx == 0] = folds.values
         depths_arr = np.array(depths, dtype=np.int64)
 
         # ------------------------------------------------------------------
@@ -340,20 +459,10 @@ class BFNeuralKernel:
             probe.sort(axis=1)
             dup = np.any(probe[:, 1:] == probe[:, :-1], axis=1)
 
-            # Weight arena: Wb | Wm (row-major) | Wrs | dummy pad slot.
-            wm_off = cfg.bias_entries
-            wrs_off = wm_off + cfg.wm_rows * ht
-            dummy = wrs_off + cfg.wrs_entries
-            arena = np.empty(dummy + 1, dtype=np.int32)
-            arena[:wm_off] = predictor._wb
-            arena[wm_off:wrs_off] = np.asarray(predictor._wm, dtype=np.int32).ravel()
-            arena[wrs_off:dummy] = predictor._wrs
-            arena[dummy] = 0
+            arena, aidx, touched = _stage_weights(
+                predictor, bias_idx, wm_rows_mat, widx_raw, pad
+            )
             lane = 1 + ht + rsd
-            aidx = np.empty((nc, lane), dtype=np.int64)
-            aidx[:, 0] = bias_idx
-            aidx[:, 1 : 1 + ht] = wm_off + wm_rows_mat * ht + cols[None, :]
-            aidx[:, 1 + ht :] = np.where(pad, dummy, wrs_off + widx_raw)
             signs = np.empty((nc, lane), dtype=np.int32)
             signs[:, 0] = 1
             signs[:, 1 : 1 + ht] = signs_wm
@@ -366,24 +475,11 @@ class BFNeuralKernel:
         has_loop = loop is not None
         if has_loop:
             ways = loop.ways
-            nsets = loop.sets
-            tag_mask = (1 << loop.tag_bits) - 1
             trip_max = loop.TRIP_MAX
-            ltag = [[e.tag for e in ws] for ws in loop._table]
-            lpast = [[e.past_trip for e in ws] for ws in loop._table]
-            lcur = [[e.current_trip for e in ws] for ws in loop._table]
-            lconf = [[e.confidence for e in ws] for ws in loop._table]
-            lage = [[e.age for e in ws] for ws in loop._table]
-            lvalid = [[e.valid for e in ws] for ws in loop._table]
+            loop_state = stage_loop(loop)
+            ltag, lpast, lcur, lconf, lage, lvalid = loop_state
             if nc:
-                way_ix = np.arange(1, ways + 1, dtype=np.uint64)
-                hashed = mix64_array(
-                    pc_c[:, None] + np.uint64(_LOOP_SKEW) * way_ix[None, :]
-                )
-                lsets = (hashed % np.uint64(nsets)).astype(np.int64).tolist()
-                ltags = (
-                    (hashed >> np.uint64(20)) & np.uint64(tag_mask)
-                ).astype(np.int64).tolist()
+                lsets, ltags = loop_rows(loop, pc_c)
 
         # ------------------------------------------------------------------
         # Sequential replay of the weight-touching events.
@@ -533,9 +629,8 @@ class BFNeuralKernel:
         # ------------------------------------------------------------------
         # Write the final state back through the scalar representations.
         # ------------------------------------------------------------------
-        state_list = bst._state
         for fi, fv in zip(final_bst_idx.tolist(), final_bst_status.tolist()):
-            state_list[fi] = BranchStatus(fv)
+            state_list[fi] = _STATUSES[fv]
 
         rs._entries = [
             RSEntry(address=lpcs[j], stamp=int(log_stamp[j]), outcome=bool(log_sign[j] > 0))
@@ -544,18 +639,9 @@ class BFNeuralKernel:
         rs._clock = base_clock + n
 
         if nc:
-            predictor._wb = arena[:wm_off].tolist()
-            predictor._wm = arena[wm_off:wrs_off].reshape(cfg.wm_rows, ht).tolist()
-            predictor._wrs = arena[wrs_off:dummy].tolist()
+            _write_back_weights(predictor, arena, touched)
         if has_loop:
-            for si, ws in enumerate(loop._table):
-                for wy, entry in enumerate(ws):
-                    entry.tag = ltag[si][wy]
-                    entry.past_trip = lpast[si][wy]
-                    entry.current_trip = lcur[si][wy]
-                    entry.confidence = lconf[si][wy]
-                    entry.age = lage[si][wy]
-                    entry.valid = lvalid[si][wy]
+            write_back_loop(loop, loop_state)
         predictor._withloop = withloop
         predictor.theta = theta
         predictor._tc = tc
@@ -570,18 +656,11 @@ class BFNeuralKernel:
         ]
 
         folds.values[:] = fold_final
-        cap = ring.capacity
-        head0 = ring._head
-        buf = np.asarray(ring._buf, dtype=np.int64)
-        lo = max(0, n - cap)
-        slots = (head0 + np.arange(lo, n, dtype=np.int64)) % cap
-        buf[slots] = outs[lo:]
-        ring._buf = buf.tolist()
-        ring._head = (head0 + n) % cap
-        ring._count = min(ring._count + n, cap)
+        ring._head = ring_write(ring._buf, ring._head, outs)
+        ring._count = min(ring._count + n, ring.capacity)
 
         last_i = n - 1
-        predictor._last_status = BranchStatus(int(status_before[last_i]))
+        predictor._last_status = _STATUSES[int(status_before[last_i])]
         predictor._last_pred = bool(preds[last_i])
         predictor._last_provider = _PROVIDERS[int(prov[last_i])]
         predictor._last_used_weights = bool(nb_before[last_i])

@@ -102,6 +102,14 @@ class TestFixtures:
             (tmp_path / directory / "pred.py").write_text(code)
         findings = lint_paths([tmp_path / "a", tmp_path / "b"])
         assert [(f.rule, f.symbol) for f in findings] == [("REPRO005", "A")] * 2
+        # ... and each is reported, and baselined, under its own file.
+        assert sorted(f.file for f in findings) == ["a/pred.py", "b/pred.py"]
+        assert len({f.render() for f in findings}) == 2
+        assert len({f.baseline_key for f in findings}) == 2
+        path = tmp_path / "baseline.json"
+        write_baseline(path, findings[:1], Baseline(entries=[]))
+        new, suppressed, stale = load_baseline(path).split(findings)
+        assert (new, suppressed, stale) == (findings[1:], findings[:1], [])
 
 
 class TestRuleEdgeCases:

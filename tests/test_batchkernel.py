@@ -26,6 +26,7 @@ the packed-history shift register, the perceptron's ±1 history and the
 incremental ``FoldedHistory`` fold.
 """
 
+import json
 import os
 
 import numpy as np
@@ -36,21 +37,22 @@ from hypothesis import strategies as st
 from repro.common.bitops import mix64
 from repro.common.histories import FoldedHistory
 from repro.common.tablestate import (
-    folded_history_series,
+    folded_history_block,
     mix64_array,
     packed_history_series,
     signed_history_matrix,
     table_array,
     table_list,
 )
-from repro.core import BFNeural
+from repro.common.state import PredictorState
+from repro.core import BFISLTage, BFNeural, BFTage, BFTageConfig
 from repro.core.bfneural import BFNeuralConfig
 from repro.core.configs import bf_neural_32kb
-from repro.predictors import Bimodal, GShare, Tage, TageConfig
+from repro.predictors import Bimodal, GShare, ISLTage, ScaledNeural, Tage, TageConfig
 from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
 from repro.sim.batchkernel import kernel_for, simulate_batch
-from repro.sim.simulator import KERNEL_MODES
+from repro.sim.simulator import KERNEL_MODES, _scalar_segment, segment_runner
 from repro.trace.records import Trace, TraceMetadata
 from repro.workloads import SUITE_NAMES, WILD_NAMES, build_trace
 
@@ -60,6 +62,13 @@ PORTED = {
     "gshare": GShare,
     "perceptron": lambda: GlobalPerceptron(256, 24),
     "bf-neural": BFNeural,
+    # Small tables a 4,000-event trace mostly touches: the kernel then
+    # stages them whole instead of slot by slot.
+    "bf-neural-small": lambda: BFNeural(
+        BFNeuralConfig(bst_entries=1024, bias_entries=256, wrs_entries=2048, wm_rows=64)
+    ),
+    "tage15": lambda: Tage(TageConfig.for_tables(15)),
+    "isl-tage15": lambda: ISLTage(TageConfig.for_tables(15)),
 }
 
 QUICK_TRACES = ("SPEC03", "SPEC17", "WILD2")
@@ -155,18 +164,34 @@ class TestDispatch:
             assert kernel_for(factory()) is not None
 
     def test_registry_rejects_unported_predictor(self):
-        assert kernel_for(Tage(TageConfig.for_tables(4))) is None
+        assert kernel_for(ScaledNeural()) is None
+        # Exact-type registration: ISL-TAGE's kernel never takes the
+        # BF-TAGE core of its BF-ISL-TAGE subclass.
+        assert kernel_for(BFISLTage(BFTageConfig.for_tables(4))) is None
+        assert kernel_for(ISLTage(core=BFTage(BFTageConfig.for_tables(4)))) is None
 
     def test_vectorized_mode_raises_for_unported(self):
         trace = build_trace("SPEC00", 200)
         with pytest.raises(ValueError, match="no vectorized kernel"):
-            simulate(
-                Tage(TageConfig.for_tables(4)), trace, kernel="vectorized"
-            )
+            simulate(ScaledNeural(), trace, kernel="vectorized")
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            ScaledNeural,
+            lambda: BFISLTage(BFTageConfig.for_tables(10)),
+            lambda: BFTage(BFTageConfig.for_tables(10)),
+        ],
+        ids=["oh-snap", "bf-isl-tage10", "bf-tage10"],
+    )
+    def test_auto_mode_costs_nothing_without_a_kernel(self, factory):
+        # ``auto`` hands a predictor no kernel supports the scalar runner
+        # itself: no wrapper, no per-segment dispatch.
+        assert segment_runner(factory(), "auto") is _scalar_segment
 
     def test_auto_mode_falls_back_to_scalar(self):
         trace = build_trace("SPEC00", 1_000)
-        factory = lambda: Tage(TageConfig.for_tables(4))  # noqa: E731
+        factory = ScaledNeural
         scalar_p, auto_p = factory(), factory()
         scalar = simulate(scalar_p, trace)
         auto = simulate(auto_p, trace, kernel="auto")
@@ -241,34 +266,42 @@ class TestArrayStateSubstrate:
 
     @pytest.mark.parametrize("length,width", [(17, 11), (8, 8), (5, 12)])
     def test_folded_history_matches_incremental_fold(self, length, width):
+        # Two registers of different window and width, side by side in
+        # one block, each against its own incremental FoldedHistory.
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, size=160, dtype=np.uint8)
-        fold = FoldedHistory(length, width)
-        window = []
+        registers = ((length, width), (3, 5))
         expected = []
-        for bit in bits:
-            outgoing = window[-length] if len(window) >= length else 0
-            fold.update(int(bit), outgoing)
-            window.append(int(bit))
-            expected.append(fold.value)
-        series = folded_history_series(bits, length, width)
-        assert [int(v) for v in series] == expected
+        for reg_length, reg_width in registers:
+            fold = FoldedHistory(reg_length, reg_width)
+            values = []
+            for i, bit in enumerate(bits):
+                outgoing = int(bits[i - reg_length]) if i >= reg_length else 0
+                fold.update(int(bit), outgoing)
+                values.append(fold.value)
+            expected.append(values)
+        prior = max(reg_length for reg_length, _ in registers)
+        history = np.concatenate([np.zeros(prior, dtype=np.uint8), bits])
+        block = folded_history_block(
+            history, prior, *zip(*registers), [0] * len(registers)
+        )
+        assert block.tolist() == expected
 
     def test_folded_history_resume_matches_straight_run(self):
+        # A segment seeded with the register value and the window's
+        # bits from before the cut continues the straight series.
         rng = np.random.default_rng(19)
         bits = rng.integers(0, 2, size=120, dtype=np.uint8)
         length, width, cut = 15, 9, 47
-        straight = folded_history_series(bits, length, width)
-        head = folded_history_series(bits[:cut], length, width)
-        tail = folded_history_series(
-            bits[cut:],
-            length,
-            width,
-            seed_value=int(head[-1]),
-            prior_tail=bits[max(0, cut - length) : cut],
-            prior_count=cut,
-        )
-        assert [int(v) for v in tail] == [int(v) for v in straight[cut:]]
+        history = np.concatenate([np.zeros(length, dtype=np.uint8), bits])
+        straight = folded_history_block(history, length, [length], [width], [0])[0]
+        head = folded_history_block(
+            history[: length + cut], length, [length], [width], [0]
+        )[0]
+        tail = folded_history_block(
+            history[cut:], length, [length], [width], [int(head[-1])]
+        )[0]
+        assert tail.tolist() == straight[cut:].tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,12 +341,14 @@ def test_random_traces_agree_event_by_event(data, events):
     assert vec_p.state_hash() == scalar_p.state_hash()
 
 
-#: One ported counter table, the ported paper predictor and a TAGE that
-#: no kernel supports, so ``kernel="auto"`` runs it on the scalar loop.
+#: One ported counter table, the ported paper predictor, a TAGE on its
+#: hybrid kernel and OH-SNAP, which no kernel supports, so
+#: ``kernel="auto"`` runs it on the scalar loop.
 SEGMENTED = {
     "gshare": GShare,
     "bf-neural": BFNeural,
-    "tage4": lambda: Tage(TageConfig.for_tables(4)),
+    "isl-tage4": lambda: ISLTage(TageConfig.for_tables(4)),
+    "oh-snap": ScaledNeural,
 }
 SEGMENT_TRACE = build_trace("SPEC05", 1_200)
 
@@ -422,6 +457,111 @@ def test_bf_neural_config_sweep_matches_scalar(config, data):
         name = data.draw(st.sampled_from(SUITE_NAMES), label="suite trace")
         trace = build_trace(name, 1_500)
     _assert_identical(lambda: BFNeural(config), trace)
+
+
+#: The TAGE kernel sweep: every tagged-table count 4-15, plain TAGE and
+#: ISL-TAGE with the loop predictor and the statistical corrector each
+#: on and off, a useful-bit aging period short enough to age several
+#: times inside one kernel call, and each case on one suite trace so the
+#: 60 cases cover all 40.
+TAGE_CASES = [
+    (tables, overlay)
+    for overlay in (None, (False, False), (True, False), (False, True), (True, True))
+    for tables in range(4, 16)
+]
+TAGE_AGING_PERIOD = 300
+TAGE_BRANCHES = 1_200
+
+
+def _tage_case(tables, overlay):
+    config = TageConfig(num_tables=tables, useful_reset_period=TAGE_AGING_PERIOD)
+    if overlay is None:
+        return Tage(config)
+    loop, sc = overlay
+    return ISLTage(config, with_loop_predictor=loop, with_statistical_corrector=sc)
+
+
+def _scalar_events(predictor, trace, start, end):
+    """Per-event predictions and providers of the scalar predict/train loop."""
+    predictions, providers = [], []
+    for pc, taken in zip(trace.pcs[start:end], trace.outcomes[start:end]):
+        predictions.append(predictor.predict(pc))
+        providers.append(predictor.provider)
+        predictor.train(pc, taken)
+    return predictions, providers
+
+
+def _kernel_events(predictor, trace, start, end):
+    pcs, outcomes = trace.arrays()
+    predictions, (codes, names) = kernel_for(predictor).run(
+        predictor, pcs, outcomes, start, end
+    )
+    return [bool(p) for p in predictions], [names[c] for c in codes]
+
+
+def _check_tage_kernel(factory, trace):
+    """Predictions, provider names and ``state_hash`` of the TAGE kernel
+    equal the scalar predictor's event by event: straight through,
+    segmented into three kernel calls, and resumed from a JSON snapshot
+    cut mid-trace.  Returns the scalar providers."""
+    total = len(trace)
+    scalar_p = factory()
+    assert kernel_for(scalar_p) is not None
+    expected = _scalar_events(scalar_p, trace, 0, total)
+
+    straight_p = factory()
+    assert _kernel_events(straight_p, trace, 0, total) == expected
+    assert straight_p.state_hash() == scalar_p.state_hash()
+
+    cuts = (0, total // 3, (2 * total) // 3 + 7, total)
+    segmented_p = factory()
+    got = ([], [])
+    for lo, hi in zip(cuts, cuts[1:]):
+        predictions, providers = _kernel_events(segmented_p, trace, lo, hi)
+        got[0].extend(predictions)
+        got[1].extend(providers)
+    assert got == expected
+    assert segmented_p.state_hash() == scalar_p.state_hash()
+
+    head_p = factory()
+    _kernel_events(head_p, trace, 0, cuts[1])
+    snapshot = json.loads(json.dumps(head_p.snapshot().to_json()))
+    resumed_p = factory()
+    resumed_p.restore(PredictorState.from_json(snapshot))
+    tail = _kernel_events(resumed_p, trace, cuts[1], total)
+    assert tail == (expected[0][cuts[1] :], expected[1][cuts[1] :])
+    assert resumed_p.state_hash() == scalar_p.state_hash()
+    return expected[1]
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(len(TAGE_CASES)),
+    ids=[
+        f"{'tage' if o is None else 'isl'}{t}"
+        + ("" if o is None else f"-loop{int(o[0])}-sc{int(o[1])}")
+        for t, o in TAGE_CASES
+    ],
+)
+def test_tage_kernel_matches_scalar_event_by_event(case):
+    tables, overlay = TAGE_CASES[case]
+    trace = build_trace(SUITE_NAMES[case % len(SUITE_NAMES)], TAGE_BRANCHES)
+    providers = _check_tage_kernel(lambda: _tage_case(tables, overlay), trace)
+    assert any(name.startswith("T") for name in providers)
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["no-loop", "loop"])
+def test_tage_kernel_statistical_corrector_matches_scalar(loop):
+    """The suite's short traces rarely drive an SC counter to its
+    threshold, so a noisy biased trace over few pcs makes the corrector
+    revert weak TAGE predictions, with and without the loop override."""
+    rng = np.random.default_rng(5)
+    pcs = 0x4000 + 4 * rng.integers(0, 8, 3_000)
+    bias = np.where(pcs % 32 == 0, 0.7, 0.3)
+    taken = rng.random(3_000) < bias
+    trace = _trace_from(list(zip(pcs.tolist(), taken.tolist())), name="noisy")
+    providers = _check_tage_kernel(lambda: _tage_case(4, (loop, True)), trace)
+    assert "sc" in providers
 
 
 @pytest.mark.vectorized

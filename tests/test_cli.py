@@ -165,6 +165,28 @@ class TestOneTraceResolver:
         assert str(path) in message
         assert "Traceback" not in message + capsys.readouterr().err
 
+    def test_drifted_manifest_pin_exits_with_message(self, tmp_path, capsys):
+        # ``simulate`` and ``campaign`` fingerprint a manifest entry
+        # before any task runs: a pin its content no longer matches exits
+        # with the manifest's message, as ``stats`` does.
+        manifest = tmp_path / "s.toml"
+        manifest.write_text(
+            '[suite]\nname = "s"\nversion = 1\n'
+            '[[entry]]\nkind = "synthetic"\nname = "FP1"\nbranches = 300\n'
+            'fingerprint = "00"\n',
+            encoding="utf-8",
+        )
+        for argv in (
+            ["stats", f"@{manifest}#FP1"],
+            ["simulate", f"@{manifest}#FP1", "--predictors", "gshare"],
+            ["campaign", "run", f"@{manifest}", "--predictors", "gshare",
+             "--cache-dir", str(tmp_path / "cache"), "--quiet"],
+        ):
+            with pytest.raises(SystemExit, match="manifest pins 00") as exc:
+                main(argv)
+            assert "entry 'FP1'" in str(exc.value.code)
+            assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_suite_lists_names(self, capsys):

@@ -827,9 +827,30 @@ class TestTraceSpecFingerprintGolden:
             *expand_trace_arg(f"@{demo}"),
         ]
         tasks = build_tasks(
-            CampaignPlan(factories={"gshare": standard_registry()["gshare"]}, traces=specs)
+            CampaignPlan(
+                factories={"gshare": standard_registry()["gshare"]},
+                traces=specs,
+                kernel="scalar",
+            )
         )
         assert [
             (task.trace.kind, task.trace.name, task.trace.branches, task.fingerprint)
             for task in tasks
         ] == self.GOLDEN
+
+    #: The key of a plan that leaves the kernel at its default, ``auto``:
+    #: it carries ``|kernel=auto`` and the kernel-source digest, so an
+    #: edit to any module in ``KERNEL_MODULES`` changes it too.
+    AUTO_GOLDEN = "11313894fce07c8d340aaa58c35e68edafe3f597cddc92818e067e1ddba2ee2e"
+
+    def test_auto_default_fingerprint(self):
+        from repro.orchestration import trace_spec_for
+
+        plan = CampaignPlan(
+            factories={"gshare": standard_registry()["gshare"]},
+            traces=[trace_spec_for("SPEC02", 3000)],
+        )
+        (task,) = build_tasks(plan)
+        assert plan.kernel == task.kernel == "auto"
+        assert task.fingerprint == self.AUTO_GOLDEN
+        assert task.fingerprint != self.GOLDEN[0][3]
