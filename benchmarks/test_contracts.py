@@ -24,7 +24,15 @@ from repro.experiments import common
 from repro.orchestration import CampaignPlan, StateStore, TraceSpec, run_plan
 from repro.orchestration.registry import standard_registry
 from repro.orchestration.telemetry import monotonic
-from repro.predictors import Bimodal, GlobalPerceptron, GShare, ISLTage, Tage, TageConfig
+from repro.predictors import (
+    Bimodal,
+    GlobalPerceptron,
+    GShare,
+    ISLTage,
+    ScaledNeural,
+    Tage,
+    TageConfig,
+)
 from repro.serving import PredictionServer, WarmSnapshotPool, run_load
 from repro.sim import simulate
 from repro.workloads import build_trace, trace_names
@@ -50,9 +58,10 @@ def _isl_tage(num_tables: int) -> ISLTage:
 
 #: Predictors ported to the batch kernel, with the speedup floor each
 #: one contracts over the scalar loop on a warm plan cache.  Bimodal
-#: and gshare are pure gather/scatter; perceptron, BF-Neural and the
-#: TAGE family keep a sequential python segment (the weight-update
-#: chain, the table side), so their floors are conservative.
+#: and gshare are pure gather/scatter; perceptron, BF-Neural, OH-SNAP
+#: and the TAGE family keep a sequential python segment (the
+#: weight-update chain, the table side), so their floors are
+#: conservative.
 VEC_CONTENDERS = {
     "bimodal": (Bimodal, 10.0),
     "gshare": (GShare, 10.0),
@@ -60,6 +69,7 @@ VEC_CONTENDERS = {
     "bf-neural": (BFNeural, 3.0),
     "tage15": (lambda: Tage(TageConfig.for_tables(15)), 2.0),
     "isl-tage15": (partial(_isl_tage, 15), 2.0),
+    "oh-snap": (ScaledNeural, 1.5),
 }
 
 
@@ -109,6 +119,7 @@ CAMPAIGN_BRANCHES = 400
 CAMPAIGN_CONFIGS = {
     "bf-neural": common.bf_neural,
     "fig8-tage15": partial(common.tage_with_loop, 15),
+    "fig8-oh-snap": common.oh_snap,
 }
 
 

@@ -67,7 +67,7 @@ REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_batchkernel.py \
     exit 1
 }
 python3 -m repro campaign --kernel vectorized \
-    --predictors bimodal gshare perceptron bf-neural isl-tage15 tage15 \
+    --predictors bimodal gshare perceptron bf-neural isl-tage15 tage15 oh-snap \
     --jobs "$(nproc)" --telemetry results/campaign-vectorized-telemetry.jsonl \
     --output results/campaign-vectorized.txt --quiet
 # Campaigns default to --kernel auto: on five suite traces the default
@@ -76,12 +76,12 @@ for kernel in default scalar; do
     flag=()
     [ "$kernel" = scalar ] && flag=(--kernel scalar)
     python3 -m repro campaign SPEC02 SPEC11 FP1 MM3 SERV2 "${flag[@]}" \
-        --predictors isl-tage15 tage15 bf-neural \
+        --predictors isl-tage15 tage15 bf-neural oh-snap \
         --cache-dir "results/kernel-$kernel-cache" \
         --output "results/campaign-kernel-$kernel.txt" --quiet
 done
-grep -E '^(isl-tage15|tage15|bf-neural) ' results/campaign-kernel-default.txt \
-    | cmp - <(grep -E '^(isl-tage15|tage15|bf-neural) ' results/campaign-kernel-scalar.txt) || {
+grep -E '^(isl-tage15|tage15|bf-neural|oh-snap) ' results/campaign-kernel-default.txt \
+    | cmp - <(grep -E '^(isl-tage15|tage15|bf-neural|oh-snap) ' results/campaign-kernel-scalar.txt) || {
     echo KERNEL_DEFAULT_MISMATCH
     exit 1
 }

@@ -18,6 +18,7 @@ that assert bit-identity event by event.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.common.bitops import MIX64_M1, MIX64_M2, U64
 
@@ -104,29 +105,43 @@ def packed_history_series(
     return out.astype(np.uint64)
 
 
-# perf: allow(REPRO401): per-trace staging, runs once per batch
+# perf: allow(REPRO401): per-chunk staging, runs once per kernel chunk
+def history_windows(values: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Per-event contents of a shift register, as seen *before* each event.
+
+    The register holds ``len(seed)`` values, newest first, and each
+    event pushes its entry of ``values``.  ``W[i, j]`` is the value
+    pushed ``j + 1`` events before event ``i`` (``seed[j - i]`` when
+    that is before event 0), and the extra last row ``W[n]`` is the
+    register after the last push, the state a kernel writes back.
+    The result (``n + 1`` C-contiguous rows) has ``seed``'s dtype.
+    """
+    seed = np.asarray(seed)
+    length = len(seed)
+    ext = np.empty(len(values) + length, dtype=seed.dtype)
+    # seed[j] was pushed j+1 events before event 0: the newest seed
+    # value sits right before event 0 in the extended timeline.
+    ext[:length] = seed[::-1]
+    ext[length:] = values
+    return sliding_window_view(ext, length)[:, ::-1].copy()
+
+
 def signed_history_matrix(
     outcomes: np.ndarray, length: int, seed: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-event ±1 history matrix, as seen *before* each event.
 
     ``M[i, j]`` is the ±1 outcome of the branch ``j + 1`` events before
-    event ``i`` — the perceptron's ``self._history`` at predict time.
-    ``seed`` is the history vector before event 0 (defaults to the
-    perceptron's all-ones power-on state).
+    event ``i`` — the perceptron's ``self._history`` at predict time —
+    and ``M[n]`` is the history after the last event
+    (:func:`history_windows`).  ``seed`` is the history vector before
+    event 0 (defaults to the perceptron's all-ones power-on state).
     """
-    n = len(outcomes)
-    ext = np.empty(n + length, dtype=np.int32)
+    signed = np.multiply(outcomes, 2, dtype=np.int32)
+    signed -= 1
     if seed is None:
-        ext[:length] = 1
-    else:
-        # seed[j] is the outcome j+1 ago: newest seed bit sits right
-        # before event 0 in the extended timeline.
-        ext[:length] = np.asarray(seed, dtype=np.int32)[::-1]
-    np.multiply(outcomes, 2, out=ext[length:], casting="unsafe")
-    ext[length:] -= 1
-    cols = [ext[length - 1 - j : length - 1 - j + n] for j in range(length)]
-    return np.stack(cols, axis=1)
+        seed = np.ones(length, dtype=np.int32)
+    return history_windows(signed, np.asarray(seed, dtype=np.int32))
 
 
 # Elements per temporary in folded_history_block: register groups are

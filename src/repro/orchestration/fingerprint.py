@@ -42,6 +42,7 @@ _SOURCE_CACHE: dict[type, str] = {}
 KERNEL_MODULES = (
     "repro.sim.batchkernel",
     "repro.sim.bfkernel",
+    "repro.sim.snapkernel",
     "repro.sim.tagekernel",
     "repro.common.tablestate",
 )

@@ -18,10 +18,12 @@ prediction removes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.common.bitops import is_power_of_two
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length, expect_range
 from repro.predictors.base import BranchPredictor
 
 _WEIGHT_MIN = -128
@@ -59,16 +61,19 @@ class ScaledNeural(BranchPredictor):
         self._path = np.zeros(history_length, dtype=np.int64)
         self._positions = np.arange(history_length)
         self._scale = scale_fulcrum / (scale_fulcrum + np.arange(history_length))
-        # Adaptive threshold state (TC counter, Seznec O-GEHL style).  The
-        # classic 2.14·(h+1)+20.7 formula assumes unscaled ±1 inputs; with
-        # coefficient scaling the achievable |sum| shrinks by the mean
-        # coefficient, so θ starts proportional to Σf(i) instead —
-        # otherwise training never converges and weights churn forever.
-        self.theta = int(2.0 * float(self._scale.sum()) + 16)
+        # Adaptive threshold state (TC counter, Seznec O-GEHL style).
+        self.theta = self._initial_theta()
         self._tc = 0
         self._last_sum = 0.0
         self._last_cols = np.zeros(history_length, dtype=np.int64)
         self._last_bias_index = 0
+
+    def _initial_theta(self) -> int:
+        # The classic 2.14·(h+1)+20.7 formula assumes unscaled ±1 inputs;
+        # with coefficient scaling the achievable |sum| shrinks by the
+        # mean coefficient, so θ starts proportional to Σf(i) instead —
+        # otherwise training never converges and weights churn forever.
+        return int(2.0 * float(self._scale.sum()) + 16)
 
     def _column_indices(self, pc: int) -> np.ndarray:
         # Hash pc with the path pc at each depth and the depth itself.
@@ -125,7 +130,7 @@ class ScaledNeural(BranchPredictor):
         self._bias.fill(0)
         self._history.fill(1)
         self._path.fill(0)
-        self.theta = int(2.0 * float(self._scale.sum()) + 16)
+        self.theta = self._initial_theta()
         self._tc = 0
         self._last_sum = 0.0
         self._last_cols = np.zeros(self.history_length, dtype=np.int64)
@@ -159,17 +164,53 @@ class ScaledNeural(BranchPredictor):
              "last_cols", "last_bias_index"),
             "ScaledNeural",
         )
+        # Every table and register is shape- and range-checked before any
+        # is installed: a weight row of the wrong width, an out-of-range
+        # column or bias index would otherwise fail (or read a neighbour
+        # row) mid-simulate instead of here.
         expect_length(payload["weights"], self.history_length, "ScaledNeural.weights")
+        for row in payload["weights"]:
+            expect_length(row, self.columns, "ScaledNeural.weights[depth]")
         expect_length(payload["bias"], self.bias_entries, "ScaledNeural.bias")
         expect_length(payload["history"], self.history_length, "ScaledNeural.history")
         expect_length(payload["path"], self.history_length, "ScaledNeural.path")
         expect_length(payload["last_cols"], self.history_length, "ScaledNeural.last_cols")
-        self._weights = np.array(payload["weights"], dtype=np.int32)
-        self._bias = np.array(payload["bias"], dtype=np.int32)
-        self._history = np.array(payload["history"], dtype=np.int32)
-        self._path = np.array(payload["path"], dtype=np.int64)
-        self.theta = int(payload["theta"])
-        self._tc = int(payload["tc"])
-        self._last_sum = float(payload["last_sum"])
-        self._last_cols = np.array(payload["last_cols"], dtype=np.int64)
-        self._last_bias_index = int(payload["last_bias_index"])
+        weights = np.array(payload["weights"], dtype=np.int64)
+        expect_range(
+            [int(weights.min()), int(weights.max())], _WEIGHT_MIN, _WEIGHT_MAX,
+            "ScaledNeural.weights",
+        )
+        bias = [int(v) for v in payload["bias"]]
+        expect_range(bias, _WEIGHT_MIN, _WEIGHT_MAX, "ScaledNeural.bias")
+        history = [int(v) for v in payload["history"]]
+        if any(v not in (-1, 1) for v in history):
+            raise StateError("ScaledNeural.history: values must be -1 or +1")
+        path = [int(v) for v in payload["path"]]
+        expect_range(path, 0, 0xFFFF, "ScaledNeural.path")
+        last_cols = [int(v) for v in payload["last_cols"]]
+        expect_range(last_cols, 0, self.columns - 1, "ScaledNeural.last_cols")
+        last_bias_index = int(payload["last_bias_index"])
+        expect_range(
+            [last_bias_index], 0, self.bias_entries - 1, "ScaledNeural.last_bias_index"
+        )
+        # θ moves one step at a time, down to 1 and up to the register's
+        # 255 (or never above a larger starting value).
+        theta = int(payload["theta"])
+        expect_range(
+            [theta], 1, max(_THETA_MAX, self._initial_theta()), "ScaledNeural.theta"
+        )
+        # The TC counter resets on reaching ±7, so it rests in [-6, 6].
+        tc = int(payload["tc"])
+        expect_range([tc], -6, 6, "ScaledNeural.tc")
+        last_sum = float(payload["last_sum"])
+        if not math.isfinite(last_sum):
+            raise StateError(f"ScaledNeural.last_sum: must be finite, got {last_sum}")
+        self._weights = weights.astype(np.int32)
+        self._bias = np.array(bias, dtype=np.int32)
+        self._history = np.array(history, dtype=np.int32)
+        self._path = np.array(path, dtype=np.int64)
+        self.theta = theta
+        self._tc = tc
+        self._last_sum = last_sum
+        self._last_cols = np.array(last_cols, dtype=np.int64)
+        self._last_bias_index = last_bias_index

@@ -374,12 +374,7 @@ class _PerceptronKernel:
         if n:
             predictor._last_row = int(rows[n - 1])
             predictor._last_sum = int(sums[n - 1])
-            tail = min(length, n)
-            new_hist = np.empty(length, dtype=np.int32)
-            new_hist[:tail] = targets[n - tail :][::-1]
-            if tail < length:
-                new_hist[tail:] = predictor._history[: length - tail]
-            predictor._history = new_hist
+            predictor._history = hist[n].copy()
         return preds, None
 
 
@@ -413,9 +408,11 @@ def _register_builtins() -> None:
     from repro.core.bfneural import BFNeural
     from repro.predictors.gshare import GShare
     from repro.predictors.perceptron import GlobalPerceptron
+    from repro.predictors.snap import ScaledNeural
     from repro.predictors.static_ import AlwaysTaken, Bimodal
     from repro.predictors.tage import ISLTage, Tage
     from repro.sim.bfkernel import BFNeuralKernel
+    from repro.sim.snapkernel import ScaledNeuralKernel
     from repro.sim.tagekernel import TageKernel
 
     register_kernel(AlwaysTaken, _AlwaysTakenKernel())
@@ -423,6 +420,7 @@ def _register_builtins() -> None:
     register_kernel(GShare, _GShareKernel())
     register_kernel(GlobalPerceptron, _PerceptronKernel())
     register_kernel(BFNeural, BFNeuralKernel())
+    register_kernel(ScaledNeural, ScaledNeuralKernel())
     tage_kernel = TageKernel()
     register_kernel(Tage, tage_kernel)
     register_kernel(ISLTage, tage_kernel)

@@ -16,6 +16,9 @@ rewrites preserve it).  These tests enforce the contract three ways:
 * a hypothesis sweep over ``BFNeuralConfig`` geometries and feature
   flags inside the kernel's ``supports()`` range, the independent
   oracle for the scalar core's per-geometry distance tables;
+* event-by-event sweeps of the TAGE and OH-SNAP kernels, straight, in
+  three kernel calls and resumed from a JSON snapshot (OH-SNAP's from
+  start states on its weight, bias and θ bounds);
 * a full 40-trace + WILD1-4 sweep per ported predictor, marked
   ``vectorized`` and gated behind ``REPRO_FULL_DIFFERENTIAL=1``
   (minutes of scalar BF-Neural; ``run_all_experiments.sh`` runs it).
@@ -28,6 +31,8 @@ incremental ``FoldedHistory`` fold.
 
 import json
 import os
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -48,7 +53,16 @@ from repro.common.state import PredictorState
 from repro.core import BFISLTage, BFNeural, BFTage, BFTageConfig
 from repro.core.bfneural import BFNeuralConfig
 from repro.core.configs import bf_neural_32kb
-from repro.predictors import Bimodal, GShare, ISLTage, ScaledNeural, Tage, TageConfig
+from repro.predictors import (
+    Bimodal,
+    FilterPredictor,
+    GShare,
+    ISLTage,
+    PiecewiseLinear,
+    ScaledNeural,
+    Tage,
+    TageConfig,
+)
 from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
 from repro.sim.batchkernel import kernel_for, simulate_batch
@@ -69,6 +83,7 @@ PORTED = {
     ),
     "tage15": lambda: Tage(TageConfig.for_tables(15)),
     "isl-tage15": lambda: ISLTage(TageConfig.for_tables(15)),
+    "oh-snap": ScaledNeural,
 }
 
 QUICK_TRACES = ("SPEC03", "SPEC17", "WILD2")
@@ -164,7 +179,7 @@ class TestDispatch:
             assert kernel_for(factory()) is not None
 
     def test_registry_rejects_unported_predictor(self):
-        assert kernel_for(ScaledNeural()) is None
+        assert kernel_for(PiecewiseLinear()) is None
         # Exact-type registration: ISL-TAGE's kernel never takes the
         # BF-TAGE core of its BF-ISL-TAGE subclass.
         assert kernel_for(BFISLTage(BFTageConfig.for_tables(4))) is None
@@ -173,16 +188,17 @@ class TestDispatch:
     def test_vectorized_mode_raises_for_unported(self):
         trace = build_trace("SPEC00", 200)
         with pytest.raises(ValueError, match="no vectorized kernel"):
-            simulate(ScaledNeural(), trace, kernel="vectorized")
+            simulate(PiecewiseLinear(), trace, kernel="vectorized")
 
     @pytest.mark.parametrize(
         "factory",
         [
-            ScaledNeural,
+            PiecewiseLinear,
+            FilterPredictor,
             lambda: BFISLTage(BFTageConfig.for_tables(10)),
             lambda: BFTage(BFTageConfig.for_tables(10)),
         ],
-        ids=["oh-snap", "bf-isl-tage10", "bf-tage10"],
+        ids=["piecewise", "filter", "bf-isl-tage10", "bf-tage10"],
     )
     def test_auto_mode_costs_nothing_without_a_kernel(self, factory):
         # ``auto`` hands a predictor no kernel supports the scalar runner
@@ -191,7 +207,7 @@ class TestDispatch:
 
     def test_auto_mode_falls_back_to_scalar(self):
         trace = build_trace("SPEC00", 1_000)
-        factory = ScaledNeural
+        factory = PiecewiseLinear
         scalar_p, auto_p = factory(), factory()
         scalar = simulate(scalar_p, trace)
         auto = simulate(auto_p, trace, kernel="auto")
@@ -342,13 +358,14 @@ def test_random_traces_agree_event_by_event(data, events):
 
 
 #: One ported counter table, the ported paper predictor, a TAGE on its
-#: hybrid kernel and OH-SNAP, which no kernel supports, so
-#: ``kernel="auto"`` runs it on the scalar loop.
+#: hybrid kernel, OH-SNAP on its kernel, and a filter predictor, which
+#: no kernel supports, so ``kernel="auto"`` runs it on the scalar loop.
 SEGMENTED = {
     "gshare": GShare,
     "bf-neural": BFNeural,
     "isl-tage4": lambda: ISLTage(TageConfig.for_tables(4)),
     "oh-snap": ScaledNeural,
+    "filter": lambda: FilterPredictor(pht_entries=4096, filter_entries=1024),
 }
 SEGMENT_TRACE = build_trace("SPEC05", 1_200)
 
@@ -493,17 +510,18 @@ def _scalar_events(predictor, trace, start, end):
 
 def _kernel_events(predictor, trace, start, end):
     pcs, outcomes = trace.arrays()
-    predictions, (codes, names) = kernel_for(predictor).run(
-        predictor, pcs, outcomes, start, end
-    )
+    predictions, providers = kernel_for(predictor).run(predictor, pcs, outcomes, start, end)
+    if providers is None:  # every prediction came from the predictor itself
+        return [bool(p) for p in predictions], [predictor.provider] * len(predictions)
+    codes, names = providers
     return [bool(p) for p in predictions], [names[c] for c in codes]
 
 
-def _check_tage_kernel(factory, trace):
-    """Predictions, provider names and ``state_hash`` of the TAGE kernel
-    equal the scalar predictor's event by event: straight through,
-    segmented into three kernel calls, and resumed from a JSON snapshot
-    cut mid-trace.  Returns the scalar providers."""
+def _check_kernel_event_by_event(factory, trace):
+    """Predictions, provider names and ``state_hash`` of a kernel equal
+    the scalar predictor's event by event: straight through, segmented
+    into three kernel calls, and resumed from a JSON snapshot cut
+    mid-trace.  Returns the scalar providers."""
     total = len(trace)
     scalar_p = factory()
     assert kernel_for(scalar_p) is not None
@@ -546,7 +564,7 @@ def _check_tage_kernel(factory, trace):
 def test_tage_kernel_matches_scalar_event_by_event(case):
     tables, overlay = TAGE_CASES[case]
     trace = build_trace(SUITE_NAMES[case % len(SUITE_NAMES)], TAGE_BRANCHES)
-    providers = _check_tage_kernel(lambda: _tage_case(tables, overlay), trace)
+    providers = _check_kernel_event_by_event(lambda: _tage_case(tables, overlay), trace)
     assert any(name.startswith("T") for name in providers)
 
 
@@ -560,8 +578,149 @@ def test_tage_kernel_statistical_corrector_matches_scalar(loop):
     bias = np.where(pcs % 32 == 0, 0.7, 0.3)
     taken = rng.random(3_000) < bias
     trace = _trace_from(list(zip(pcs.tolist(), taken.tolist())), name="noisy")
-    providers = _check_tage_kernel(lambda: _tage_case(4, (loop, True)), trace)
+    providers = _check_kernel_event_by_event(lambda: _tage_case(4, (loop, True)), trace)
     assert "sc" in providers
+
+
+def _snap_case(columns, history, bias_entries, fulcrum, seed, saturated, events=600):
+    """A small ``ScaledNeural`` restored to a start state next to its
+    bounds, and a trace over twelve pcs of mixed bias.  ``saturated``
+    tables start with about a third of the weights and bias at each
+    saturation bound, otherwise at zero."""
+    rng = np.random.default_rng(seed)
+
+    def table(shape):
+        if not saturated:
+            return np.zeros(shape, dtype=np.int64).tolist()
+        values = rng.integers(-128, 128, size=shape)
+        values[rng.random(shape) < 0.3] = 127
+        values[rng.random(shape) < 0.3] = -128
+        return values.tolist()
+
+    # θ at a bound with TC one step from the reset that would move it,
+    # or both anywhere in range.
+    theta, tc = [(1, -6), (255, 6), (int(rng.integers(1, 256)), int(rng.integers(-6, 7)))][
+        rng.integers(3)
+    ]
+    state = ScaledNeural(columns, history, bias_entries, fulcrum).snapshot()
+    payload = {
+        **state.payload,
+        "weights": table((history, columns)),
+        "bias": table(bias_entries),
+        "history": rng.choice([-1, 1], history).tolist(),
+        "path": rng.integers(0, 1 << 16, history).tolist(),
+        "theta": theta,
+        "tc": tc,
+    }
+    start = PredictorState(kind=state.kind, version=state.version, payload=payload)
+
+    def factory():
+        predictor = ScaledNeural(columns, history, bias_entries, fulcrum)
+        predictor.restore(start)
+        return predictor
+
+    site = rng.integers(0, 12, events)
+    taken = rng.random(events) < rng.choice([0.0, 0.5, 0.5, 1.0], 12)[site]
+    pcs = 0x4000 + 4 * site
+    return factory, _trace_from(list(zip(pcs.tolist(), taken.tolist())), name="snap")
+
+
+def _snap_bound_pushes(predictor, trace) -> Counter:
+    """Scalar replay counting the training steps that push past a bound:
+    a weight or a bias past its saturation, θ's TC step at 255 or at 1."""
+    pushes = Counter()
+    for pc, taken in zip(trace.pcs, trace.outcomes):
+        prediction = predictor.predict(pc)
+        mispredicted = prediction != taken
+        if mispredicted or abs(predictor._last_sum) <= predictor.theta:
+            t = 1 if taken else -1
+            weights = predictor._weights[predictor._positions, predictor._last_cols]
+            weights = weights + t * predictor._history
+            pushes["weight"] += bool(np.any((weights > 127) | (weights < -128)))
+            bias = int(predictor._bias[predictor._last_bias_index]) + t
+            pushes["bias"] += not -128 <= bias <= 127
+            if mispredicted:
+                pushes["theta-max"] += predictor._tc == 6 and predictor.theta == 255
+            else:
+                pushes["theta-min"] += predictor._tc == -6 and predictor.theta == 1
+        predictor.train(pc, taken)
+    return pushes
+
+
+#: Geometries (columns, history_length, bias_entries, fulcrum), start
+#: state seed and table saturation of the fixed OH-SNAP kernel cases.
+SNAP_CASES = [
+    (16, 3, 8, 4.0, 6, True),
+    (64, 16, 64, 24.0, 7, True),
+    (32, 8, 16, 1.0, 3, True),
+    (8, 1, 4, 24.0, 3, False),
+    (64, 12, 32, 4.0, 2, False),
+    (8, 2, 4, 24.0, 6, False),
+]
+
+
+def test_snap_kernel_matches_scalar_across_every_bound():
+    """Fixed OH-SNAP cases whose scalar replays push weights and bias
+    past saturation and θ past both ends of its range; the kernel
+    matches each event by event, straight, segmented and resumed."""
+    pushes = Counter()
+    for case in SNAP_CASES:
+        factory, trace = _snap_case(*case)
+        pushes.update(_snap_bound_pushes(factory(), trace))
+        _check_kernel_event_by_event(factory, trace)
+    assert {kind for kind, count in pushes.items() if count} == {
+        "weight",
+        "bias",
+        "theta-max",
+        "theta-min",
+    }, pushes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    columns=st.sampled_from((8, 16, 32, 64)),
+    history=st.integers(1, 16),
+    bias_entries=st.sampled_from((4, 8, 16, 32, 64)),
+    fulcrum=st.sampled_from((1.0, 4.0, 24.0)),
+    seed=st.integers(0, 2**32 - 1),
+    saturated=st.booleans(),
+    events=st.integers(24, 1_500),
+)
+def test_snap_kernel_matches_scalar_event_by_event(
+    columns, history, bias_entries, fulcrum, seed, saturated, events
+):
+    """OH-SNAP's kernel on small geometries (columns 8-64, history 1-16,
+    bias entries 4-64) from start states on or next to every bound."""
+    factory, trace = _snap_case(
+        columns, history, bias_entries, fulcrum, seed, saturated, events
+    )
+    _check_kernel_event_by_event(factory, trace)
+
+
+def test_snap_kernel_staging_is_chunked():
+    """OH-SNAP's per-event index and history rows are staged a chunk at
+    a time: a 40,000-event kernel call peaks within 1 MB of a
+    10,000-event one (its predictions take about 0.4 MB of that), and
+    the 10,000 events, three chunks, equal the scalar replay."""
+    rng = np.random.default_rng(3)
+    peaks = []
+    for events in (10_000, 40_000):
+        pcs = (0x4000 + 4 * rng.integers(0, 300, events)).astype(np.uint64)
+        outcomes = (rng.random(events) < 0.6).astype(np.uint8)
+        predictor = ScaledNeural()
+        tracemalloc.start()
+        try:
+            predictions, _ = kernel_for(predictor).run(predictor, pcs, outcomes, 0, events)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if events == 10_000:
+            trace = _trace_from(list(zip(pcs.tolist(), outcomes.astype(bool).tolist())))
+            scalar_p = ScaledNeural()
+            expected, _ = _scalar_events(scalar_p, trace, 0, events)
+            assert predictions.tolist() == expected
+            assert predictor.state_hash() == scalar_p.state_hash()
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 @pytest.mark.vectorized

@@ -1,7 +1,10 @@
 """Tests for the neural baselines: perceptron, piecewise-linear, SNAP."""
 
+import copy
+
 import pytest
 
+from repro.common.state import PredictorState, StateError
 from repro.predictors import GlobalPerceptron, PiecewiseLinear, ScaledNeural
 from repro.predictors.piecewise import conventional_perceptron_64kb
 from repro.sim import simulate
@@ -150,6 +153,65 @@ class TestScaledNeural:
 
     def test_storage_budget_64kb_class(self):
         assert ScaledNeural().storage_bits() / 8 / 1024 < 72
+
+
+def _narrow_weight_rows(payload):
+    # A 256-column predictor's rows, restored into 512 columns.
+    payload["weights"] = [row[:256] for row in payload["weights"]]
+
+
+def _set(*path, value):
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+#: Corrupt OH-SNAP payloads ``restore()`` must refuse with a StateError;
+#: each was accepted before the payload was range-checked.
+CORRUPT_SNAP_PAYLOADS = {
+    "weight-rows-256-wide-on-512-columns": _narrow_weight_rows,
+    "weight-above-range": _set("weights", 5, 9, value=128),
+    "weight-below-range": _set("weights", 0, 0, value=-129),
+    "bias-above-range": _set("bias", 3, value=200),
+    "history-not-signed": _set("history", 4, value=0),
+    "path-above-16-bit": _set("path", 2, value=0x10000),
+    "last-col-past-columns": _set("last_cols", 0, value=512),
+    "last-bias-index-1e6": _set("last_bias_index", value=10**6),
+    "theta-negative": _set("theta", value=-4),
+    "theta-above-register": _set("theta", value=256),
+    "tc-past-reset": _set("tc", value=7),
+    "last-sum-nan": _set("last_sum", value=float("nan")),
+}
+
+
+class TestScaledNeuralRestore:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        from repro.workloads import build_trace
+
+        predictor = ScaledNeural()
+        simulate(predictor, build_trace("SPEC03", 2_000))
+        return predictor.snapshot()
+
+    def test_clean_payload_restores(self, trained):
+        fresh = ScaledNeural()
+        fresh.restore(trained)
+        assert fresh.state_hash() == trained.hash()
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_SNAP_PAYLOADS))
+    def test_corrupt_payload_refused_all_or_nothing(self, trained, case):
+        payload = copy.deepcopy(trained.payload)
+        CORRUPT_SNAP_PAYLOADS[case](payload)
+        corrupt = PredictorState(kind=trained.kind, version=trained.version, payload=payload)
+        target = ScaledNeural()
+        target.restore(trained)
+        with pytest.raises(StateError):
+            target.restore(corrupt)
+        assert target.state_hash() == trained.hash()
 
 
 class TestOnSuiteTraces:

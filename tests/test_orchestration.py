@@ -841,7 +841,7 @@ class TestTraceSpecFingerprintGolden:
     #: The key of a plan that leaves the kernel at its default, ``auto``:
     #: it carries ``|kernel=auto`` and the kernel-source digest, so an
     #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "11313894fce07c8d340aaa58c35e68edafe3f597cddc92818e067e1ddba2ee2e"
+    AUTO_GOLDEN = "89b997caf12732cf7b7b2828a69807b96b417d1573edf6337722e62427615557"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for
