@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import BFNeural
+from repro.core import BFISLTage, BFNeural, BFTage, BFTageConfig
 from repro.experiments import common
 from repro.orchestration import CampaignPlan, StateStore, TraceSpec, run_plan
 from repro.orchestration.registry import standard_registry
@@ -69,6 +69,9 @@ VEC_CONTENDERS = {
     "bf-neural": (BFNeural, 3.0),
     "tage15": (lambda: Tage(TageConfig.for_tables(15)), 2.0),
     "isl-tage15": (partial(_isl_tage, 15), 2.0),
+    # Measured 2.5x (bf-tage10) and 3.0x (bf-isl-tage10) on a 2-vCPU host.
+    "bf-tage10": (lambda: BFTage(BFTageConfig.for_tables(10)), 1.5),
+    "bf-isl-tage10": (lambda: BFISLTage(BFTageConfig.for_tables(10)), 1.5),
     "oh-snap": (ScaledNeural, 1.5),
 }
 
@@ -113,13 +116,16 @@ def test_vectorized_kernel_speedup(vec_trace, name):
 
 
 #: Figure campaigns run short traces (the e2e ``campaign`` workload:
-#: 400 branches over Fig. 8's 40 traces), where a kernel's per-call
-#: staging weighs most.  ``auto`` is their default kernel.
+#: 400 branches over Fig. 8's 40 traces and Fig. 12's 7), where a
+#: kernel's per-call staging weighs most.  ``auto`` is their default
+#: kernel; each config here runs over all 40 traces.
 CAMPAIGN_BRANCHES = 400
 CAMPAIGN_CONFIGS = {
     "bf-neural": common.bf_neural,
     "fig8-tage15": partial(common.tage_with_loop, 15),
     "fig8-oh-snap": common.oh_snap,
+    "fig12-isl-tage15": partial(common.isl_tage, 15),
+    "fig12-bf-isl-tage10": partial(common.bf_isl_tage, 10),
 }
 
 

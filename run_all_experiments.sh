@@ -67,7 +67,7 @@ REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_batchkernel.py \
     exit 1
 }
 python3 -m repro campaign --kernel vectorized \
-    --predictors bimodal gshare perceptron bf-neural isl-tage15 tage15 oh-snap \
+    --predictors bimodal gshare perceptron bf-neural isl-tage15 tage15 oh-snap bf-isl-tage10 \
     --jobs "$(nproc)" --telemetry results/campaign-vectorized-telemetry.jsonl \
     --output results/campaign-vectorized.txt --quiet
 # Campaigns default to --kernel auto: on five suite traces the default
@@ -76,12 +76,12 @@ for kernel in default scalar; do
     flag=()
     [ "$kernel" = scalar ] && flag=(--kernel scalar)
     python3 -m repro campaign SPEC02 SPEC11 FP1 MM3 SERV2 "${flag[@]}" \
-        --predictors isl-tage15 tage15 bf-neural oh-snap \
+        --predictors isl-tage15 tage15 bf-neural oh-snap bf-isl-tage10 \
         --cache-dir "results/kernel-$kernel-cache" \
         --output "results/campaign-kernel-$kernel.txt" --quiet
 done
-grep -E '^(isl-tage15|tage15|bf-neural|oh-snap) ' results/campaign-kernel-default.txt \
-    | cmp - <(grep -E '^(isl-tage15|tage15|bf-neural|oh-snap) ' results/campaign-kernel-scalar.txt) || {
+grep -E '^(isl-tage15|tage15|bf-neural|oh-snap|bf-isl-tage10) ' results/campaign-kernel-default.txt \
+    | cmp - <(grep -E '^(isl-tage15|tage15|bf-neural|oh-snap|bf-isl-tage10) ' results/campaign-kernel-scalar.txt) || {
     echo KERNEL_DEFAULT_MISMATCH
     exit 1
 }
@@ -90,9 +90,10 @@ python3 -m pytest benchmarks --ignore=benchmarks/e2e -p no:benchmark -q || {
     exit 1
 }
 # Attribution stage: `repro diagnose` replays through simulate()'s own
-# segment runner (the scalar loop for bf-tage10, the vectorized kernel
-# for bf-neural) and must print its offender table either way.
-for predictor in bf-tage10 bf-neural; do
+# segment runner (the scalar loop for filter, the TAGE kernel for
+# bf-tage10, BF-Neural's kernel for bf-neural) and must print its
+# offender table either way.
+for predictor in filter bf-tage10 bf-neural; do
     python3 -m repro diagnose SPEC02 --providers --branches 5000 \
         --predictor "$predictor" | grep -q "misprediction attribution" || {
         echo DIAGNOSE_FAILED

@@ -43,6 +43,7 @@ _TABLE_I_LOG2 = [11, 11, 11, 12, 12, 12, 11, 11, 10, 10]
 _TABLE_I_TAGS = [7, 7, 8, 9, 10, 11, 11, 13, 14, 15]
 
 
+# perf: allow(REPRO401, REPRO402): runs once per geometry, never per event
 def fold_steps(width: int, target_bits: int) -> tuple[tuple[int, int], ...]:
     """The XOR steps of ``fold_bits(value, width, target_bits)``.
 

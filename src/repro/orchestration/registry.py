@@ -32,6 +32,12 @@ def _bf_tage(num_tables: int):
     return BFTage(BFTageConfig.for_tables(num_tables))
 
 
+def _bf_isl_tage(num_tables: int):
+    from repro.core import BFISLTage, BFTageConfig
+
+    return BFISLTage(BFTageConfig.for_tables(num_tables))
+
+
 def _perceptron(rows: int, history_length: int):
     from repro.predictors import GlobalPerceptron
 
@@ -93,6 +99,7 @@ def standard_registry() -> dict[str, PredictorFactory]:
         "isl-tage10": partial(_isl_tage, 10),
         "isl-tage15": partial(_isl_tage, 15),
         "bf-tage10": partial(_bf_tage, 10),
+        "bf-isl-tage10": partial(_bf_isl_tage, 10),
         "bf-neural": _bf_neural_64kb,
         "bf-neural-32k": _bf_neural_32kb,
         "bf-neural-ahead": _bf_neural_ahead,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.bitops import is_power_of_two
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length, expect_range
 from repro.predictors.base import BranchPredictor
 
 _WEIGHT_MIN = -128
@@ -86,11 +86,32 @@ class GlobalPerceptron(BranchPredictor):
         expect_keys(
             payload, ("weights", "history", "last_row", "last_sum"), "GlobalPerceptron"
         )
+        # Shapes, ranges and scalar types are checked before anything is
+        # installed: a row of the wrong width, a history value other than
+        # ±1 or an out-of-range row would otherwise fail (or read past the
+        # table) at the next predict instead of here.
         expect_length(payload["weights"], self.rows, "GlobalPerceptron.weights")
+        for row in payload["weights"]:
+            expect_length(row, self.history_length + 1, "GlobalPerceptron.weights[row]")
         expect_length(
             payload["history"], self.history_length, "GlobalPerceptron.history"
         )
-        self._weights = np.array(payload["weights"], dtype=np.int32)
-        self._history = np.array(payload["history"], dtype=np.int32)
-        self._last_row = int(payload["last_row"])
-        self._last_sum = int(payload["last_sum"])
+        weights = np.array(payload["weights"], dtype=np.int64)
+        expect_range(
+            [int(weights.min()), int(weights.max())], _WEIGHT_MIN, _WEIGHT_MAX,
+            "GlobalPerceptron.weights",
+        )
+        history = [int(v) for v in payload["history"]]
+        if any(v not in (-1, 1) for v in history):
+            raise StateError("GlobalPerceptron.history: values must be -1 or +1")
+        last_row, last_sum = payload["last_row"], payload["last_sum"]
+        if type(last_row) is not int or type(last_sum) is not int:
+            raise StateError(
+                "GlobalPerceptron.last_row/last_sum: expected ints, "
+                f"got {last_row!r:.40} and {last_sum!r:.40}"
+            )
+        expect_range([last_row], 0, self.rows - 1, "GlobalPerceptron.last_row")
+        self._weights = weights.astype(np.int32)
+        self._history = np.array(history, dtype=np.int32)
+        self._last_row = last_row
+        self._last_sum = last_sum

@@ -406,6 +406,7 @@ def kernel_for(predictor: BranchPredictor):
 
 def _register_builtins() -> None:
     from repro.core.bfneural import BFNeural
+    from repro.core.bftage import BFISLTage, BFTage
     from repro.predictors.gshare import GShare
     from repro.predictors.perceptron import GlobalPerceptron
     from repro.predictors.snap import ScaledNeural
@@ -424,6 +425,8 @@ def _register_builtins() -> None:
     tage_kernel = TageKernel()
     register_kernel(Tage, tage_kernel)
     register_kernel(ISLTage, tage_kernel)
+    register_kernel(BFTage, tage_kernel)
+    register_kernel(BFISLTage, tage_kernel)
 
 
 def simulate_batch(predictor, trace, kernel: str = "auto", **options):

@@ -100,6 +100,87 @@ def write_back_loop(loop, fields: tuple) -> None:
                 setattr(entry, name, values[si][wy])
 
 
+# ---------------------------------------------------------------------------
+# The deterministic BST's status stream, shared with the TAGE kernel's
+# BF-TAGE history side (tagekernel.py).
+# ---------------------------------------------------------------------------
+
+
+# perf: allow(REPRO401): numpy slices are views; runs once per segment or chunk
+def bst_stream(bst, pcs: np.ndarray, outs: np.ndarray) -> tuple:
+    """Every event's BST status, resolved in closed form.
+
+    The deterministic Figure-5 FSM of each table entry is an absorbing
+    chain: biased (in the recorded direction, or the first outcome for
+    an entry starting ``NOT_FOUND``) until the first disagreeing
+    outcome, non-biased forever after.  Grouping the events by entry
+    makes that a segmented prefix-OR over disagreement flags.
+
+    Returns ``(status_before, nb_after, final)``: each event's status
+    (uint8) before its ``observe``, whether it is non-biased after it,
+    and the final status of every entry the events touch, which
+    :func:`write_back_bst` installs.  Reads only those entries.
+    """
+    n = len(pcs)
+    bidx = (pcs & np.uint64(bst.entries - 1)).astype(
+        np.uint16 if bst.entries <= (1 << 16) else np.uint32
+    )
+    order = np.argsort(bidx, kind="stable")
+    sidx = bidx[order]
+    souts = outs[order]
+    seg_start = np.empty(n, dtype=bool)
+    seg_start[0] = True
+    np.not_equal(sidx[1:], sidx[:-1], out=seg_start[1:])
+    positions = np.arange(n, dtype=np.int64)
+    starts = np.where(seg_start, positions, 0)
+    np.maximum.accumulate(starts, out=starts)
+    first = positions == starts
+
+    # One read per distinct BST index, spread over its events by group.
+    group = np.cumsum(seg_start, dtype=np.int64)
+    touched = sidx[seg_start].tolist()
+    init = np.fromiter(
+        map(bst._state.__getitem__, touched), np.uint8, count=len(touched)
+    )[group - 1]
+    first_out = souts[starts]
+    dir_ = np.where(init == 1, 1, np.where(init == 2, 0, first_out)).astype(np.uint8)
+    disagree = souts != dir_
+    disagree &= ~((init == 0) & first)  # first sighting only records
+    running = np.maximum.accumulate(group * 2 + disagree)
+    nb_after_s = (running - group * 2) == 1
+    nb_after_s |= init == 3
+    nb_before_s = np.empty(n, dtype=bool)
+    nb_before_s[0] = False
+    nb_before_s[1:] = nb_after_s[:-1]
+    nb_before_s[seg_start] = (init == 3)[seg_start]
+
+    status_before_s = np.where(dir_ == 1, 1, 2).astype(np.uint8)
+    status_before_s[nb_before_s] = 3
+    status_before_s[(init == 0) & first] = 0
+    status_before = np.empty(n, dtype=np.uint8)
+    status_before[order] = status_before_s
+    nb_after = np.empty(n, dtype=bool)
+    nb_after[order] = nb_after_s
+
+    seg_end = np.empty(n, dtype=bool)
+    seg_end[-1] = True
+    np.copyto(seg_end[:-1], seg_start[1:])
+    init_end = init[seg_end]
+    final_status = np.where(
+        nb_after_s[seg_end],
+        3,
+        np.where(init_end == 0, np.where(first_out[seg_end] == 1, 1, 2), init_end),
+    )
+    return status_before, nb_after, (sidx[seg_end], final_status)
+
+
+def write_back_bst(bst, final: tuple) -> None:
+    """Install :func:`bst_stream`'s final entry statuses into ``bst``."""
+    state = bst._state
+    for index, status in zip(final[0].tolist(), final[1].tolist()):
+        state[index] = _STATUSES[status]
+
+
 # perf: allow(REPRO401): per-trace staging, runs once per batch
 def _stage_weights(predictor, bias_idx, wm_rows_mat, widx_raw, pad) -> tuple:
     """Gather the weights the weight-touching events use into one arena.
@@ -212,77 +293,10 @@ class BFNeuralKernel:
         pc_seg = pcs[start:end]
         outs = outcomes[start:end]
 
-        # ------------------------------------------------------------------
-        # BST status streams: group events by table entry and resolve the
-        # absorbing FSM per group.  ``dir`` is the recorded bias direction
-        # (the first outcome for entries starting NOT_FOUND); an entry is
-        # non-biased from its first disagreeing outcome onwards.
-        # ------------------------------------------------------------------
         bst = predictor.bst
-        bst_mask = np.uint64(bst.entries - 1)
-        bidx = (pc_seg & bst_mask).astype(
-            np.uint16 if bst.entries <= (1 << 16) else np.uint32
-        )
-        order = np.argsort(bidx, kind="stable")
-        sidx = bidx[order]
-        souts = outs[order]
-        seg_start = np.empty(n, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(sidx[1:], sidx[:-1], out=seg_start[1:])
-        positions = np.arange(n, dtype=np.int64)
-        starts = np.where(seg_start, positions, 0)
-        np.maximum.accumulate(starts, out=starts)
-        pos = positions - starts
-
-        # Stage only the entries this segment touches: one read per
-        # distinct BST index, spread over its events by group number.
-        state_list = bst._state
-        group = np.cumsum(seg_start, dtype=np.int64)
-        touched = sidx[seg_start].tolist()
-        init = np.fromiter(
-            map(state_list.__getitem__, touched), np.uint8, count=len(touched)
-        )[group - 1]
-        first_out = souts[starts]
-        dir_ = np.where(init == 1, 1, np.where(init == 2, 0, first_out)).astype(
-            np.uint8
-        )
-        disagree = souts != dir_
-        disagree &= ~((init == 0) & (pos == 0))  # first sighting only records
-        running = np.maximum.accumulate(group * 2 + disagree)
-        nb_after_s = (running - group * 2) == 1
-        nb_after_s |= init == 3
-        nb_before_s = np.empty(n, dtype=bool)
-        nb_before_s[0] = False
-        nb_before_s[1:] = nb_after_s[:-1]
-        nb_before_s[seg_start] = (init == 3)[seg_start]
-        transition_s = nb_after_s & ~nb_before_s
-
-        status_before_s = np.where(dir_ == 1, 1, 2).astype(np.uint8)
-        status_before_s[nb_before_s] = 3
-        status_before_s[(init == 0) & (pos == 0)] = 0
-
-        status_before = np.empty(n, dtype=np.uint8)
-        status_before[order] = status_before_s
-        nb_before = np.empty(n, dtype=bool)
-        nb_before[order] = nb_before_s
-        nb_after = np.empty(n, dtype=bool)
-        nb_after[order] = nb_after_s
-        transition = np.empty(n, dtype=bool)
-        transition[order] = transition_s
-
-        seg_end = np.empty(n, dtype=bool)
-        seg_end[-1] = True
-        np.copyto(seg_end[:-1], seg_start[1:])
-        final_bst_idx = sidx[seg_end]
-        final_bst_status = np.where(
-            nb_after_s[seg_end],
-            3,
-            np.where(
-                init[seg_end] == 0,
-                np.where(first_out[seg_end] == 1, 1, 2),
-                init[seg_end],
-            ),
-        )
+        status_before, nb_after, bst_final = bst_stream(bst, pc_seg, outs)
+        nb_before = status_before == 3
+        transition = nb_after & ~nb_before
 
         # Vectorized predictions for every event the weights never see.
         preds = status_before == 1
@@ -629,8 +643,7 @@ class BFNeuralKernel:
         # ------------------------------------------------------------------
         # Write the final state back through the scalar representations.
         # ------------------------------------------------------------------
-        for fi, fv in zip(final_bst_idx.tolist(), final_bst_status.tolist()):
-            state_list[fi] = _STATUSES[fv]
+        write_back_bst(bst, bst_final)
 
         rs._entries = [
             RSEntry(address=lpcs[j], stamp=int(log_stamp[j]), outcome=bool(log_sign[j] > 0))

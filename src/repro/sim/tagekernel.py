@@ -1,66 +1,385 @@
-"""Hybrid vectorized kernel for TAGE and ISL-TAGE (over a plain TAGE core).
+"""Hybrid vectorized kernel for the TAGE family: TAGE, ISL-TAGE, BF-TAGE
+and BF-ISL-TAGE.
 
 TAGE's tables cannot be replayed as an array scan: which table provides,
 what it predicts and where a misprediction allocates all depend on the
 counters, tags and useful bits the previous events left.  But the
-*history side* never depends on a prediction.  The 3·N folded-history
-registers (Seznec's circular-shift registers) and the path register are
-functions of past outcomes and pcs alone, so every event's table
-indices and partial tags are known before the segment runs:
+*history side* never depends on a prediction.  Every event's 3·N folded
+histories (index, tag, tag−1 per table) and path register are functions
+of past outcomes and pcs alone, so its table indices and partial tags are
+known before the segment runs.  Two history sides produce the folds:
 
-* the folds come from one :func:`~repro.common.tablestate.folded_history_block`
-  call, seeded from ``Tage._folds`` and the circular ``_history_buffer``
+* TAGE's circular-shift registers come from one
+  :func:`~repro.common.tablestate.folded_history_block` call per chunk,
+  seeded from ``Tage._folds`` and the circular ``_history_buffer``
   (whose zeros stand for pushes before the first branch, exactly as the
   scalar register reads them);
-* the path register is a packed series of ``pc & 1`` bits;
-* the ``(n, N)`` index and tag arrays, the bimodal base indices, the
-  statistical corrector's pc half-index and the loop predictor's
-  skewed set/tag rows are numpy expressions over those.
+* BF-TAGE folds every table's prefix of the bias-free GHR from scratch,
+  as the scalar core does.  The deterministic BST's status stream is
+  resolved in closed form (:func:`~repro.sim.bfkernel.bst_stream`), so
+  which branches the segmented recency stacks record is known up front;
+  one light python pass advances the stacks with
+  ``SegmentedRecencyStacks.commit``'s semantics over the precomputed
+  boundary crossings and emits each event's packed prefix, and numpy
+  folds the prefixes 64-bit word by word (:func:`_fold_plan`).
+
+The path register is a packed series of ``pc & 1`` bits, and the ``(n,
+N)`` index and tag arrays, the bimodal base indices, the statistical
+corrector's pc half-index and the loop predictor's skewed set/tag rows
+are numpy expressions over those, staged a chunk at a time.
 
 What stays in python is the table side, with the scalar predictor's
 exact semantics and operation order: provider/alternate lookup,
 use-alt-on-newly-allocated, the statistical corrector, the loop
 override and its ``WITHLOOP`` confidence, counter and useful updates,
-allocation through the predictor's own ``XorShift64`` in the same draw
-order, and useful-bit aging every ``useful_reset_period`` events.  It
-mutates the predictor's table lists in place, so staging costs nothing
-per table entry; only the segment's own arrays are built.  The loop
-predictor's staging and writeback are shared with BF-Neural's kernel.
+allocation through the predictor's own ``XorShift64`` state in the same
+draw order (stepped inline), and useful-bit aging every
+``useful_reset_period`` events.  It mutates the predictor's table lists
+in place, so staging costs nothing per table entry; only the chunk's own
+arrays are built.  The loop predictor's staging and writeback are shared
+with BF-Neural's kernel.
 
-Provider codes follow Figure 12: ``base``, ``T1``..``TN``, and for
-ISL-TAGE ``sc`` and ``loop``.
+Provider codes follow Figure 12: ``base``, ``T1``..``TN``, and for the
+ISL overlays ``sc`` and ``loop``.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import lru_cache
+from itertools import islice, repeat
 
 import numpy as np
 
+from repro.common.bitops import mask
 from repro.common.tablestate import (
     folded_history_block,
     packed_history_series,
     ring_history,
     ring_write,
 )
+from repro.core.bftage import BFISLTage, BFTage, fold_steps
 from repro.predictors.base import hot_path
 from repro.predictors.tage.isl import ISLTage
 from repro.predictors.tage.tage import _PROVIDER_NAMES, Tage
-from repro.sim.bfkernel import loop_rows, stage_loop, write_back_loop
+from repro.sim.bfkernel import bst_stream, loop_rows, stage_loop, write_back_bst, write_back_loop
 
-#: Events per python-list chunk of the replay: bounds the per-event rows
-#: held as python objects, whatever the segment length.
+#: Events per chunk of a TAGE core's history side: bounds the per-event
+#: arrays and python rows held at once, whatever the segment length.
 _CHUNK = 4096
+
+#: Events per chunk of BF-TAGE's history side: its boundary crossings
+#: are held as python lists, up to one per boundary per event.
+_BF_CHUNK = 1024
+
+#: Events per block of the word-level prefix fold: its (events, register
+#: words) temporaries stay a few hundred KB.
+_FOLD_ROWS = 256
+
+#: ``XorShift64.next_u64``'s word mask and output multiplier.
+_U64 = (1 << 64) - 1
+_XORSHIFT_MUL = 0x2545F4914F6CDD1D
+
+
+# ---------------------------------------------------------------------------
+# History sides: per chunk, ``(lo, before)`` with ``before[r, i]`` fold
+# register ``r`` (table-major: index, tag, tag−1) before chunk event ``i``.
+# Each writes its history state back once the last chunk is consumed.
+# ---------------------------------------------------------------------------
+
+
+# perf: allow(REPRO401, REPRO402): staging runs per chunk, not per event
+def _seznec_folds(tage, outs: np.ndarray):
+    """TAGE's incrementally folded registers, one
+    :func:`folded_history_block` call per chunk."""
+    registers = tage._fold_registers
+    lengths = [length for length, _, _, _ in registers]
+    widths = [top + 1 for _, _, top, _ in registers]
+    cap = tage._history_capacity
+    n = len(outs)
+    # The last ``cap`` outcomes before the chunk, oldest first, then the
+    # chunk's own.
+    history = np.array(ring_history(tage._history_buffer, tage._history_head), dtype=np.uint32)
+    folds = np.array(tage._folds, dtype=np.uint64)
+    for lo in range(0, n, _CHUNK):
+        hi = min(n, lo + _CHUNK)
+        history = np.concatenate((history[-cap:], outs[lo:hi]))
+        after = folded_history_block(history, cap, lengths, widths, folds).astype(np.uint64)
+        before = np.empty_like(after)
+        before[:, 0] = folds
+        before[:, 1:] = after[:, :-1]
+        folds = after[:, -1]
+        yield lo, before
+    tage._folds = folds.tolist()
+    tage._history_head = ring_write(tage._history_buffer, tage._history_head, outs)
+
+
+@lru_cache(maxsize=64)  # perf: allow(REPRO401, REPRO402): built once per geometry
+def _fold_plan(prefix_bits: tuple[int, ...], widths: tuple[int, ...]) -> tuple:
+    """The prefix folds of a BF-TAGE geometry, word by word.
+
+    Register ``r`` folds the low ``prefix_bits[r]`` bits of the packed
+    BF-GHR to ``widths[r]`` bits: ``fold_bits``, the XOR of the
+    ``w``-bit chunks of the prefix.  That is linear, and shifting a value
+    by a whole number of chunks leaves its fold unchanged, so
+    ``fold_w(A | B << k) = fold_w(A) ^ rotl_w(fold_w(B), k mod w)``: the
+    prefix splits into 64-bit words, each word is folded on its own
+    (:func:`~repro.core.bftage.fold_steps`), rotated left by ``64·j mod
+    w`` and XORed into its register.  Returns one column per (register,
+    word) pair: the word index and mask, the fold steps (padded with
+    steps that leave a folded value unchanged), the rotation, the width
+    mask, and each register's first column for ``reduceat``.
+    """
+    words, word_masks, steps, rotations, widths_of, starts = [], [], [], [], [], []
+    for bits, width in zip(prefix_bits, widths):
+        starts.append(len(words))
+        for j in range(-(-bits // 64)):
+            chunk = min(64, bits - 64 * j)
+            words.append(j)
+            word_masks.append(mask(chunk))
+            steps.append(fold_steps(chunk, width))
+            rotations.append(64 * j % width)
+            widths_of.append(width)
+    depth = max(len(column) for column in steps)
+    # (shift w, low mask(w)) maps a value already below 2**w to itself.
+    padded = [
+        column + ((width, mask(width)),) * (depth - len(column))
+        for column, width in zip(steps, widths_of)
+    ]
+    u64 = np.uint64
+    return (
+        np.array(words, dtype=np.intp),
+        np.array(word_masks, dtype=u64),
+        [
+            (np.array(shifts, dtype=u64), np.array(lows, dtype=u64))
+            for shifts, lows in (zip(*level) for level in zip(*padded))
+        ],
+        np.array(rotations, dtype=u64),
+        np.array([w - r for w, r in zip(widths_of, rotations)], dtype=u64),
+        np.array([mask(w) for w in widths_of], dtype=u64),
+        np.array(starts, dtype=np.intp),
+    )
+
+
+# perf: allow(REPRO401, REPRO402): numpy row blocks, staged per chunk
+def _fold_prefixes(words: np.ndarray, plan: tuple) -> np.ndarray:
+    """Every register's fold of every event's prefix (one row per
+    register), from the prefixes as little-endian 64-bit words.  Works
+    in place on blocks of :data:`_FOLD_ROWS` events, so its temporaries
+    stay small whatever the chunk."""
+    word, word_mask, steps, rotation, back, width_mask, starts = plan
+    folds = np.empty((len(starts), len(words)), dtype=np.uint64)
+    for lo in range(0, len(words), _FOLD_ROWS):
+        v = words[lo : lo + _FOLD_ROWS, word]
+        v &= word_mask
+        spill = np.empty_like(v)
+        for shift, low in steps:
+            np.right_shift(v, shift, out=spill)
+            v &= low
+            v ^= spill
+        np.right_shift(v, back, out=spill)
+        v <<= rotation
+        v |= spill
+        v &= width_mask
+        folds[:, lo : lo + _FOLD_ROWS] = np.bitwise_xor.reduceat(v, starts, axis=1).T
+    return folds
+
+
+# perf: allow(REPRO401): ``to_bytes`` per event is the prefix handed to numpy
+def _ghr_pass(segments, recent: int, counts, crossings, elements, positions: int) -> tuple:
+    """One pass over a chunk's commits with
+    ``SegmentedRecencyStacks.commit``'s exact semantics, mutating the
+    stacks' per-segment lists in place.
+
+    ``counts[i]`` is how many boundary crossings of non-biased records
+    commit ``i`` makes, and ``crossings`` yields them in commit, then
+    boundary, order as ``(boundary, hashed pc, stamp, element)``;
+    ``elements[i]`` is commit ``i``'s own 3-bit element, shifted into the
+    unfiltered register.  Returns every event's BF-GHR, packed as
+    ``packed_ghr(positions)`` before the event's commit, as little-endian
+    64-bit words (joined bytes), and the unfiltered register after the
+    last commit.
+    """
+    all_pcs = segments._pcs
+    all_stamps = segments._stamps
+    parts = segments._parts
+    keep = segments._keep
+    rs_size = segments.rs_size
+    last = segments.num_segments
+    recent_mask = segments._recent_mask
+    start = 3 * segments.unfiltered_bits
+    limit = 3 * positions
+    prefix_mask = mask(limit)
+    # 3 * len(pcs) per segment: the bits its part takes in the BF-GHR.
+    sizes = [3 * len(pcs) for pcs in all_pcs]
+    nbytes = 8 * -(-limit // 64)
+    prefixes: list[bytes] = []
+    add = prefixes.append
+    for count, element in zip(counts, elements):
+        # packed_ghr: the unfiltered register, then each segment's part.
+        packed = recent
+        position = start
+        for part, size in zip(parts, sizes):
+            packed |= part << position
+            position += size
+            if position >= limit:
+                break
+        add((packed & prefix_mask).to_bytes(nbytes, "little"))
+        # commit
+        recent = ((recent << 3) | element) & recent_mask
+        for k, hashed_pc, stamp, crossing in islice(crossings, count):
+            if k:
+                # Leaving segment k-1 at its deep boundary: the tail, if
+                # it is still there.
+                stamps = all_stamps[k - 1]
+                if stamps and stamps[-1] == stamp:
+                    stamps.pop()
+                    all_pcs[k - 1].pop()
+                    parts[k - 1] &= keep[len(stamps)]
+                    sizes[k - 1] -= 3
+            if k < last:
+                # SegmentedRecencyStacks._insert
+                pcs = all_pcs[k]
+                stamps = all_stamps[k]
+                part = parts[k]
+                if hashed_pc in pcs:
+                    at = pcs.index(hashed_pc)
+                    del pcs[at]
+                    del stamps[at]
+                    low = 3 * at
+                    part = (part & keep[at]) | ((part >> (low + 3)) << low)
+                pcs.insert(0, hashed_pc)
+                stamps.insert(0, stamp)
+                part = (part << 3) | crossing
+                if len(pcs) > rs_size:
+                    pcs.pop()
+                    stamps.pop()
+                    part &= keep[rs_size]
+                parts[k] = part
+                sizes[k] = 3 * len(pcs)
+    return b"".join(prefixes), recent
+
+
+# perf: allow(REPRO401, REPRO402): staging runs per chunk, not per event
+def _bf_folds(tage, pc_seg: np.ndarray, outs: np.ndarray):
+    """BF-TAGE's prefix folds of the bias-free GHR, per chunk: the BST
+    stream, the crossings of the boundaries, the python stack pass and
+    the word-level fold.  Writes back the BST entries as it goes and
+    the stacks' ring, cursor and unfiltered register at the end."""
+    cfg = tage.config
+    segments = tage.segments
+    positions = cfg.history_lengths[-1]
+    plan = _fold_plan(
+        tuple(3 * length for length, _, _, _ in tage._fold_registers),
+        tuple(top + 1 for _, _, top, _ in tage._fold_registers),
+    )
+    words = -(-3 * positions // 64)
+    ring = segments._ring
+    ring_len = len(ring)
+    head = segments._head
+    count = segments._count
+    boundaries = np.array(segments.boundaries, dtype=np.int64)
+    pc_mask = np.uint64(segments._pc_mask)
+    # The ring's records oldest first.  Slots no branch was committed to
+    # yet stay zero: a biased record never crosses a boundary, which is
+    # commit's depth check.
+    tail = np.zeros((ring_len, 3), dtype=np.int64)
+    known = min(count, ring_len)
+    if known:
+        at = head % ring_len
+        tail[ring_len - known :] = (ring[at:] + ring[:at])[ring_len - known :]
+    tail_pc, tail_out = tail[:, 0], tail[:, 1]
+    tail_nb = tail[:, 2] == 1
+    recent = segments._recent
+    n = len(outs)
+    for lo in range(0, n, _BF_CHUNK):
+        hi = min(n, lo + _BF_CHUNK)
+        m = hi - lo
+        _, nb, final = bst_stream(tage.bst, pc_seg[lo:hi], outs[lo:hi])
+        write_back_bst(tage.bst, final)
+        hashed = (pc_seg[lo:hi] & pc_mask).astype(np.int64)
+        taken = outs[lo:hi].astype(np.int64)
+        ext_pc = np.concatenate((tail_pc, hashed))
+        ext_out = np.concatenate((tail_out, taken))
+        ext_nb = np.concatenate((tail_nb, nb))
+        # Commit i moves the record committed b_k commits earlier across
+        # boundary b_k; only non-biased records cross.
+        record = (ring_len + np.arange(m, dtype=np.int64))[:, None] - boundaries[None, :]
+        event, k = np.nonzero(ext_nb[record])
+        crossed = record[event, k]
+        crossed_pc = ext_pc[crossed]
+        crossings = zip(
+            k.tolist(),
+            crossed_pc.tolist(),
+            (crossed + (head + lo - ring_len)).tolist(),
+            (((crossed_pc & 3) << 1) | ext_out[crossed]).tolist(),
+        )
+        packed, recent = _ghr_pass(
+            segments,
+            recent,
+            np.bincount(event, minlength=m).tolist(),
+            crossings,
+            (((hashed & 3) << 1) | taken).tolist(),
+            positions,
+        )
+        prefixes = np.frombuffer(packed, dtype="<u8").reshape(m, words)
+        # The ring keeps bools: (hashed pc, taken, non-biased) per commit.
+        keep_from = max(0, m - ring_len)
+        for j, pc, out, flag in zip(
+            range(head + lo + keep_from, head + hi),
+            hashed[keep_from:].tolist(),
+            (taken[keep_from:] == 1).tolist(),
+            nb[keep_from:].tolist(),
+        ):
+            ring[j % ring_len] = (pc, out, flag)
+        tail_pc = ext_pc[-ring_len:]
+        tail_out = ext_out[-ring_len:]
+        tail_nb = ext_nb[-ring_len:]
+        yield lo, _fold_prefixes(prefixes, plan)
+    segments._head = head + n
+    segments._count = min(count + n, ring_len)
+    segments._recent = recent
+
+
+# perf: allow(REPRO401): staging runs per chunk, not per event
+def _stage_rows(tage, isl, pc_chunk, outs_chunk, before, path_seed: int) -> tuple:
+    """A chunk's per-event python rows for the table side (table indices,
+    tags, base index, outcome, SC half-index, loop sets and tags) from
+    its fold registers, and the path register after the chunk."""
+    path = packed_history_series(
+        pc_chunk & np.uint64(1), tage.config.path_bits, seed=path_seed
+    )
+    hashes = np.array(tage._table_hash, dtype=np.uint64)
+    shift, index_mask, tag_mask = (hashes[:, k : k + 1] for k in range(3))
+    pc_row = pc_chunk[None, :]
+    sc_mask = len(isl._sc) - 1 if isl is not None and isl.with_statistical_corrector else 0
+    loop = isl.loop if isl is not None else None
+    rows = (
+        ((pc_row ^ (pc_row >> shift) ^ before[0::3] ^ path) & index_mask).T.tolist(),
+        ((pc_row ^ before[1::3] ^ (before[2::3] << np.uint64(1))) & tag_mask).T.tolist(),
+        (pc_chunk & np.uint64(tage.base._mask)).tolist(),
+        outs_chunk.tolist(),
+        ((pc_chunk << np.uint64(1)) & np.uint64(sc_mask)).tolist() if sc_mask else repeat(0),
+        *(loop_rows(loop, pc_chunk) if loop is not None else (repeat(None),) * 2),
+    )
+    return rows, ((int(path[-1]) << 1) | (int(pc_chunk[-1]) & 1)) & tage._path_mask
 
 
 class TageKernel:
-    """Precomputed-history / python table-side kernel for ``Tage`` and
-    ``ISLTage`` (registered for both by exact type)."""
+    """Precomputed-history / python table-side kernel for ``Tage``,
+    ``ISLTage``, ``BFTage`` and ``BFISLTage`` (registered for each by
+    exact type)."""
 
     def supports(self, predictor) -> bool:
         tage = predictor.tage if isinstance(predictor, ISLTage) else predictor
-        if type(tage) is not Tage:
-            return False  # BF-ISL-TAGE's BFTage core keeps its own histories
+        core = BFTage if type(predictor) in (BFTage, BFISLTage) else Tage
+        if type(tage) is not core:
+            return False  # an overlay on another core keeps that core's histories
+        if core is BFTage and (
+            tage.bf_config.probabilistic_bst or tage.bias_oracle is not None
+        ):
+            # The probabilistic BST draws from its own generator per
+            # disagreement, and a profile is not the BST: both stay scalar.
+            return False
         cfg = tage.config
         if max(cfg.log2_entries + cfg.tag_bits) > 16 or not 1 <= cfg.path_bits <= 64:
             return False
@@ -71,7 +390,7 @@ class TageKernel:
             return entries >= 2 and entries & (entries - 1) == 0
         return True
 
-    @hot_path  # perf: allow(REPRO401, REPRO402): staging runs per record batch
+    @hot_path  # perf: allow(REPRO401, REPRO402): staging runs per chunk, not per event
     def run(self, predictor, pcs, outcomes, start: int, end: int):
         isl = predictor if isinstance(predictor, ISLTage) else None
         tage = isl.tage if isl is not None else predictor
@@ -85,39 +404,11 @@ class TageKernel:
             return np.zeros(0, dtype=bool), (np.zeros(0, dtype=np.uint8), names)
         pc_seg = pcs[start:end]
         outs = outcomes[start:end]
-
-        # ------------------------------------------------------------------
-        # History side: every event's indices and tags, before the event.
-        # ------------------------------------------------------------------
-        registers = tage._fold_registers
-        cap = tage._history_capacity
-        history = np.empty(cap + n, dtype=np.uint32)
-        history[:cap] = ring_history(tage._history_buffer, tage._history_head)
-        history[cap:] = outs
-        after = folded_history_block(
-            history,
-            cap,
-            [length for length, _, _, _ in registers],
-            [top + 1 for _, _, top, _ in registers],
-            tage._folds,
-        ).astype(np.uint64)
-        before = np.empty_like(after)
-        before[:, 0] = tage._folds
-        before[:, 1:] = after[:, :-1]
-        path = packed_history_series(
-            pc_seg & np.uint64(1), cfg.path_bits, seed=tage._path_history
-        )
-        hashes = np.array(tage._table_hash, dtype=np.uint64)
-        shift, index_mask, tag_mask = (hashes[:, k : k + 1] for k in range(3))
-        pc_row = pc_seg[None, :]
-        indices = (
-            (pc_row ^ (pc_row >> shift) ^ before[0::3] ^ path) & index_mask
-        ).T.astype(np.int64)
-        tags = (
-            (pc_row ^ before[1::3] ^ (before[2::3] << np.uint64(1))) & tag_mask
-        ).T.astype(np.int64)
-        base = tage.base
-        base_idx = (pc_seg & np.uint64(base._mask)).astype(np.int64)
+        if type(tage) is BFTage:
+            history = _bf_folds(tage, pc_seg, outs)
+        else:
+            history = _seznec_folds(tage, outs)
+        path_seed = tage._path_history
 
         # ------------------------------------------------------------------
         # Table side state: the predictor's own lists, mutated in place.
@@ -126,11 +417,11 @@ class TageKernel:
         ctrs = [table.ctr for table in tables]
         tag_tables = [table.tag for table in tables]
         usefuls = [table.useful for table in tables]
-        base_table = base._table
+        base_table = tage.base._table
         use_alt = tage._use_alt_on_na
         count = tage._branch_count
         period = cfg.useful_reset_period
-        chance = tage._rng.chance
+        rng_state = tage._rng._state
         last_table = num - 1
         scan = range(last_table, -1, -1)
 
@@ -138,8 +429,6 @@ class TageKernel:
         loop = isl.loop if isl is not None else None
         has_loop = loop is not None
         sc = isl._sc if has_sc else None
-        if has_sc:
-            sc_base = ((pc_seg << np.uint64(1)) & np.uint64(len(sc) - 1)).astype(np.int64)
         if has_loop:
             ways = range(loop.ways)
             trip_max = loop.TRIP_MAX
@@ -149,22 +438,17 @@ class TageKernel:
         sc_code = num + 1
         loop_code = num + 2
 
-        preds: list[bool] = []
-        codes: list[int] = []
-        add_pred = preds.append
-        add_code = codes.append
+        predictions = np.empty(n, dtype=bool)
+        providers = np.empty(n, dtype=np.uint8)
         loop_pred = loop_valid = sc_used = False
         sci = 0
-        for lo in range(0, n, _CHUNK):
-            hi = min(n, lo + _CHUNK)
-            rows = (
-                indices[lo:hi].tolist(),
-                tags[lo:hi].tolist(),
-                base_idx[lo:hi].tolist(),
-                outs[lo:hi].tolist(),
-                sc_base[lo:hi].tolist() if has_sc else repeat(0),
-                *(loop_rows(loop, pc_seg[lo:hi]) if has_loop else (repeat(None),) * 2),
-            )
+        for lo, before in history:
+            hi = lo + before.shape[1]
+            rows, path_seed = _stage_rows(tage, isl, pc_seg[lo:hi], outs[lo:hi], before, path_seed)
+            preds: list[bool] = []
+            codes: list[int] = []
+            add_pred = preds.append
+            add_code = codes.append
             for ir, tr, bi, taken, scb, st, tg in zip(*rows):
                 # ---------------- TAGE prediction ----------------
                 provider = alt = -1
@@ -332,13 +616,25 @@ class TageKernel:
                             if u > 0:
                                 useful[ir[i]] = u - 1
                     else:
+                        # Each chance(1, 2) is XorShift64.next_u64's step
+                        # on the local state, then next_below(2) < 1.
                         chosen = candidates[0]
                         for candidate in candidates[1:]:
-                            if chance(1, 2):
+                            x = rng_state
+                            x ^= (x >> 12) & _U64
+                            x = (x ^ (x << 25)) & _U64
+                            x ^= x >> 27
+                            rng_state = x
+                            if ((x * _XORSHIFT_MUL) & _U64) % 2 < 1:
                                 break
                             chosen = candidate
                         installs = [chosen]
-                        if chance(1, 2):
+                        x = rng_state
+                        x ^= (x >> 12) & _U64
+                        x = (x ^ (x << 25)) & _U64
+                        x ^= x >> 27
+                        rng_state = x
+                        if ((x * _XORSHIFT_MUL) & _U64) % 2 < 1:
                             installs += [c for c in candidates if c >= chosen + 2][:1]
                         for i in installs:
                             entry = ir[i]
@@ -350,13 +646,16 @@ class TageKernel:
                     for table in tables:
                         table.age_useful()
                     usefuls = [table.useful for table in tables]
+            predictions[lo:hi] = preds
+            providers[lo:hi] = codes
+            del rows  # before the history side stages the next chunk
 
         # ------------------------------------------------------------------
-        # Write back the history registers, counters and scratch fields.
+        # Write back the path register, counters and scratch fields (the
+        # history side wrote its own state back after its last chunk).
         # ------------------------------------------------------------------
-        tage._folds = after[:, -1].tolist()
-        tage._history_head = ring_write(tage._history_buffer, tage._history_head, outs)
-        tage._path_history = ((int(path[-1]) << 1) | (int(pc_seg[-1]) & 1)) & tage._path_mask
+        tage._path_history = path_seed
+        tage._rng._state = rng_state
         tage._use_alt_on_na = use_alt
         tage._branch_count = count
         tage._last_indices = ir
@@ -378,7 +677,4 @@ class TageKernel:
             isl._last_sc_used = sc_used
             isl._last_pred = pred
             isl._last_provider_name = names[code]
-        return (
-            np.array(preds, dtype=bool),
-            (np.array(codes, dtype=np.uint8), names),
-        )
+        return predictions, (providers, names)

@@ -16,9 +16,10 @@ rewrites preserve it).  These tests enforce the contract three ways:
 * a hypothesis sweep over ``BFNeuralConfig`` geometries and feature
   flags inside the kernel's ``supports()`` range, the independent
   oracle for the scalar core's per-geometry distance tables;
-* event-by-event sweeps of the TAGE and OH-SNAP kernels, straight, in
-  three kernel calls and resumed from a JSON snapshot (OH-SNAP's from
-  start states on its weight, bias and θ bounds);
+* event-by-event sweeps of the TAGE kernel (over TAGE and BF-TAGE
+  cores) and the OH-SNAP kernel, straight, in three kernel calls and
+  resumed from a JSON snapshot (OH-SNAP's from start states on its
+  weight, bias and θ bounds), and chunked-staging memory bounds;
 * a full 40-trace + WILD1-4 sweep per ported predictor, marked
   ``vectorized`` and gated behind ``REPRO_FULL_DIFFERENTIAL=1``
   (minutes of scalar BF-Neural; ``run_all_experiments.sh`` runs it).
@@ -31,6 +32,7 @@ incremental ``FoldedHistory`` fold.
 
 import json
 import os
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -39,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bitops import mix64
+from repro.common.bitops import fold_bits, mix64
 from repro.common.histories import FoldedHistory
 from repro.common.tablestate import (
     folded_history_block,
@@ -52,6 +54,7 @@ from repro.common.tablestate import (
 from repro.common.state import PredictorState
 from repro.core import BFISLTage, BFNeural, BFTage, BFTageConfig
 from repro.core.bfneural import BFNeuralConfig
+from repro.core.bfneural_ideal import oracle_from_trace
 from repro.core.configs import bf_neural_32kb
 from repro.predictors import (
     Bimodal,
@@ -67,8 +70,22 @@ from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
 from repro.sim.batchkernel import kernel_for, simulate_batch
 from repro.sim.simulator import KERNEL_MODES, _scalar_segment, segment_runner
+from repro.sim.tagekernel import _fold_plan, _fold_prefixes
 from repro.trace.records import Trace, TraceMetadata
 from repro.workloads import SUITE_NAMES, WILD_NAMES, build_trace
+
+#: A BF-TAGE whose 4 tables, BST and segmented stacks are small.
+SMALL_BF_TAGE = BFTageConfig(
+    num_tables=4,
+    base_log2_entries=8,
+    log2_entries=[6, 6, 7, 7],
+    tag_bits=[6, 7, 8, 9],
+    bst_entries=256,
+    boundaries=[8, 16, 40, 72, 120],
+    rs_size=3,
+    unfiltered_bits=8,
+    useful_reset_period=512,
+)
 
 #: Every predictor with a registered kernel, at test-sized geometries.
 PORTED = {
@@ -83,7 +100,27 @@ PORTED = {
     ),
     "tage15": lambda: Tage(TageConfig.for_tables(15)),
     "isl-tage15": lambda: ISLTage(TageConfig.for_tables(15)),
+    "bf-tage10": lambda: BFTage(BFTageConfig.for_tables(10)),
+    "bf-isl-tage10": lambda: BFISLTage(BFTageConfig.for_tables(10)),
+    # Tables, BST and stacks small enough that a short trace aliases,
+    # allocates under pressure and fills every segment.
+    "bf-tage-small": lambda: BFTage(SMALL_BF_TAGE),
     "oh-snap": ScaledNeural,
+}
+
+#: BF-TAGE configurations no kernel supports: the probabilistic BST
+#: draws and a profile replaces the BST, so both stay scalar.
+SCALAR_BF_TAGE = {
+    "bf-tage4-probabilistic": lambda: BFTage(
+        BFTageConfig(num_tables=4, probabilistic_bst=True)
+    ),
+    "bf-isl-tage4-probabilistic": lambda: BFISLTage(
+        BFTageConfig(num_tables=4, probabilistic_bst=True)
+    ),
+    "bf-tage10-profile": lambda: BFTage(
+        BFTageConfig.for_tables(10),
+        bias_oracle=oracle_from_trace(build_trace("SPEC00", 200)),
+    ),
 }
 
 QUICK_TRACES = ("SPEC03", "SPEC17", "WILD2")
@@ -180,9 +217,8 @@ class TestDispatch:
 
     def test_registry_rejects_unported_predictor(self):
         assert kernel_for(PiecewiseLinear()) is None
-        # Exact-type registration: ISL-TAGE's kernel never takes the
-        # BF-TAGE core of its BF-ISL-TAGE subclass.
-        assert kernel_for(BFISLTage(BFTageConfig.for_tables(4))) is None
+        # Exact-type registration: an ISL-TAGE overlay takes the kernel
+        # only around its own core type.
         assert kernel_for(ISLTage(core=BFTage(BFTageConfig.for_tables(4)))) is None
 
     def test_vectorized_mode_raises_for_unported(self):
@@ -192,13 +228,8 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "factory",
-        [
-            PiecewiseLinear,
-            FilterPredictor,
-            lambda: BFISLTage(BFTageConfig.for_tables(10)),
-            lambda: BFTage(BFTageConfig.for_tables(10)),
-        ],
-        ids=["piecewise", "filter", "bf-isl-tage10", "bf-tage10"],
+        [PiecewiseLinear, FilterPredictor, *SCALAR_BF_TAGE.values()],
+        ids=["piecewise", "filter", *SCALAR_BF_TAGE],
     )
     def test_auto_mode_costs_nothing_without_a_kernel(self, factory):
         # ``auto`` hands a predictor no kernel supports the scalar runner
@@ -357,20 +388,24 @@ def test_random_traces_agree_event_by_event(data, events):
     assert vec_p.state_hash() == scalar_p.state_hash()
 
 
-#: One ported counter table, the ported paper predictor, a TAGE on its
+#: One ported counter table, both paper predictors (BF-TAGE as
+#: BF-TAGE-10, BF-ISL-TAGE-10 and a small-table BF-TAGE), a TAGE on its
 #: hybrid kernel, OH-SNAP on its kernel, and a filter predictor, which
 #: no kernel supports, so ``kernel="auto"`` runs it on the scalar loop.
 SEGMENTED = {
     "gshare": GShare,
     "bf-neural": BFNeural,
     "isl-tage4": lambda: ISLTage(TageConfig.for_tables(4)),
+    "bf-tage10": PORTED["bf-tage10"],
+    "bf-isl-tage10": PORTED["bf-isl-tage10"],
+    "bf-tage-small": PORTED["bf-tage-small"],
     "oh-snap": ScaledNeural,
     "filter": lambda: FilterPredictor(pht_entries=4096, filter_entries=1024),
 }
 SEGMENT_TRACE = build_trace("SPEC05", 1_200)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=45, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(SEGMENTED)))
 def test_segmented_runs_equal_straight_scalar_run(data, name):
     """The one segmentation in ``simulate()``: random warmup, streamed
@@ -580,6 +615,136 @@ def test_tage_kernel_statistical_corrector_matches_scalar(loop):
     trace = _trace_from(list(zip(pcs.tolist(), taken.tolist())), name="noisy")
     providers = _check_kernel_event_by_event(lambda: _tage_case(4, (loop, True)), trace)
     assert "sc" in providers
+
+
+@st.composite
+def bf_tage_configs(draw):
+    """``BFTageConfig`` variants the TAGE kernel supports: 1-10 tables at
+    the default or a small random sizing, any ``rs_size`` 1-8, random
+    segment boundaries over a random number of unfiltered outcomes, a
+    BST from 64 to 8,192 entries and a short useful-bit aging period."""
+    tables = draw(st.integers(1, 10), label="tables")
+    unfiltered = draw(st.integers(1, 24), label="unfiltered_bits")
+    boundaries = draw(
+        st.lists(st.integers(unfiltered, 400), min_size=2, max_size=8, unique=True),
+        label="boundaries",
+    )
+    sizing = {}
+    if draw(st.booleans(), label="small tables"):
+        sizing = {
+            "log2_entries": draw(
+                st.lists(st.integers(5, 8), min_size=tables, max_size=tables)
+            ),
+            "tag_bits": draw(st.lists(st.integers(4, 8), min_size=tables, max_size=tables)),
+        }
+    return BFTageConfig(
+        num_tables=tables,
+        bst_entries=draw(st.sampled_from((64, 1024, 8192)), label="bst_entries"),
+        boundaries=sorted(boundaries),
+        rs_size=draw(st.integers(1, 8), label="rs_size"),
+        unfiltered_bits=unfiltered,
+        useful_reset_period=TAGE_AGING_PERIOD,
+        **sizing,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=bf_tage_configs(),
+    overlay=st.sampled_from((None, (False, False), (True, False), (False, True), (True, True))),
+    data=st.data(),
+)
+def test_bf_tage_kernel_matches_scalar_event_by_event(config, overlay, data):
+    """BF-TAGE and BF-ISL-TAGE (loop predictor and statistical corrector
+    each on and off) on the TAGE kernel: predictions, providers and
+    ``state_hash`` equal the scalar core's event by event, straight, in
+    three kernel calls and resumed from a JSON snapshot."""
+
+    def factory():
+        if overlay is None:
+            return BFTage(config)
+        loop, sc = overlay
+        return BFISLTage(config, with_loop_predictor=loop, with_statistical_corrector=sc)
+
+    if data.draw(st.booleans(), label="random trace"):
+        events = data.draw(
+            st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=30, max_size=900),
+            label="events",
+        )
+        trace = _trace_from([(0x4000 + 4 * pc, taken) for pc, taken in events])
+    else:
+        trace = build_trace(data.draw(st.sampled_from(SUITE_NAMES), label="suite trace"), 900)
+    _check_kernel_event_by_event(factory, trace)
+
+
+def _build_line_arrays(factory):
+    """Run a short kernel call under a no-op profile function.
+
+    tracemalloc records the line of every allocation, and CPython 3.11
+    finds it by scanning the code object's line table unless tracing has
+    built the code's line array; this builds it for the kernel's
+    functions, so a traced kernel call runs about five times faster.
+    """
+    predictor = factory()
+    pcs = np.arange(0x4000, 0x4000 + 4 * 64, 4, dtype=np.uint64)
+    outcomes = (np.arange(64) % 3 == 0).astype(np.uint8)
+    previous = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        kernel_for(predictor).run(predictor, pcs, outcomes, 0, len(pcs))
+    finally:
+        sys.setprofile(previous)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    registers=st.lists(
+        st.tuples(st.integers(1, 500), st.integers(1, 16)), min_size=1, max_size=12
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_word_level_prefix_fold_matches_fold_bits(registers, seed):
+    """The kernel's fold of a packed prefix, 64-bit word by word, equals
+    ``fold_bits`` of the whole prefix for any prefix length and width."""
+    rng = np.random.default_rng(seed)
+    prefix_bits = tuple(bits for bits, _ in registers)
+    widths = tuple(width for _, width in registers)
+    words = -(-max(prefix_bits) // 64)
+    packed = rng.integers(0, 2**64, size=(300, words), dtype=np.uint64)
+    prefixes = [sum(int(w) << (64 * j) for j, w in enumerate(row)) for row in packed]
+    folds = _fold_prefixes(packed, _fold_plan(prefix_bits, widths))
+    expected = [
+        [fold_bits(p, bits, width) for p in prefixes] for bits, width in registers
+    ]
+    assert folds.tolist() == expected
+
+
+def test_bf_tage_kernel_staging_is_chunked():
+    """BF-ISL-TAGE-10's BST stream, stack pass, prefix folds and table
+    rows are staged a chunk at a time: a 40,000-event kernel call peaks
+    within 1 MB of a 10,000-event one, and the 10,000 events, ten
+    chunks, equal the scalar replay."""
+    rng = np.random.default_rng(4)
+    _build_line_arrays(PORTED["bf-isl-tage10"])
+    peaks = []
+    for events in (10_000, 40_000):
+        site = rng.integers(0, 300, events)
+        pcs = (0x4000 + 4 * site).astype(np.uint64)
+        outcomes = (rng.random(events) < rng.random(300)[site]).astype(np.uint8)
+        predictor = BFISLTage(BFTageConfig.for_tables(10))
+        tracemalloc.start()
+        try:
+            predictions, _ = kernel_for(predictor).run(predictor, pcs, outcomes, 0, events)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if events == 10_000:
+            trace = _trace_from(list(zip(pcs.tolist(), outcomes.astype(bool).tolist())))
+            scalar_p = BFISLTage(BFTageConfig.for_tables(10))
+            expected, _ = _scalar_events(scalar_p, trace, 0, events)
+            assert predictions.tolist() == expected
+            assert predictor.state_hash() == scalar_p.state_hash()
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 def _snap_case(columns, history, bias_entries, fulcrum, seed, saturated, events=600):

@@ -5,8 +5,10 @@ Mispredictions, provider hits (in first-appearance order) and the final
 traces, recorded once and asserted on every run.  Each configuration
 runs twice per trace: straight through (streaming a checkpoint, which
 must not perturb the run) and resumed into a fresh instance from that
-checkpoint after a JSON round trip.  Any change to the
-BF-GHR, the BST, the fold/index path or the table updates that is not
+checkpoint after a JSON round trip, on the scalar loop and again through
+``kernel="auto"`` (the TAGE kernel wherever it supports the
+configuration).  Any change to the BF-GHR, the BST, the fold/index path,
+the table updates or the kernel's history side that is not
 bit-identical fails here.
 
 If a change to the predictor's behaviour is intentional, regenerate the
@@ -53,7 +55,7 @@ CONFIGS = {
 }
 
 
-def observe(config: str, trace) -> tuple[dict, dict]:
+def observe(config: str, trace, kernel: str = "scalar") -> tuple[dict, dict]:
     """(straight, resumed) observations of one configuration on one trace."""
     factory = CONFIGS[config]
     checkpoints = []
@@ -64,11 +66,12 @@ def observe(config: str, trace) -> tuple[dict, dict]:
         track_providers=True,
         checkpoint_every=CUT,
         on_checkpoint=checkpoints.append,
+        kernel=kernel,
     )
     checkpoint = SimCheckpoint.from_json(json.loads(json.dumps(checkpoints[0].to_json())))
     resumed_predictor = factory(trace)
     resumed = simulate(
-        resumed_predictor, trace, track_providers=True, resume_from=checkpoint
+        resumed_predictor, trace, track_providers=True, resume_from=checkpoint, kernel=kernel
     )
     return tuple(
         {
@@ -114,3 +117,22 @@ def test_bftage_family_matches_golden(golden, name):
         expected = golden[f"{config}/{name}"]
         assert straight == expected, f"{config} on {name}, straight run"
         assert resumed == expected, f"{config} on {name}, resumed from JSON"
+
+
+def _any_order(observation: dict) -> dict:
+    """An observation with its provider hits as a dict: a kernel counts
+    them in provider-code order, the scalar loop in order of appearance."""
+    return {**observation, "provider_hits": dict(map(tuple, observation["provider_hits"]))}
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_bftage_family_matches_golden_on_kernels(golden, name):
+    """The same pins through ``kernel="auto"``: BF-TAGE-1..10 and
+    BF-ISL-TAGE-10 run on the TAGE kernel, the probabilistic-BST and
+    profile-assisted configurations on the scalar loop."""
+    trace = build_trace(name, BRANCHES)
+    for config in CONFIGS:
+        straight, resumed = map(_any_order, observe(config, trace, kernel="auto"))
+        expected = _any_order(golden[f"{config}/{name}"])
+        assert straight == expected, f"{config} on {name}, straight run on auto"
+        assert resumed == expected, f"{config} on {name}, resumed from JSON on auto"

@@ -31,6 +31,7 @@ REGISTERED = {
     "isl-tage10",
     "isl-tage15",
     "bf-tage10",
+    "bf-isl-tage10",
     "bf-neural",
     "bf-neural-32k",
     "bf-neural-ahead",

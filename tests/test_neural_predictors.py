@@ -214,6 +214,50 @@ class TestScaledNeuralRestore:
         assert target.state_hash() == trained.hash()
 
 
+#: Corrupt perceptron payloads (a 24-history, 256-row perceptron)
+#: ``restore()`` must refuse with a StateError; each was accepted while
+#: only the row count was checked.
+CORRUPT_PERCEPTRON_PAYLOADS = {
+    "weight-rows-10-wide-on-24-history": lambda payload: payload.update(
+        weights=[row[:10] for row in payload["weights"]]
+    ),
+    "weight-above-range": _set("weights", 3, 2, value=128),
+    "weight-below-range": _set("weights", 0, 0, value=-129),
+    "history-value-5": _set("history", 4, value=5),
+    "history-zero": _set("history", 0, value=0),
+    "last-row-1e6": _set("last_row", value=10**6),
+    "last-row-negative": _set("last_row", value=-1),
+    "last-sum-float": _set("last_sum", value=1.5),
+    "last-sum-string": _set("last_sum", value="12"),
+}
+
+
+class TestGlobalPerceptronRestore:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        from repro.workloads import build_trace
+
+        predictor = GlobalPerceptron(256, 24)
+        simulate(predictor, build_trace("SPEC03", 2_000))
+        return predictor.snapshot()
+
+    def test_clean_payload_restores(self, trained):
+        fresh = GlobalPerceptron(256, 24)
+        fresh.restore(trained)
+        assert fresh.state_hash() == trained.hash()
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_PERCEPTRON_PAYLOADS))
+    def test_corrupt_payload_refused_all_or_nothing(self, trained, case):
+        payload = copy.deepcopy(trained.payload)
+        CORRUPT_PERCEPTRON_PAYLOADS[case](payload)
+        corrupt = PredictorState(kind=trained.kind, version=trained.version, payload=payload)
+        target = GlobalPerceptron(256, 24)
+        target.restore(trained)
+        with pytest.raises(StateError):
+            target.restore(corrupt)
+        assert target.state_hash() == trained.hash()
+
+
 class TestOnSuiteTraces:
     def test_snap_beats_perceptron_on_suite_trace(self):
         from repro.workloads import build_trace

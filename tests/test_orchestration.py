@@ -841,7 +841,7 @@ class TestTraceSpecFingerprintGolden:
     #: The key of a plan that leaves the kernel at its default, ``auto``:
     #: it carries ``|kernel=auto`` and the kernel-source digest, so an
     #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "89b997caf12732cf7b7b2828a69807b96b417d1573edf6337722e62427615557"
+    AUTO_GOLDEN = "710723d57bb90e9b21e1240d940f44fcb57cd2734d7361329fdfabb345a58aa5"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for
