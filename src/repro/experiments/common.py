@@ -15,13 +15,16 @@ from __future__ import annotations
 import argparse
 import functools
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core import BFISLTage, BFTageConfig, bf_neural_64kb
 from repro.core.bfneural import BFNeural, BFNeuralConfig
 from repro.predictors import ISLTage, ScaledNeural, TageConfig
-from repro.sim.runner import PredictorFactory
 from repro.trace.records import Trace
 from repro.workloads import build_trace, trace_names
+
+if TYPE_CHECKING:  # typing only: loading the orchestration package here is slow
+    from repro.orchestration.tasks import PredictorFactory
 
 
 def make_parser(description: str) -> argparse.ArgumentParser:

@@ -13,7 +13,9 @@ A kernel only replays events, under the segment contract the scalar
 loop shares: ``run(predictor, pcs, outcomes, start, end)`` returns
 ``(predictions, providers)`` — the segment's time-ordered predictions
 and either per-event provider codes with their names, ``(codes,
-names)``, or None when every prediction came from the predictor itself.
+names)``, numbered in order of first appearance as the scalar runner
+numbers them, or None when every prediction came from the predictor
+itself.
 :func:`repro.sim.simulate` owns everything else (resume, cuts, warmup,
 counting) and picks a kernel through :func:`kernel_for` when called
 with ``kernel="vectorized"`` or ``"auto"``; ``repro diagnose``'s

@@ -10,7 +10,9 @@ computable up front with numpy:
   is an absorbing chain: biased until the first disagreement, non-biased
   forever after — a segmented prefix-OR over disagreement flags);
 * which events record into the recency stack (non-biased after observe),
-  hence the full RS content at every prediction point;
+  hence the full RS content at every prediction point: one python pass,
+  :func:`recency_rows`, gives the stack after every record, and each
+  event reads the row before its own record;
 * the unfiltered history: packed recent bits, path registers, and the
   whole folded-history ladder (via the prefix-XOR closed form in
   ``repro.common.tablestate``);
@@ -101,8 +103,8 @@ def write_back_loop(loop, fields: tuple) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The deterministic BST's status stream, shared with the TAGE kernel's
-# BF-TAGE history side (tagekernel.py).
+# Shared with the TAGE kernel (tagekernel.py): the deterministic BST's
+# status stream, the provider numbering and the one recency-stack pass.
 # ---------------------------------------------------------------------------
 
 
@@ -179,6 +181,46 @@ def write_back_bst(bst, final: tuple) -> None:
     state = bst._state
     for index, status in zip(final[0].tolist(), final[1].tolist()):
         state[index] = _STATUSES[status]
+
+
+# perf: allow(REPRO401): names of one segment, renumbered once per call
+def first_appearance(codes: np.ndarray, names: tuple) -> tuple:
+    """``(codes, names)`` renumbered in order of first appearance, as the
+    scalar runner numbers them (names that never appear drop out)."""
+    present, first = np.unique(codes, return_index=True)
+    order = present[np.argsort(first)].tolist()
+    renumber = np.zeros(len(names), dtype=codes.dtype)
+    renumber[order] = np.arange(len(order))
+    return renumber[codes], [names[code] for code in order]
+
+
+# perf: allow(REPRO401): the one python pass over a batch's stack records
+def recency_rows(pcs: list, depth: int, dedup: bool) -> np.ndarray:
+    """Row ``j`` is a ``depth``-deep recency stack after the first ``j``
+    records of ``pcs`` (``RecencyStack.record``, with or without
+    ``dedup``): their indices, newest first, padded with ``len(pcs)``.
+    Replaying a stack's own entries, oldest first, seeds it."""
+    n = len(pcs)
+    pad = [n] * depth
+    flat = pad[:]
+    stack: list[int] = []
+    insert, remove, pop = stack.insert, stack.remove, stack.pop
+    latest: dict[int, int] = {}
+    occurrence = latest.get
+    for j, pc in enumerate(pcs):
+        if dedup:
+            prev = occurrence(pc)
+            if prev is not None:
+                remove(prev)
+            latest[pc] = j
+        insert(0, j)
+        if len(stack) > depth:
+            dead = pop()
+            if dedup:
+                del latest[pcs[dead]]
+        flat += stack
+        flat += pad[len(stack) :]
+    return np.array(flat, dtype=np.int32).reshape(n + 1, depth)
 
 
 # perf: allow(REPRO401): per-trace staging, runs once per batch
@@ -371,75 +413,44 @@ class BFNeuralKernel:
 
         # ------------------------------------------------------------------
         # Recency-stack evolution.  Which events record is status-pure, so
-        # the record stream is a precomputable append-only log (address,
-        # stamp, sign); the stack at any point is a depth-bounded dedup
-        # window over it.  The replay loop therefore shuffles *log
-        # indices* only — the per-event (A, stamp, H) matrices are three
-        # vectorized gathers at the end.  Log slot ``m`` is a pad
-        # sentinel: sign 0, so padded lanes never contribute.
+        # the record stream is a precomputable log (address, stamp, sign):
+        # the stack's own entries oldest first, then the segment's
+        # records.  One :func:`recency_rows` pass gives the stack after
+        # every record, and each weight-touching event gathers the row
+        # before its own record.  Log slot ``m`` is the rows' pad: sign 0,
+        # so padded lanes never contribute.
         # ------------------------------------------------------------------
         rs = predictor.rs
         base_clock = rs._clock
         record_mask = nb_after if cfg.filter_biased_history else np.ones(n, dtype=bool)
         ridx = np.flatnonzero(record_mask)
-        k0 = len(rs._entries)
+        seed = rs._entries[::-1]
+        k0 = len(seed)
         m = k0 + len(ridx)
         log_pc = np.empty(m + 1, dtype=np.uint64)
         log_stamp = np.empty(m + 1, dtype=np.int64)
         log_sign = np.empty(m + 1, dtype=np.int32)
-        for j, e in enumerate(rs._entries):
-            log_pc[j] = e.address
-            log_stamp[j] = e.stamp
-            log_sign[j] = 1 if e.outcome else -1
+        log_pc[:k0] = [e.address for e in seed]
+        log_stamp[:k0] = [e.stamp for e in seed]
+        log_sign[:k0] = [1 if e.outcome else -1 for e in seed]
         log_pc[k0:m] = pc_seg[ridx]
         log_stamp[k0:m] = base_clock + ridx + 1
         log_sign[k0:m] = outs[ridx].astype(np.int32) * 2 - 1
         log_pc[m] = 0
         log_stamp[m] = -(1 << 40)
         log_sign[m] = 0
-        lpcs = log_pc[:m].tolist()
-
-        idx_mat = np.full((nc, rsd), m, dtype=np.int64)
-        cnt = np.zeros(nc, dtype=np.int64)
-        stack: list[int] = list(range(k0))  # log indices, newest first
-        dedup = rs.dedup
-        live: dict[int, int] = {}
-        if dedup:
-            for j in range(k0 - 1, -1, -1):
-                live[lpcs[j]] = j
-        ev = np.flatnonzero(comp | record_mask)
-        ops = (comp[ev].astype(np.int8) + record_mask[ev].astype(np.int8) * 2).tolist()
-        row = 0
-        nxt = k0
-        for op in ops:
-            if op != 2:
-                k = len(stack)
-                if k:
-                    idx_mat[row, :k] = stack
-                cnt[row] = k
-                row += 1
-                if op == 1:
-                    continue
-            pc = lpcs[nxt]
-            if dedup:
-                prev = live.get(pc)
-                if prev is not None:
-                    stack.remove(prev)
-                live[pc] = nxt
-            stack.insert(0, nxt)
-            if len(stack) > rsd:
-                dead = stack.pop()
-                if dedup and live.get(lpcs[dead]) == dead:
-                    del live[lpcs[dead]]
-            nxt += 1
+        rows = recency_rows(log_pc[:m].tolist(), rsd, rs.dedup)
+        final_stack = rows[m].tolist()
         if nc:
+            # Wrs: each event's stack before its own record, distances,
+            # quantization, per-distance folds, index hashes.
+            idx_mat = rows[(np.cumsum(record_mask) - record_mask + k0)[cidx]]
+            del rows
+            pad = idx_mat == m
+            cnt = rsd - np.count_nonzero(pad, axis=1)
             a_mat = log_pc[idx_mat]
             s_mat = log_stamp[idx_mat]
             h_mat = log_sign[idx_mat]
-
-        if nc:
-            # Wrs: distances, quantization, per-distance folds, index hashes.
-            pad = np.arange(rsd, dtype=np.int64)[None, :] >= cnt[:, None]
             dist = np.minimum(
                 base_clock + cidx[:, None] - s_mat, cfg.position_cap
             )
@@ -646,8 +657,9 @@ class BFNeuralKernel:
         write_back_bst(bst, bst_final)
 
         rs._entries = [
-            RSEntry(address=lpcs[j], stamp=int(log_stamp[j]), outcome=bool(log_sign[j] > 0))
-            for j in stack
+            RSEntry(address=int(log_pc[j]), stamp=int(log_stamp[j]), outcome=bool(log_sign[j] > 0))
+            for j in final_stack
+            if j != m
         ]
         rs._clock = base_clock + n
 
@@ -690,4 +702,4 @@ class BFNeuralKernel:
             predictor._last_wrs_idx = widx_raw[last_row, :k].tolist()
             predictor._last_wrs_signs = h_mat[last_row, :k].tolist()
 
-        return preds, (prov, _PROVIDERS)
+        return preds, first_appearance(prov, _PROVIDERS)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import simulate
 from repro.trace.records import Trace
 
-PredictorFactory = Callable[[], BranchPredictor]
+if TYPE_CHECKING:  # typing only: loading the orchestration package here is slow
+    from repro.orchestration.tasks import PredictorFactory
 
 
 @dataclass

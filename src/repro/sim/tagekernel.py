@@ -17,11 +17,14 @@ known before the segment runs.  Two history sides produce the folds:
 * BF-TAGE folds every table's prefix of the bias-free GHR from scratch,
   as the scalar core does.  The deterministic BST's status stream is
   resolved in closed form (:func:`~repro.sim.bfkernel.bst_stream`), so
-  which branches the segmented recency stacks record is known up front;
-  one light python pass advances the stacks with
-  ``SegmentedRecencyStacks.commit``'s semantics over the precomputed
-  boundary crossings and emits each event's packed prefix, and numpy
-  folds the prefixes 64-bit word by word (:func:`_fold_plan`).
+  which branches the segmented recency stacks record is known up front.
+  The stacks have a closed form too: segment ``k`` is a prefix of one
+  LRU over the non-biased records, read ``b_k + 1`` commits late and
+  cut at the segment's deep boundary.  One python pass
+  (:func:`~repro.sim.bfkernel.recency_rows`, BF-Neural's stack pass)
+  gives that LRU after every record; numpy reads it at every segment's
+  delay, lays out each event's BF-GHR, packs it 3 bits per position
+  and folds it 64-bit word by word (:func:`_fold_plan`).
 
 The path register is a packed series of ``pc & 1`` bits, and the ``(n,
 N)`` index and tag arrays, the bimodal base indices, the statistical
@@ -46,7 +49,7 @@ ISL overlays ``sc`` and ``loop``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -61,15 +64,27 @@ from repro.core.bftage import BFISLTage, BFTage, fold_steps
 from repro.predictors.base import hot_path
 from repro.predictors.tage.isl import ISLTage
 from repro.predictors.tage.tage import _PROVIDER_NAMES, Tage
-from repro.sim.bfkernel import bst_stream, loop_rows, stage_loop, write_back_bst, write_back_loop
+from repro.sim.bfkernel import (
+    bst_stream,
+    first_appearance,
+    loop_rows,
+    recency_rows,
+    stage_loop,
+    write_back_bst,
+    write_back_loop,
+)
 
 #: Events per chunk of a TAGE core's history side: bounds the per-event
 #: arrays and python rows held at once, whatever the segment length.
 _CHUNK = 4096
 
-#: Events per chunk of BF-TAGE's history side: its boundary crossings
-#: are held as python lists, up to one per boundary per event.
-_BF_CHUNK = 1024
+#: Events per chunk of BF-TAGE's history side: bounds its (rs_size,
+#: events, segments) reads and its per-event BF-GHR layout.
+_BF_CHUNK = 512
+
+#: The LRU's padding, and the floor of its record indices: older than
+#: any window.
+_NO_RECORD = -(1 << 30)
 
 #: Events per block of the word-level prefix fold: its (events, register
 #: words) temporaries stay a few hundred KB.
@@ -184,87 +199,36 @@ def _fold_prefixes(words: np.ndarray, plan: tuple) -> np.ndarray:
     return folds
 
 
-# perf: allow(REPRO401): ``to_bytes`` per event is the prefix handed to numpy
-def _ghr_pass(segments, recent: int, counts, crossings, elements, positions: int) -> tuple:
-    """One pass over a chunk's commits with
-    ``SegmentedRecencyStacks.commit``'s exact semantics, mutating the
-    stacks' per-segment lists in place.
-
-    ``counts[i]`` is how many boundary crossings of non-biased records
-    commit ``i`` makes, and ``crossings`` yields them in commit, then
-    boundary, order as ``(boundary, hashed pc, stamp, element)``;
-    ``elements[i]`` is commit ``i``'s own 3-bit element, shifted into the
-    unfiltered register.  Returns every event's BF-GHR, packed as
-    ``packed_ghr(positions)`` before the event's commit, as little-endian
-    64-bit words (joined bytes), and the unfiltered register after the
-    last commit.
-    """
-    all_pcs = segments._pcs
-    all_stamps = segments._stamps
-    parts = segments._parts
-    keep = segments._keep
-    rs_size = segments.rs_size
-    last = segments.num_segments
-    recent_mask = segments._recent_mask
-    start = 3 * segments.unfiltered_bits
-    limit = 3 * positions
-    prefix_mask = mask(limit)
-    # 3 * len(pcs) per segment: the bits its part takes in the BF-GHR.
-    sizes = [3 * len(pcs) for pcs in all_pcs]
-    nbytes = 8 * -(-limit // 64)
-    prefixes: list[bytes] = []
-    add = prefixes.append
-    for count, element in zip(counts, elements):
-        # packed_ghr: the unfiltered register, then each segment's part.
-        packed = recent
-        position = start
-        for part, size in zip(parts, sizes):
-            packed |= part << position
-            position += size
-            if position >= limit:
-                break
-        add((packed & prefix_mask).to_bytes(nbytes, "little"))
-        # commit
-        recent = ((recent << 3) | element) & recent_mask
-        for k, hashed_pc, stamp, crossing in islice(crossings, count):
-            if k:
-                # Leaving segment k-1 at its deep boundary: the tail, if
-                # it is still there.
-                stamps = all_stamps[k - 1]
-                if stamps and stamps[-1] == stamp:
-                    stamps.pop()
-                    all_pcs[k - 1].pop()
-                    parts[k - 1] &= keep[len(stamps)]
-                    sizes[k - 1] -= 3
-            if k < last:
-                # SegmentedRecencyStacks._insert
-                pcs = all_pcs[k]
-                stamps = all_stamps[k]
-                part = parts[k]
-                if hashed_pc in pcs:
-                    at = pcs.index(hashed_pc)
-                    del pcs[at]
-                    del stamps[at]
-                    low = 3 * at
-                    part = (part & keep[at]) | ((part >> (low + 3)) << low)
-                pcs.insert(0, hashed_pc)
-                stamps.insert(0, stamp)
-                part = (part << 3) | crossing
-                if len(pcs) > rs_size:
-                    pcs.pop()
-                    stamps.pop()
-                    part &= keep[rs_size]
-                parts[k] = part
-                sizes[k] = 3 * len(pcs)
-    return b"".join(prefixes), recent
+# perf: allow(REPRO401): numpy slices are views; runs per chunk
+def _segment_reads(lru, records, elements, events, boundaries) -> tuple:
+    """Every segment before each of ``events`` (indices into ``records``
+    and their ``elements``), read from ``lru`` at its delay: the entries'
+    record indices, shape (rs_size, events, segments), which are live
+    (dead ones read record 0), and their elements.  ``lru[:, r]`` is the
+    LRU after ``r`` non-biased records."""
+    seen = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum(records[:, 2], out=seen[1:])
+    index = np.take(lru, seen[events[:, None] - boundaries[:-1]], axis=1)
+    live = index >= events[:, None] - boundaries[1:]
+    index *= live
+    return index, live, np.take(elements, index)
 
 
 # perf: allow(REPRO401, REPRO402): staging runs per chunk, not per event
 def _bf_folds(tage, pc_seg: np.ndarray, outs: np.ndarray):
     """BF-TAGE's prefix folds of the bias-free GHR, per chunk: the BST
-    stream, the crossings of the boundaries, the python stack pass and
-    the word-level fold.  Writes back the BST entries as it goes and
-    the stacks' ring, cursor and unfiltered register at the end."""
+    stream, one LRU pass, every event's BF-GHR read from it at the
+    segments' delays, and the word-level fold.  Writes back the BST
+    entries per chunk, and the stacks' ring, cursor, unfiltered register
+    and segments at the end.
+
+    Before commit ``t`` segment ``k`` is the LRU of the non-biased
+    records as it stood after stamp ``t - b_k - 1``, cut to the entries
+    stamped ``t - b_{k+1}`` or later (docs/vectorization.md).  A read
+    depends only on its window, so the first chunk starts the LRU empty
+    at the ring's oldest record, and each chunk hands the next the LRU
+    states of its last ring's worth of records, as record indices.
+    """
     cfg = tage.config
     segments = tage.segments
     positions = cfg.history_lengths[-1]
@@ -273,71 +237,87 @@ def _bf_folds(tage, pc_seg: np.ndarray, outs: np.ndarray):
         tuple(top + 1 for _, _, top, _ in tage._fold_registers),
     )
     words = -(-3 * positions // 64)
+    width = -(-64 * words // 3)  # the positions that fill ``words``
+    rs_size = segments.rs_size
+    unfiltered = segments.unfiltered_bits
+    shallow = min(unfiltered, positions)
     ring = segments._ring
     ring_len = len(ring)
     head = segments._head
     count = segments._count
     boundaries = np.array(segments.boundaries, dtype=np.int64)
     pc_mask = np.uint64(segments._pc_mask)
-    # The ring's records oldest first.  Slots no branch was committed to
-    # yet stay zero: a biased record never crosses a boundary, which is
-    # commit's depth check.
+    # The ring's (hashed pc, taken, non-biased) records oldest first.
+    # Slots no branch was committed to yet stay zero: never non-biased.
     tail = np.zeros((ring_len, 3), dtype=np.int64)
     known = min(count, ring_len)
     if known:
         at = head % ring_len
         tail[ring_len - known :] = (ring[at:] + ring[:at])[ring_len - known :]
-    tail_pc, tail_out = tail[:, 0], tail[:, 1]
-    tail_nb = tail[:, 2] == 1
-    recent = segments._recent
+    lru = np.full((rs_size, 1), _NO_RECORD, dtype=np.int32)
+    fresh = 0  # records before this index are already in ``lru``
     n = len(outs)
     for lo in range(0, n, _BF_CHUNK):
         hi = min(n, lo + _BF_CHUNK)
         m = hi - lo
         _, nb, final = bst_stream(tage.bst, pc_seg[lo:hi], outs[lo:hi])
         write_back_bst(tage.bst, final)
-        hashed = (pc_seg[lo:hi] & pc_mask).astype(np.int64)
-        taken = outs[lo:hi].astype(np.int64)
-        ext_pc = np.concatenate((tail_pc, hashed))
-        ext_out = np.concatenate((tail_out, taken))
-        ext_nb = np.concatenate((tail_nb, nb))
-        # Commit i moves the record committed b_k commits earlier across
-        # boundary b_k; only non-biased records cross.
-        record = (ring_len + np.arange(m, dtype=np.int64))[:, None] - boundaries[None, :]
-        event, k = np.nonzero(ext_nb[record])
-        crossed = record[event, k]
-        crossed_pc = ext_pc[crossed]
-        crossings = zip(
-            k.tolist(),
-            crossed_pc.tolist(),
-            (crossed + (head + lo - ring_len)).tolist(),
-            (((crossed_pc & 3) << 1) | ext_out[crossed]).tolist(),
-        )
-        packed, recent = _ghr_pass(
-            segments,
-            recent,
-            np.bincount(event, minlength=m).tolist(),
-            crossings,
-            (((hashed & 3) << 1) | taken).tolist(),
-            positions,
-        )
-        prefixes = np.frombuffer(packed, dtype="<u8").reshape(m, words)
+        chunk = np.stack(((pc_seg[lo:hi] & pc_mask).astype(np.int64), outs[lo:hi], nb), axis=1)
+        records = np.concatenate((tail, chunk))
+        elements = (((records[:, 0] & 3) << 1) | records[:, 1]).astype(np.uint8)
+        # One LRU pass over the non-biased records not yet in it, seeded
+        # with the latest state's entries still among the records.
+        seed = lru[:, -1][lru[:, -1] >= 0][::-1]
+        feed = np.concatenate((seed, fresh + np.flatnonzero(records[fresh:, 2])))
+        passed = recency_rows(records[feed, 0].tolist(), rs_size, True)
+        record_of = np.append(feed, _NO_RECORD).astype(np.int32)
+        lru = np.concatenate((lru, record_of[passed[len(seed) + 1 :]].T), axis=1)
+        # Each event's BF-GHR: the unfiltered elements, then every
+        # segment's live entries in turn, cut at ``positions`` (the extra
+        # column takes what falls past it), 3 bits per position.
+        events = ring_len + np.arange(m, dtype=np.int64)
+        live, entries = _segment_reads(lru, records, elements, events, boundaries)[1:]
+        filled = live.sum(axis=0, dtype=np.int32)
+        at = np.cumsum(filled, axis=1, dtype=np.int32) - filled + unfiltered
+        at = at + np.arange(rs_size, dtype=np.int32)[:, None, None]
+        np.putmask(at, ~live | (at >= positions), width)
+        at += (width + 1) * np.arange(m, dtype=np.int32)[:, None]
+        layout = np.zeros((m, width + 1), dtype=np.uint8)
+        layout[:, :shallow] = elements[events[:, None] - 1 - np.arange(shallow)]
+        layout.ravel()[at] = entries
+        # Bit i of position p at bit 3p + i.
+        bits = np.empty((m, width, 3), dtype=np.uint8)
+        for i in range(3):
+            np.right_shift(layout[:, :width], i, out=bits[:, :, i])
+        bits &= 1
+        prefixes = np.packbits(bits.reshape(m, -1), axis=1, bitorder="little")[:, : 8 * words]
         # The ring keeps bools: (hashed pc, taken, non-biased) per commit.
         keep_from = max(0, m - ring_len)
-        for j, pc, out, flag in zip(
-            range(head + lo + keep_from, head + hi),
-            hashed[keep_from:].tolist(),
-            (taken[keep_from:] == 1).tolist(),
-            nb[keep_from:].tolist(),
+        for j, (pc, taken, flag) in zip(
+            range(head + lo + keep_from, head + hi), chunk[keep_from:].tolist()
         ):
-            ring[j % ring_len] = (pc, out, flag)
-        tail_pc = ext_pc[-ring_len:]
-        tail_out = ext_out[-ring_len:]
-        tail_nb = ext_nb[-ring_len:]
-        yield lo, _fold_prefixes(prefixes, plan)
+            ring[j % ring_len] = (pc, taken == 1, flag == 1)
+        yield lo, _fold_prefixes(np.ascontiguousarray(prefixes).view("<u8"), plan)
+        lru = np.maximum(lru[:, np.count_nonzero(records[:m, 2]) :] - m, _NO_RECORD)
+        tail = records[m:]
+        fresh = ring_len
+    # Every segment after the last commit, and the unfiltered register.
+    base = head + n - ring_len
+    elements = elements[m:]
+    reads = _segment_reads(lru, tail, elements, np.array([ring_len]), boundaries)
+    index, live, entries = (read[:, 0].T for read in reads)
+    filled = live.sum(axis=1).tolist()
+    held = [row[:k] for row, k in zip(index, filled)]
+    segments._stamps = [(row + base).tolist() for row in held]
+    segments._pcs = [tail[row, 0].tolist() for row in held]
+    segments._parts = [
+        sum(e << (3 * j) for j, e in enumerate(row[:k]))
+        for row, k in zip(entries.tolist(), filled)
+    ]
+    recent = elements[::-1][:unfiltered].tolist()
+    segments._recent = sum(element << (3 * p) for p, element in enumerate(recent))
     segments._head = head + n
     segments._count = min(count + n, ring_len)
-    segments._recent = recent
 
 
 # perf: allow(REPRO401): staging runs per chunk, not per event
@@ -677,4 +657,4 @@ class TageKernel:
             isl._last_sc_used = sc_used
             isl._last_pred = pred
             isl._last_provider_name = names[code]
-        return predictions, (providers, names)
+        return predictions, first_appearance(providers, names)

@@ -722,7 +722,7 @@ def test_word_level_prefix_fold_matches_fold_bits(registers, seed):
 def test_bf_tage_kernel_staging_is_chunked():
     """BF-ISL-TAGE-10's BST stream, stack pass, prefix folds and table
     rows are staged a chunk at a time: a 40,000-event kernel call peaks
-    within 1 MB of a 10,000-event one, and the 10,000 events, ten
+    within 1 MB of a 10,000-event one, and the 10,000 events, many
     chunks, equal the scalar replay."""
     rng = np.random.default_rng(4)
     _build_line_arrays(PORTED["bf-isl-tage10"])

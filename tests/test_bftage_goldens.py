@@ -119,12 +119,6 @@ def test_bftage_family_matches_golden(golden, name):
         assert resumed == expected, f"{config} on {name}, resumed from JSON"
 
 
-def _any_order(observation: dict) -> dict:
-    """An observation with its provider hits as a dict: a kernel counts
-    them in provider-code order, the scalar loop in order of appearance."""
-    return {**observation, "provider_hits": dict(map(tuple, observation["provider_hits"]))}
-
-
 @pytest.mark.parametrize("name", TRACES)
 def test_bftage_family_matches_golden_on_kernels(golden, name):
     """The same pins through ``kernel="auto"``: BF-TAGE-1..10 and
@@ -132,7 +126,7 @@ def test_bftage_family_matches_golden_on_kernels(golden, name):
     profile-assisted configurations on the scalar loop."""
     trace = build_trace(name, BRANCHES)
     for config in CONFIGS:
-        straight, resumed = map(_any_order, observe(config, trace, kernel="auto"))
-        expected = _any_order(golden[f"{config}/{name}"])
+        straight, resumed = observe(config, trace, kernel="auto")
+        expected = golden[f"{config}/{name}"]
         assert straight == expected, f"{config} on {name}, straight run on auto"
         assert resumed == expected, f"{config} on {name}, resumed from JSON on auto"

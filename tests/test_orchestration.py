@@ -841,7 +841,7 @@ class TestTraceSpecFingerprintGolden:
     #: The key of a plan that leaves the kernel at its default, ``auto``:
     #: it carries ``|kernel=auto`` and the kernel-source digest, so an
     #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "710723d57bb90e9b21e1240d940f44fcb57cd2734d7361329fdfabb345a58aa5"
+    AUTO_GOLDEN = "f7f88112b52142ecc74eb4d3db33659049d5bb00622928493e6c33789db96d98"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for

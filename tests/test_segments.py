@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from repro.common.state import StateError, expect_keys, expect_length
 from repro.core.bftage import BFTage
+from repro.core.recency_stack import RecencyStack
 from repro.core.segments import DEFAULT_BOUNDARIES, SegmentedRecencyStacks
 from repro.sim import simulate
+from repro.sim.bfkernel import recency_rows
 from repro.workloads import build_trace
 from repro.workloads.mix import compose_mix
 
@@ -547,6 +550,60 @@ class TestFrozenReference:
             for length in lengths:
                 assert stacks.packed_ghr(length) == reference.packed_ghr(length), length
         assert stacks.ghr_components() == reference.ghr_components()
+
+
+class TestOneLruClosedForm:
+    """The kernels' closed form of the segmented stacks: segment ``k``
+    after commit ``t`` (``t + 1`` commits made) is the LRU of all
+    non-biased records as it stood after stamp ``t - b_k``, cut to the
+    entries stamped ``t + 1 - b_{k+1}`` or later.  ``recency_rows``
+    gives that LRU after every record, and itself matches the scalar
+    ``RecencyStack`` with dedup on and off."""
+
+    @given(
+        geometry=geometries(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        commits=st.integers(min_value=1, max_value=400),
+        pc_pool=st.integers(min_value=1, max_value=40),
+        non_biased_share=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    )
+    @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
+    def test_segments_are_delayed_reads_of_one_lru(
+        self, geometry, seed, commits, pc_pool, non_biased_share
+    ):
+        rnd = random.Random(seed)
+        stacks = SegmentedRecencyStacks(**geometry)
+        records = [
+            (rnd.randrange(pc_pool) * 0x1F3, rnd.random() < 0.5, rnd.random() < non_biased_share)
+            for _ in range(commits)
+        ]
+        # The non-biased records' stamps and hashed pcs, colliding when
+        # the hashed pc is narrow.
+        stamps = [t for t, (_, _, non_biased) in enumerate(records) if non_biased]
+        pcs = [records[t][0] & stacks._pc_mask for t in stamps]
+        rs_size = geometry["rs_size"]
+
+        for dedup in (True, False):
+            rows = recency_rows(pcs, rs_size, dedup).tolist()
+            scalar = RecencyStack(depth=rs_size, dedup=dedup)
+            assert rows[0] == [len(pcs)] * rs_size
+            for j, pc in enumerate(pcs):
+                scalar.tick()
+                scalar.record(pc, True)
+                entries = [i for i in rows[j + 1] if i < len(pcs)]
+                assert [pcs[i] for i in entries] == [e.address for e in scalar.entries()]
+                assert [i + 1 for i in entries] == [e.stamp for e in scalar.entries()]
+                assert rows[j + 1][len(entries) :] == [len(pcs)] * (rs_size - len(entries))
+
+        rows = recency_rows(pcs, rs_size, True).tolist()
+        bounds = stacks.boundaries
+        for t, record in enumerate(records):
+            stacks.commit(*record)
+            for k in range(stacks.num_segments):
+                row = rows[bisect_right(stamps, t - bounds[k])]
+                held = [i for i in row if i < len(pcs) and stamps[i] >= t + 1 - bounds[k + 1]]
+                assert [stamps[i] for i in held] == stacks._stamps[k], (t, k)
+                assert [pcs[i] for i in held] == stacks._pcs[k], (t, k)
 
 
 def trained_stacks():
