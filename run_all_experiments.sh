@@ -29,11 +29,13 @@ python3 -m benchmarks.e2e run --smoke --seconds 0.5 || {
     exit 1
 }
 # BF-GHR stage: the in-place packed segmented recency stacks against
-# their frozen reference under random geometry, with ten times tier-1's
-# hypothesis examples, then the BF-TAGE-family goldens (straight and
-# JSON-resumed). Fig. 10-12 all run BF-TAGE, so a drift stops here.
+# their frozen reference and the segments the ring determines, and the
+# kernels' one-LRU closed form, under random geometry with ten times
+# tier-1's hypothesis examples, then the BF-TAGE-family goldens
+# (straight and JSON-resumed). Fig. 10-12 all run BF-TAGE, so a drift
+# stops here.
 REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_segments.py \
-    tests/test_bftage_goldens.py -k "FrozenReference or golden" -q || {
+    tests/test_bftage_goldens.py -k "FrozenReference or OneLru or golden" -q || {
     echo SEGMENTS_DIFFERENTIAL_FAILED
     exit 1
 }

@@ -240,16 +240,51 @@ class SegmentedRecencyStacks:
             "count": self._count,
         }
 
+    def ring_segments(self, ring: list, head: int, count: int) -> list[list[tuple]]:
+        """Every segment's ``(hashed pc, stamp, outcome)`` entries as the
+        commit ring ``ring`` (at cursor ``head``, ``count`` records
+        known) determines them, newest first.
+
+        Segment ``k`` holds the distinct non-biased hashed pcs at depths
+        ``b_k + 1 .. min(b_{k+1}, count)``, each at its newest occurrence
+        there, at most ``rs_size`` of them: :meth:`commit` enters a record
+        at its shallow boundary and drops it at its deep one, keeps only a
+        pc's latest occurrence and evicts the oldest entry, so every state
+        a run reaches is this one (docs/vectorization.md).
+        """
+        ring_len = len(ring)
+        segments = []
+        for shallow, deep in zip(self.boundaries, self.boundaries[1:]):
+            entries: list[tuple] = []
+            seen: set[int] = set()
+            for stamp in range(head - shallow - 1, head - min(deep, count) - 1, -1):
+                hashed_pc, taken, non_biased = ring[stamp % ring_len]
+                if non_biased and hashed_pc not in seen:
+                    seen.add(hashed_pc)
+                    entries.append((hashed_pc, stamp, taken))
+                    if len(entries) == self.rs_size:
+                        break
+            segments.append(entries)
+        return segments
+
+    def _install_segments(self, segments: list[list[tuple]]) -> None:
+        """Set every segment's pcs, stamps and packed part to ``segments``
+        (:meth:`ring_segments`' form)."""
+        self._pcs = [[pc for pc, _, _ in entries] for entries in segments]
+        self._stamps = [[stamp for _, stamp, _ in entries] for entries in segments]
+        self._parts = [
+            sum(_element(pc, taken) << (3 * position) for position, (pc, _, taken) in enumerate(entries))
+            for entries in segments
+        ]
+
     def restore(self, state: dict) -> None:
         """Re-install a :meth:`snapshot`; segmentation must match.
 
         Everything is validated before anything is assigned, so a
         malformed state raises :class:`StateError` and leaves the stacks
-        as they were.  Beyond the shapes and field types, each segment
-        entry must be the non-biased ring record at its stamp, inside the
-        segment's depth window, with stamps strictly descending and no
-        hashed pc repeated: the invariants the tail pops of
-        :meth:`commit` rely on.
+        as they were.  Beyond the shapes and field types, the segments
+        must be the ones the ring determines (:meth:`ring_segments`), the
+        only segments a run can reach.
         """
         expect_keys(state, ("segments", "ring", "head", "count"), "SegmentedRS")
         expect_length(state["segments"], self.num_segments, "SegmentedRS.segments")
@@ -265,54 +300,31 @@ class SegmentedRecencyStacks:
             )
         ring_len = len(ring)
         count = min(count, ring_len)
-        all_pcs: list[list[int]] = []
-        all_stamps: list[list[int]] = []
-        parts: list[int] = []
-        for segment, entries in enumerate(state["segments"]):
+        derived = self.ring_segments(ring, head, count)
+        for segment, (entries, expected) in enumerate(zip(state["segments"], derived)):
             context = f"SegmentedRS.segments[{segment}]"
             if not isinstance(entries, list) or len(entries) > self.rs_size:
                 found = len(entries) if isinstance(entries, list) else type(entries).__name__
                 raise StateError(
                     f"{context}: expected at most rs_size {self.rs_size} entries, got {found}"
                 )
-            shallow, deep = self.boundaries[segment] + 1, self.boundaries[segment + 1]
-            pcs: list[int] = []
-            stamps: list[int] = []
-            part = 0
-            for position, entry in enumerate(entries):
-                hashed_pc, stamp, outcome = _fields(
-                    entry, (int, int, bool), f"{context}[{position}]"
+            entries = [
+                _fields(entry, (int, int, bool), f"{context}[{position}]")
+                for position, entry in enumerate(entries)
+            ]
+            if entries != expected:
+                shallow, deep = self.boundaries[segment] + 1, self.boundaries[segment + 1]
+                raise StateError(
+                    f"{context}: got {entries!r:.80}, the ring determines {expected!r:.80}; "
+                    f"the segment holds the distinct non-biased ring records of its depth "
+                    f"window [{shallow}, {deep}]: newest first, so stamps strictly descend, "
+                    f"and no hashed pc appears twice"
                 )
-                depth = head - stamp
-                if stamps and stamp >= stamps[-1]:
-                    raise StateError(
-                        f"{context}: stamps must strictly descend, got {stamp} after {stamps[-1]}"
-                    )
-                if hashed_pc in pcs:
-                    raise StateError(f"{context}: hashed pc {hashed_pc} appears twice")
-                if not shallow <= depth <= min(deep, count):
-                    raise StateError(
-                        f"{context}[{position}]: stamp {stamp} is at depth {depth}, "
-                        f"outside the segment's window [{shallow}, {deep}]"
-                    )
-                if ring[stamp % ring_len] != (hashed_pc, outcome, True):
-                    raise StateError(
-                        f"{context}[{position}]: entry does not match the non-biased "
-                        f"ring record at stamp {stamp}"
-                    )
-                pcs.append(hashed_pc)
-                stamps.append(stamp)
-                part |= _element(hashed_pc, outcome) << (3 * position)
-            all_pcs.append(pcs)
-            all_stamps.append(stamps)
-            parts.append(part)
         recent = 0
         for depth in range(1, min(self.unfiltered_bits, count) + 1):
             hashed_pc, taken, _ = ring[(head - depth) % ring_len]
             recent |= _element(hashed_pc, taken) << (3 * (depth - 1))
-        self._pcs = all_pcs
-        self._stamps = all_stamps
-        self._parts = parts
+        self._install_segments(derived)
         self._ring = ring
         self._head = head
         self._count = count

@@ -7,8 +7,11 @@ over everything the result depends on:
 
 * the predictor's class, display name and ``storage_bits()``,
 * its ``*Config`` dataclass contents (when it exposes ``.config``),
-* the source code of every class in the predictor's MRO plus the
-  simulator loop itself (so editing ``train()`` invalidates results),
+* the source code of every class in the predictor's MRO, of its
+  component classes (the ``repro`` classes those modules import, such
+  as the BST, recency stacks, loop predictor, history registers and
+  TAGE tables, followed transitively) plus the simulator loop itself
+  (so editing ``train()`` or a component invalidates results),
 * the trace identity (suite name + branch budget for generated traces,
   file content digest for ``.bfbp`` files, full content digest for
   in-memory traces),
@@ -53,24 +56,36 @@ def _canonical(data: object) -> str:
     return json.dumps(data, sort_keys=True, default=repr)
 
 
-def source_fingerprint(cls: type) -> str:
-    """Digest of the source files defining ``cls`` and its bases.
+def source_modules(cls: type) -> list:
+    """The modules a predictor class's results depend on: the simulator,
+    the module of every class in its MRO, and the modules of its
+    component classes, the ``repro`` classes those modules import (and,
+    transitively, the classes the components' modules import)."""
+    modules = [simulator]
+    pending = [klass for klass in cls.__mro__ if klass not in (object, BranchPredictor)]
+    while pending:
+        module = inspect.getmodule(pending.pop(0))
+        if module is None or module in modules:
+            continue
+        modules.append(module)
+        for value in vars(module).values():
+            if (
+                inspect.isclass(value)
+                and value.__module__.startswith("repro.")
+                and value is not BranchPredictor
+            ):
+                pending.append(value)
+    return modules
 
-    Includes the simulator module so a change to the evaluation loop
-    also invalidates cached results.  Classes without retrievable
-    source (builtins, REPL definitions) contribute their qualname only.
-    """
+
+def source_fingerprint(cls: type) -> str:
+    """Digest of the source files of :func:`source_modules`, cached per
+    class.  Classes without retrievable source (builtins, REPL
+    definitions) contribute their module name only."""
     cached = _SOURCE_CACHE.get(cls)
     if cached is not None:
         return cached
-    modules = [simulator]
-    for klass in cls.__mro__:
-        if klass in (object, BranchPredictor):
-            continue
-        module = inspect.getmodule(klass)
-        if module is not None:
-            modules.append(module)
-    result = _modules_digest(modules)
+    result = _modules_digest(source_modules(cls))
     _SOURCE_CACHE[cls] = result
     return result
 

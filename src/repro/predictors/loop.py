@@ -9,6 +9,11 @@ predictor; ISL-TAGE uses the same structure.  It is a *side* predictor:
 ``lookup`` returns a prediction plus a confidence flag, and the host
 predictor decides whether to use it.
 
+The table is six ``[set][way]`` field lists (tag, past trip, current
+trip, confidence, age, valid), the one layout this class and the batch
+kernels' replay (:func:`repro.sim.bfkernel.loop_replay`) both change in
+place.
+
 A pc's skewed ``(set, tag)`` pair in every way is one splitmix64 hash per
 way.  ``lookup`` and ``update`` see the same pc in one event, so the
 pairs of the last pc hashed are kept in a one-slot cache: each event
@@ -19,21 +24,9 @@ memory at one entry whatever pcs arrive and stays out of snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bitops import MIX64_M1, MIX64_M2, U64
 from repro.common.state import expect_keys, expect_length
 from repro.predictors.base import BranchPredictor
-
-
-@dataclass
-class _LoopEntry:
-    tag: int = 0
-    past_trip: int = 0
-    current_trip: int = 0
-    confidence: int = 0
-    age: int = 0
-    valid: bool = False
 
 
 class LoopPredictor:
@@ -50,7 +43,7 @@ class LoopPredictor:
         self.ways = ways
         self.tag_bits = tag_bits
         self.sets = entries // ways
-        self._table = [[_LoopEntry() for _ in range(ways)] for _ in range(self.sets)]
+        self.reset()
         # Skewed associativity: every way adds its own multiple of the
         # skew constant to the pc before hashing.
         self._way_skews = tuple(0x517C_C1B7 * (way + 1) for way in range(ways))
@@ -77,12 +70,13 @@ class LoopPredictor:
         self._slots_pc = pc
         return slots
 
-    def _find(self, pc: int) -> _LoopEntry | None:
-        table = self._table
+    def _find(self, pc: int) -> tuple[int, int] | None:
+        """``(set, way)`` of ``pc``'s valid entry, if it has one."""
+        valid = self._valid
+        tags = self._tags
         for way, (set_index, tag) in enumerate(self._slots(pc)):
-            entry = table[set_index][way]
-            if entry.valid and entry.tag == tag:
-                return entry
+            if valid[set_index][way] and tags[set_index][way] == tag:
+                return set_index, way
         return None
 
     def lookup(self, pc: int) -> tuple[bool, bool]:
@@ -91,66 +85,75 @@ class LoopPredictor:
         The prediction is only meaningful when ``confident`` is True: the
         loop has repeated the same trip count enough times.
         """
-        entry = self._find(pc)
-        if entry is None or entry.confidence < self.CONFIDENCE_MAX:
+        found = self._find(pc)
+        if found is None:
+            return True, False
+        set_index, way = found
+        if self._confidence[set_index][way] < self.CONFIDENCE_MAX:
             return True, False
         # Predict not-taken exactly at the exit iteration.
-        return entry.current_trip != entry.past_trip, True
+        return self._current[set_index][way] != self._past[set_index][way], True
 
     def update(self, pc: int, taken: bool, allocate: bool = True) -> None:
         """Observe a resolved outcome for a (potential) loop branch."""
-        entry = self._find(pc)
-        if entry is None:
+        found = self._find(pc)
+        if found is None:
             if taken or not allocate:
                 return
             self._allocate(pc)
             return
+        set_index, way = found
+        current = self._current[set_index]
         if taken:
-            entry.current_trip += 1
-            if entry.current_trip > self.TRIP_MAX:
+            current[way] += 1
+            if current[way] > self.TRIP_MAX:
                 # Not a constant-trip loop we can represent; retire it.
-                entry.valid = False
+                self._valid[set_index][way] = False
             return
         # Loop exit observed.
-        if entry.current_trip == entry.past_trip:
-            if entry.confidence < self.CONFIDENCE_MAX:
-                entry.confidence += 1
-            if entry.age < self.AGE_MAX:
-                entry.age += 1
+        past = self._past[set_index]
+        confidence = self._confidence[set_index]
+        if current[way] == past[way]:
+            if confidence[way] < self.CONFIDENCE_MAX:
+                confidence[way] += 1
+            age = self._age[set_index]
+            if age[way] < self.AGE_MAX:
+                age[way] += 1
         else:
-            entry.past_trip = entry.current_trip
-            entry.confidence = 0
-        entry.current_trip = 0
+            past[way] = current[way]
+            confidence[way] = 0
+        current[way] = 0
 
     def _allocate(self, pc: int) -> None:
         # Prefer an invalid way; otherwise decay ages and steal an old one.
         slots = self._slots(pc)
-        table = self._table
+        valid = self._valid
+        ages = self._age
         victim_way = None
         for way, (set_index, _) in enumerate(slots):
-            if not table[set_index][way].valid:
+            if not valid[set_index][way]:
                 victim_way = way
                 break
         if victim_way is None:
             for way, (set_index, _) in enumerate(slots):
-                entry = table[set_index][way]
-                if entry.age == 0:
+                if ages[set_index][way] == 0:
                     victim_way = way
                     break
-                entry.age -= 1
+                ages[set_index][way] -= 1
         if victim_way is None:
             return
         set_index, tag = slots[victim_way]
-        entry = table[set_index][victim_way]
-        entry.tag = tag
-        entry.past_trip = 0
-        entry.current_trip = 0
-        entry.confidence = 0
-        entry.age = self.AGE_MAX
-        entry.valid = True
+        self._tags[set_index][victim_way] = tag
+        self._past[set_index][victim_way] = 0
+        self._current[set_index][victim_way] = 0
+        self._confidence[set_index][victim_way] = 0
+        ages[set_index][victim_way] = self.AGE_MAX
+        valid[set_index][victim_way] = True
 
     def reset(self) -> None:
-        self._table = [[_LoopEntry() for _ in range(self.ways)] for _ in range(self.sets)]
+        self._tags, self._past, self._current, self._confidence, self._age, self._valid = (
+            [[value] * self.ways for _ in range(self.sets)] for value in (0, 0, 0, 0, 0, False)
+        )
 
     def storage_bits(self) -> int:
         per_entry = self.tag_bits + 14 + 14 + 2 + 3 + 1
@@ -158,15 +161,8 @@ class LoopPredictor:
 
     def snapshot(self) -> dict:
         """All loop entries as flat field lists."""
-        return {
-            "table": [
-                [
-                    [e.tag, e.past_trip, e.current_trip, e.confidence, e.age, e.valid]
-                    for e in ways
-                ]
-                for ways in self._table
-            ]
-        }
+        fields = (self._tags, self._past, self._current, self._confidence, self._age, self._valid)
+        return {"table": [[list(entry) for entry in zip(*rows)] for rows in zip(*fields)]}
 
     def restore(self, state: dict) -> None:
         """Re-install a :meth:`snapshot`; geometry must match."""
@@ -174,20 +170,17 @@ class LoopPredictor:
         expect_length(state["table"], self.sets, "LoopPredictor.table")
         for ways in state["table"]:
             expect_length(ways, self.ways, "LoopPredictor.table[set]")
-        self._table = [
-            [
-                _LoopEntry(
-                    tag=int(tag),
-                    past_trip=int(past),
-                    current_trip=int(cur),
-                    confidence=int(conf),
-                    age=int(age),
-                    valid=bool(valid),
-                )
+        # Per set, one tuple per field.
+        columns = [
+            list(zip(*(
+                (int(tag), int(past), int(cur), int(conf), int(age), bool(valid))
                 for tag, past, cur, conf, age, valid in ways
-            ]
+            )))
             for ways in state["table"]
         ]
+        self._tags, self._past, self._current, self._confidence, self._age, self._valid = (
+            [list(per_set[field]) for per_set in columns] for field in range(6)
+        )
 
 
 class LoopOnly(BranchPredictor):

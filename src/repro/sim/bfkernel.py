@@ -23,9 +23,12 @@ What remains sequential is the weight-table read/update chain itself, so
 the kernel walks a python loop over *only* the events that touch weights
 (non-biased predictions plus the rare biased-to-non-biased transition
 trainings — typically a third of the trace), each step reduced to one
-``take`` + dot over a precomputed index row into a single weight arena,
-plus an inlined loop-predictor update.  Biased and not-found events
-never enter the loop at all.
+``take`` + dot over a precomputed index row into a single weight arena.
+Biased and not-found events never enter the loop at all.  The weights
+and θ train on the neural prediction, never on the loop predictor's
+override, so the loop predictor runs afterwards over the non-biased
+events: :func:`loop_replay`, the one replay of the loop table and its
+``WITHLOOP`` counter, shared with the TAGE kernel.
 
 Exactness notes:
 
@@ -36,14 +39,13 @@ Exactness notes:
   them sequentially (each add clamps before the next), which differs
   from a batched add under saturation.  Rows with duplicate indices are
   flagged during planning and updated by a scalar fallback loop;
-* the loop predictor, adaptive theta, WITHLOOP counter and prediction
-  scratch registers are replayed with exact scalar semantics inside the
-  event loop, so ``state_hash()`` matches the scalar oracle bit for bit.
+* adaptive theta and the prediction scratch registers are replayed
+  with exact scalar semantics inside the event loop, and the loop
+  predictor and ``WITHLOOP`` in :func:`loop_replay`, so ``state_hash()``
+  matches the scalar oracle bit for bit.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 import numpy as np
 
@@ -60,33 +62,19 @@ from repro.predictors.base import hot_path
 
 _PROVIDERS = ("default", "bst", "neural", "loop")
 _STATUSES = tuple(BranchStatus)
-_LOOP_SKEW = 0x517C_C1B7
-_LOOP_FIELDS = ("tag", "past_trip", "current_trip", "confidence", "age", "valid")
 
 
 # ---------------------------------------------------------------------------
-# Loop predictor staging, shared with the TAGE kernel (tagekernel.py): the
-# entries as per-field ``[set][way]`` lists the replay loop indexes
-# directly, every event's skewed (set, tag) per way from one vectorized
-# hash, and the writeback into the entry objects.
+# The loop predictor, shared with the TAGE kernel (tagekernel.py): every
+# event's skewed (set, tag) per way from one vectorized hash, and the one
+# replay of the loop table and its host's WITHLOOP counter.
 # ---------------------------------------------------------------------------
-
-
-# perf: allow(REPRO401): a 64-entry table, staged once per batch
-def stage_loop(loop) -> tuple:
-    """The loop table as one ``[set][way]`` list per field of
-    :data:`_LOOP_FIELDS` (tag, past, current, confidence, age, valid)."""
-    return tuple(
-        [[getattr(entry, name) for entry in ways] for ways in loop._table]
-        for name in _LOOP_FIELDS
-    )
 
 
 def loop_rows(loop, pcs: np.ndarray) -> tuple[list, list]:
     """Per event, the set and the tag of its pc in every way (lists of
     per-way lists): ``LoopPredictor._slots`` for a whole pc array."""
-    way_ix = np.arange(1, loop.ways + 1, dtype=np.uint64)
-    hashed = mix64_array(pcs[:, None] + np.uint64(_LOOP_SKEW) * way_ix[None, :])
+    hashed = mix64_array(pcs[:, None] + np.array(loop._way_skews, dtype=np.uint64)[None, :])
     sets = (hashed % np.uint64(loop.sets)).astype(np.int64).tolist()
     tags = ((hashed >> np.uint64(20)) & np.uint64((1 << loop.tag_bits) - 1)).astype(
         np.int64
@@ -94,12 +82,95 @@ def loop_rows(loop, pcs: np.ndarray) -> tuple[list, list]:
     return sets, tags
 
 
-def write_back_loop(loop, fields: tuple) -> None:
-    """Install :func:`stage_loop` field lists back into the loop entries."""
-    for si, ws in enumerate(loop._table):
-        for wy, entry in enumerate(ws):
-            for name, values in zip(_LOOP_FIELDS, fields):
-                setattr(entry, name, values[si][wy])
+# perf: allow(REPRO401): two result lists per call (a chunk), not per event
+def loop_replay(loop, sets, tags, outcomes, compared, preds, withloop: int) -> tuple:
+    """Replay ``loop`` and its host's ``WITHLOOP`` counter over events the
+    host core has already run.
+
+    No host core reads loop state: it trains on its own prediction
+    (``compared``), never on the loop's override, so the loop can run
+    after it.  Per event (``sets``/``tags`` from :func:`loop_rows`) this
+    is ``lookup``, the override of ``preds`` (after any statistical
+    corrector) when the loop is confident and ``withloop >= 0``, the
+    ``WITHLOOP`` update when the loop disagreed with ``compared``, and
+    ``update(allocate=final != taken)``, on the loop's own field lists.
+    Returns ``(overrides, finals, withloop, (loop_pred, loop_valid))``,
+    the scratch of the last event.
+    """
+    ltag, lpast, lcur = loop._tags, loop._past, loop._current
+    lconf, lage, lvalid = loop._confidence, loop._age, loop._valid
+    ways = range(loop.ways)
+    conf_max, age_max, trip_max = loop.CONFIDENCE_MAX, loop.AGE_MAX, loop.TRIP_MAX
+    overrides: list[bool] = []
+    finals: list[bool] = []
+    add_override = overrides.append
+    add_final = finals.append
+    loop_pred = loop_valid = False
+    for st, tg, taken, host, pred in zip(sets, tags, outcomes, compared, preds):
+        found = -1
+        for wy in ways:
+            si = st[wy]
+            if lvalid[si][wy] and ltag[si][wy] == tg[wy]:
+                found = wy
+                break
+        # ``si`` is the found entry's set from here on.
+        loop_valid = found >= 0 and lconf[si][found] >= conf_max
+        override = False
+        if loop_valid:
+            loop_pred = lcur[si][found] != lpast[si][found]
+            if withloop >= 0:
+                pred = loop_pred
+                override = True
+            if loop_pred != host:
+                if loop_pred == taken:
+                    if withloop < 63:
+                        withloop += 1
+                elif withloop > -64:
+                    withloop -= 1
+        else:
+            loop_pred = True
+        add_override(override)
+        add_final(pred)
+        if found >= 0:
+            cur = lcur[si]
+            if taken:
+                cur[found] += 1
+                if cur[found] > trip_max:
+                    lvalid[si][found] = False
+            else:
+                if cur[found] == lpast[si][found]:
+                    if lconf[si][found] < conf_max:
+                        lconf[si][found] += 1
+                    if lage[si][found] < age_max:
+                        lage[si][found] += 1
+                else:
+                    lpast[si][found] = cur[found]
+                    lconf[si][found] = 0
+                cur[found] = 0
+        elif not taken and pred:
+            # A mispredicted exit allocates: an invalid way, else the
+            # first way whose age has decayed to zero.
+            victim = -1
+            for wy in ways:
+                if not lvalid[st[wy]][wy]:
+                    victim = wy
+                    break
+            if victim < 0:
+                for wy in ways:
+                    si = st[wy]
+                    if lage[si][wy] == 0:
+                        victim = wy
+                        break
+                    lage[si][wy] -= 1
+            if victim >= 0:
+                si = st[victim]
+                ltag[si][victim] = tg[victim]
+                lpast[si][victim] = 0
+                lcur[si][victim] = 0
+                lconf[si][victim] = 0
+                lage[si][victim] = age_max
+                lvalid[si][victim] = True
+    return overrides, finals, withloop, (loop_pred, loop_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -494,47 +565,28 @@ class BFNeuralKernel:
             signs[:, 1 + ht :] = h_mat
 
         # ------------------------------------------------------------------
-        # Loop predictor: python-list state plus precomputed set/tag rows.
-        # ------------------------------------------------------------------
-        loop = predictor.loop
-        has_loop = loop is not None
-        if has_loop:
-            ways = loop.ways
-            trip_max = loop.TRIP_MAX
-            loop_state = stage_loop(loop)
-            ltag, lpast, lcur, lconf, lage, lvalid = loop_state
-            if nc:
-                lsets, ltags = loop_rows(loop, pc_c)
-
-        # ------------------------------------------------------------------
         # Sequential replay of the weight-touching events.
         # ------------------------------------------------------------------
         wmax = predictor._wmax
         wmin = predictor._wmin
         theta = predictor.theta
         tc = predictor._tc
-        withloop = predictor._withloop
         adaptive = cfg.adaptive_theta
-        last_neural_pred = predictor._last_neural_pred
-        last_loop_pred = predictor._last_loop_pred
-        scr_loop_valid = False
         acc = 0
+        nb_sel = np.flatnonzero(nb_before)
+        nb_preds: list[bool] = []
 
         if nc:
-            isnb_arr = nb_before[cidx]
-            isnb_l = isnb_arr.tolist()
+            isnb_l = nb_before[cidx].tolist()
             taken_l = (outs[cidx] == 1).tolist()
             cnt_l = cnt.tolist()
             dup_l = dup.tolist()
-            nb_preds: list[bool] = []
-            nb_codes: list[int] = []
-            if not has_loop:
-                lsets = ltags = repeat(None)
+            add_pred = nb_preds.append
             arena_take = arena.take
             minimum = np.minimum
             maximum = np.maximum
-            for arow, srow, isnb, taken, is_dup, k_rs, st, tg in zip(
-                aidx, signs, isnb_l, taken_l, dup_l, cnt_l, lsets, ltags
+            for arow, srow, isnb, taken, is_dup, k_rs in zip(
+                aidx, signs, isnb_l, taken_l, dup_l, cnt_l
             ):
                 w = arena_take(arow)
                 acc = int(w.dot(srow))
@@ -542,72 +594,7 @@ class BFNeuralKernel:
                 update = False
                 if isnb:
                     neural_pred = acc >= 0
-                    pred = neural_pred
-                    code = 2
-                    loop_valid = False
-                    if has_loop:
-                        found = -1
-                        for wy in range(ways):
-                            si = st[wy]
-                            if lvalid[si][wy] and ltag[si][wy] == tg[wy]:
-                                found = wy
-                                fsi = si
-                                break
-                        if found >= 0 and lconf[fsi][found] >= 3:
-                            loop_pred = lcur[fsi][found] != lpast[fsi][found]
-                            loop_valid = True
-                        else:
-                            loop_pred = True
-                        last_loop_pred = loop_pred
-                        if loop_valid and withloop >= 0:
-                            pred = loop_pred
-                            code = 3
-                    nb_preds.append(pred)
-                    nb_codes.append(code)
-                    mispredicted = pred != taken
-                    if has_loop:
-                        if loop_valid and loop_pred != neural_pred:
-                            if loop_pred == taken:
-                                if withloop < 63:
-                                    withloop += 1
-                            elif withloop > -64:
-                                withloop -= 1
-                        if found >= 0:
-                            if taken:
-                                lcur[fsi][found] += 1
-                                if lcur[fsi][found] > trip_max:
-                                    lvalid[fsi][found] = False
-                            else:
-                                if lcur[fsi][found] == lpast[fsi][found]:
-                                    if lconf[fsi][found] < 3:
-                                        lconf[fsi][found] += 1
-                                    if lage[fsi][found] < 7:
-                                        lage[fsi][found] += 1
-                                else:
-                                    lpast[fsi][found] = lcur[fsi][found]
-                                    lconf[fsi][found] = 0
-                                lcur[fsi][found] = 0
-                        elif not taken and mispredicted:
-                            victim = -1
-                            for wy in range(ways):
-                                if not lvalid[st[wy]][wy]:
-                                    victim = wy
-                                    break
-                            if victim < 0:
-                                for wy in range(ways):
-                                    vsi = st[wy]
-                                    if lage[vsi][wy] == 0:
-                                        victim = wy
-                                        break
-                                    lage[vsi][wy] -= 1
-                            if victim >= 0:
-                                vsi = st[victim]
-                                ltag[vsi][victim] = tg[victim]
-                                lpast[vsi][victim] = 0
-                                lcur[vsi][victim] = 0
-                                lconf[vsi][victim] = 0
-                                lage[vsi][victim] = 7
-                                lvalid[vsi][victim] = True
+                    add_pred(neural_pred)
                     neural_wrong = neural_pred != taken
                     if neural_wrong or (acc if acc >= 0 else -acc) <= theta:
                         update = True
@@ -624,8 +611,6 @@ class BFNeuralKernel:
                                     tc = 0
                                     if theta > 1:
                                         theta -= 1
-                    last_neural_pred = neural_pred
-                    scr_loop_valid = loop_valid
                 else:
                     # Biased branch that just turned non-biased: first lesson.
                     update = True
@@ -647,9 +632,27 @@ class BFNeuralKernel:
                         minimum(w, wmax, out=w)
                         maximum(w, wmin, out=w)
                         arena[arow] = w
-            nb_sel = cidx[isnb_arr]
-            preds[nb_sel] = np.fromiter(nb_preds, dtype=bool, count=len(nb_preds))
-            prov[nb_sel] = np.fromiter(nb_codes, dtype=np.uint8, count=len(nb_codes))
+            preds[nb_sel] = nb_preds
+            prov[nb_sel] = 2
+
+        # ------------------------------------------------------------------
+        # The loop predictor overrides non-biased predictions only, and
+        # no weight reads it: replay it over those events afterwards.
+        # ------------------------------------------------------------------
+        loop = predictor.loop
+        loop_valid = False
+        if loop is not None and nb_preds:
+            overrides, finals, predictor._withloop, scratch = loop_replay(
+                loop,
+                *loop_rows(loop, pc_seg[nb_sel]),
+                outs[nb_sel].tolist(),
+                nb_preds,
+                nb_preds,
+                predictor._withloop,
+            )
+            preds[nb_sel] = finals
+            prov[nb_sel[np.array(overrides, dtype=bool)]] = 3
+            predictor._last_loop_pred, loop_valid = scratch
 
         # ------------------------------------------------------------------
         # Write the final state back through the scalar representations.
@@ -665,9 +668,6 @@ class BFNeuralKernel:
 
         if nc:
             _write_back_weights(predictor, arena, touched)
-        if has_loop:
-            write_back_loop(loop, loop_state)
-        predictor._withloop = withloop
         predictor.theta = theta
         predictor._tc = tc
 
@@ -689,9 +689,9 @@ class BFNeuralKernel:
         predictor._last_pred = bool(preds[last_i])
         predictor._last_provider = _PROVIDERS[int(prov[last_i])]
         predictor._last_used_weights = bool(nb_before[last_i])
-        predictor._last_loop_valid = bool(nb_before[last_i]) and scr_loop_valid
-        predictor._last_neural_pred = bool(last_neural_pred)
-        predictor._last_loop_pred = bool(last_loop_pred)
+        predictor._last_loop_valid = bool(nb_before[last_i]) and loop_valid
+        if nb_preds:
+            predictor._last_neural_pred = nb_preds[-1]
         if nc:
             last_row = nc - 1
             predictor._last_accum = acc

@@ -27,20 +27,25 @@ known before the segment runs.  Two history sides produce the folds:
   and folds it 64-bit word by word (:func:`_fold_plan`).
 
 The path register is a packed series of ``pc & 1`` bits, and the ``(n,
-N)`` index and tag arrays, the bimodal base indices, the statistical
-corrector's pc half-index and the loop predictor's skewed set/tag rows
-are numpy expressions over those, staged a chunk at a time.
+N)`` index and tag arrays, the bimodal base indices and the statistical
+corrector's pc half-index are numpy expressions over those, staged a
+chunk at a time.
 
 What stays in python is the table side, with the scalar predictor's
 exact semantics and operation order: provider/alternate lookup,
-use-alt-on-newly-allocated, the statistical corrector, the loop
-override and its ``WITHLOOP`` confidence, counter and useful updates,
-allocation through the predictor's own ``XorShift64`` state in the same
-draw order (stepped inline), and useful-bit aging every
-``useful_reset_period`` events.  It mutates the predictor's table lists
-in place, so staging costs nothing per table entry; only the chunk's own
-arrays are built.  The loop predictor's staging and writeback are shared
-with BF-Neural's kernel.
+use-alt-on-newly-allocated, the statistical corrector, counter and
+useful updates, allocation through the predictor's own ``XorShift64``
+state in the same draw order (stepped inline), and useful-bit aging
+every ``useful_reset_period`` events.  It mutates the predictor's table
+lists in place, so staging costs nothing per table entry; only the
+chunk's own arrays are built.
+
+No TAGE table or SC counter reads the loop predictor: they train on
+TAGE's own prediction, never on the loop's override.  So after each
+chunk's table side, the replay BF-Neural's kernel shares
+(:func:`~repro.sim.bfkernel.loop_replay`) runs the loop predictor and
+its ``WITHLOOP`` counter over the chunk, on the loop's own field lists,
+and overrides the chunk's predictions where the loop provides.
 
 Provider codes follow Figure 12: ``base``, ``T1``..``TN``, and for the
 ISL overlays ``sc`` and ``loop``.
@@ -67,11 +72,10 @@ from repro.predictors.tage.tage import _PROVIDER_NAMES, Tage
 from repro.sim.bfkernel import (
     bst_stream,
     first_appearance,
+    loop_replay,
     loop_rows,
     recency_rows,
-    stage_loop,
     write_back_bst,
-    write_back_loop,
 )
 
 #: Events per chunk of a TAGE core's history side: bounds the per-event
@@ -202,16 +206,16 @@ def _fold_prefixes(words: np.ndarray, plan: tuple) -> np.ndarray:
 # perf: allow(REPRO401): numpy slices are views; runs per chunk
 def _segment_reads(lru, records, elements, events, boundaries) -> tuple:
     """Every segment before each of ``events`` (indices into ``records``
-    and their ``elements``), read from ``lru`` at its delay: the entries'
-    record indices, shape (rs_size, events, segments), which are live
-    (dead ones read record 0), and their elements.  ``lru[:, r]`` is the
-    LRU after ``r`` non-biased records."""
+    and their ``elements``), read from ``lru`` at its delay: which
+    entries are live, shape (rs_size, events, segments), and their
+    elements (dead ones read record 0's).  ``lru[:, r]`` is the LRU
+    after ``r`` non-biased records."""
     seen = np.zeros(len(records) + 1, dtype=np.int64)
     np.cumsum(records[:, 2], out=seen[1:])
     index = np.take(lru, seen[events[:, None] - boundaries[:-1]], axis=1)
     live = index >= events[:, None] - boundaries[1:]
     index *= live
-    return index, live, np.take(elements, index)
+    return live, np.take(elements, index)
 
 
 # perf: allow(REPRO401, REPRO402): staging runs per chunk, not per event
@@ -219,8 +223,9 @@ def _bf_folds(tage, pc_seg: np.ndarray, outs: np.ndarray):
     """BF-TAGE's prefix folds of the bias-free GHR, per chunk: the BST
     stream, one LRU pass, every event's BF-GHR read from it at the
     segments' delays, and the word-level fold.  Writes back the BST
-    entries per chunk, and the stacks' ring, cursor, unfiltered register
-    and segments at the end.
+    entries per chunk, and the stacks' ring, cursor and unfiltered
+    register at the end, then the segments the ring determines
+    (``SegmentedRecencyStacks.ring_segments``).
 
     Before commit ``t`` segment ``k`` is the LRU of the non-biased
     records as it stood after stamp ``t - b_k - 1``, cut to the entries
@@ -276,7 +281,7 @@ def _bf_folds(tage, pc_seg: np.ndarray, outs: np.ndarray):
         # segment's live entries in turn, cut at ``positions`` (the extra
         # column takes what falls past it), 3 bits per position.
         events = ring_len + np.arange(m, dtype=np.int64)
-        live, entries = _segment_reads(lru, records, elements, events, boundaries)[1:]
+        live, entries = _segment_reads(lru, records, elements, events, boundaries)
         filled = live.sum(axis=0, dtype=np.int32)
         at = np.cumsum(filled, axis=1, dtype=np.int32) - filled + unfiltered
         at = at + np.arange(rs_size, dtype=np.int32)[:, None, None]
@@ -301,30 +306,22 @@ def _bf_folds(tage, pc_seg: np.ndarray, outs: np.ndarray):
         lru = np.maximum(lru[:, np.count_nonzero(records[:m, 2]) :] - m, _NO_RECORD)
         tail = records[m:]
         fresh = ring_len
-    # Every segment after the last commit, and the unfiltered register.
-    base = head + n - ring_len
-    elements = elements[m:]
-    reads = _segment_reads(lru, tail, elements, np.array([ring_len]), boundaries)
-    index, live, entries = (read[:, 0].T for read in reads)
-    filled = live.sum(axis=1).tolist()
-    held = [row[:k] for row, k in zip(index, filled)]
-    segments._stamps = [(row + base).tolist() for row in held]
-    segments._pcs = [tail[row, 0].tolist() for row in held]
-    segments._parts = [
-        sum(e << (3 * j) for j, e in enumerate(row[:k]))
-        for row, k in zip(entries.tolist(), filled)
-    ]
-    recent = elements[::-1][:unfiltered].tolist()
+    # The unfiltered register, the cursor, and every segment after the
+    # last commit, which the ring determines.
+    recent = elements[m:][::-1][:unfiltered].tolist()
     segments._recent = sum(element << (3 * p) for p, element in enumerate(recent))
     segments._head = head + n
     segments._count = min(count + n, ring_len)
+    segments._install_segments(
+        segments.ring_segments(ring, segments._head, segments._count)
+    )
 
 
 # perf: allow(REPRO401): staging runs per chunk, not per event
 def _stage_rows(tage, isl, pc_chunk, outs_chunk, before, path_seed: int) -> tuple:
     """A chunk's per-event python rows for the table side (table indices,
-    tags, base index, outcome, SC half-index, loop sets and tags) from
-    its fold registers, and the path register after the chunk."""
+    tags, base index, outcome, SC half-index) from its fold registers,
+    and the path register after the chunk."""
     path = packed_history_series(
         pc_chunk & np.uint64(1), tage.config.path_bits, seed=path_seed
     )
@@ -332,14 +329,12 @@ def _stage_rows(tage, isl, pc_chunk, outs_chunk, before, path_seed: int) -> tupl
     shift, index_mask, tag_mask = (hashes[:, k : k + 1] for k in range(3))
     pc_row = pc_chunk[None, :]
     sc_mask = len(isl._sc) - 1 if isl is not None and isl.with_statistical_corrector else 0
-    loop = isl.loop if isl is not None else None
     rows = (
         ((pc_row ^ (pc_row >> shift) ^ before[0::3] ^ path) & index_mask).T.tolist(),
         ((pc_row ^ before[1::3] ^ (before[2::3] << np.uint64(1))) & tag_mask).T.tolist(),
         (pc_chunk & np.uint64(tage.base._mask)).tolist(),
         outs_chunk.tolist(),
         ((pc_chunk << np.uint64(1)) & np.uint64(sc_mask)).tolist() if sc_mask else repeat(0),
-        *(loop_rows(loop, pc_chunk) if loop is not None else (repeat(None),) * 2),
     )
     return rows, ((int(path[-1]) << 1) | (int(pc_chunk[-1]) & 1)) & tage._path_mask
 
@@ -407,14 +402,7 @@ class TageKernel:
 
         has_sc = isl is not None and isl.with_statistical_corrector
         loop = isl.loop if isl is not None else None
-        has_loop = loop is not None
         sc = isl._sc if has_sc else None
-        if has_loop:
-            ways = range(loop.ways)
-            trip_max = loop.TRIP_MAX
-            loop_state = stage_loop(loop)
-            ltag, lpast, lcur, lconf, lage, lvalid = loop_state
-            withloop = isl._withloop
         sc_code = num + 1
         loop_code = num + 2
 
@@ -427,9 +415,11 @@ class TageKernel:
             rows, path_seed = _stage_rows(tage, isl, pc_seg[lo:hi], outs[lo:hi], before, path_seed)
             preds: list[bool] = []
             codes: list[int] = []
+            tage_preds: list[bool] = []  # the SC's inputs, which WITHLOOP compares
             add_pred = preds.append
             add_code = codes.append
-            for ir, tr, bi, taken, scb, st, tg in zip(*rows):
+            add_tage_pred = tage_preds.append
+            for ir, tr, bi, taken, scb in zip(*rows):
                 # ---------------- TAGE prediction ----------------
                 provider = alt = -1
                 for i in scan:
@@ -453,12 +443,13 @@ class TageKernel:
                 pred = tage_pred
                 code = provider + 1
 
-                # ---------------- ISL overlay ----------------
+                # ---------------- Statistical corrector ----------------
                 if has_sc:
+                    add_tage_pred(tage_pred)
                     sci = scb | tage_pred
+                    counter = sc[sci]
                     sc_used = False
                     if weak:
-                        counter = sc[sci]
                         if counter <= -8 and pred:
                             pred = False
                             sc_used = True
@@ -467,77 +458,13 @@ class TageKernel:
                             sc_used = True
                     if sc_used:
                         code = sc_code
-                if has_loop:
-                    found = -1
-                    for wy in ways:
-                        si = st[wy]
-                        if lvalid[si][wy] and ltag[si][wy] == tg[wy]:
-                            found = wy
-                            fsi = si
-                            break
-                    if found >= 0 and lconf[fsi][found] >= 3:
-                        loop_pred = lcur[fsi][found] != lpast[fsi][found]
-                        loop_valid = True
-                    else:
-                        loop_pred = True
-                        loop_valid = False
-                    if loop_valid and withloop >= 0:
-                        pred = loop_pred
-                        code = loop_code
-                add_pred(pred)
-                add_code(code)
-
-                # ---------------- ISL training ----------------
-                if has_loop:
-                    if loop_valid and loop_pred != tage_pred:
-                        if loop_pred == taken:
-                            if withloop < 63:
-                                withloop += 1
-                        elif withloop > -64:
-                            withloop -= 1
-                    if found >= 0:
-                        if taken:
-                            lcur[fsi][found] += 1
-                            if lcur[fsi][found] > trip_max:
-                                lvalid[fsi][found] = False
-                        else:
-                            if lcur[fsi][found] == lpast[fsi][found]:
-                                if lconf[fsi][found] < 3:
-                                    lconf[fsi][found] += 1
-                                if lage[fsi][found] < 7:
-                                    lage[fsi][found] += 1
-                            else:
-                                lpast[fsi][found] = lcur[fsi][found]
-                                lconf[fsi][found] = 0
-                            lcur[fsi][found] = 0
-                    elif not taken and pred != taken:
-                        victim = -1
-                        for wy in ways:
-                            if not lvalid[st[wy]][wy]:
-                                victim = wy
-                                break
-                        if victim < 0:
-                            for wy in ways:
-                                vsi = st[wy]
-                                if lage[vsi][wy] == 0:
-                                    victim = wy
-                                    break
-                                lage[vsi][wy] -= 1
-                        if victim >= 0:
-                            vsi = st[victim]
-                            ltag[vsi][victim] = tg[victim]
-                            lpast[vsi][victim] = 0
-                            lcur[vsi][victim] = 0
-                            lconf[vsi][victim] = 0
-                            lage[vsi][victim] = 7
-                            lvalid[vsi][victim] = True
-                if has_sc:
-                    counter = sc[sci]
                     if taken:
                         if counter < 31:
                             sc[sci] = counter + 1
                     elif counter > -32:
                         sc[sci] = counter - 1
+                add_pred(pred)
+                add_code(code)
 
                 # ---------------- TAGE training ----------------
                 train_base = provider < 0
@@ -626,6 +553,20 @@ class TageKernel:
                     for table in tables:
                         table.age_useful()
                     usefuls = [table.useful for table in tables]
+            # ---------------- Loop predictor ----------------
+            # No TAGE or SC state reads the loop: replay it after them.
+            if loop is not None:
+                overrides, preds, isl._withloop, (loop_pred, loop_valid) = loop_replay(
+                    loop,
+                    *loop_rows(loop, pc_seg[lo:hi]),
+                    rows[3],
+                    tage_preds if has_sc else preds,
+                    preds,
+                    isl._withloop,
+                )
+                codes = np.where(overrides, loop_code, codes)
+                pred = preds[-1]
+                code = int(codes[-1])
             predictions[lo:hi] = preds
             providers[lo:hi] = codes
             del rows  # before the history side stages the next chunk
@@ -647,9 +588,6 @@ class TageKernel:
         tage._last_pred = tage_pred
         tage._last_weak_provider = weak
         if isl is not None:
-            if has_loop:
-                write_back_loop(loop, loop_state)
-                isl._withloop = withloop
             isl._last_tage_pred = tage_pred
             isl._last_loop_pred = loop_pred
             isl._last_loop_valid = loop_valid

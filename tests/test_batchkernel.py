@@ -16,6 +16,9 @@ rewrites preserve it).  These tests enforce the contract three ways:
 * a hypothesis sweep over ``BFNeuralConfig`` geometries and feature
   flags inside the kernel's ``supports()`` range, the independent
   oracle for the scalar core's per-geometry distance tables;
+* a hypothesis differential of the one loop-predictor replay both
+  kernels share against the scalar ``LoopPredictor`` and the hosts'
+  ``WITHLOOP`` rule, on constructed tables and events;
 * event-by-event sweeps of the TAGE kernel (over TAGE and BF-TAGE
   cores) and the OH-SNAP kernel, straight, in three kernel calls and
   resumed from a JSON snapshot (OH-SNAP's from start states on its
@@ -38,7 +41,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitops import fold_bits, mix64
@@ -66,9 +69,11 @@ from repro.predictors import (
     Tage,
     TageConfig,
 )
+from repro.predictors.loop import LoopPredictor
 from repro.predictors.perceptron import GlobalPerceptron
 from repro.sim import simulate
 from repro.sim.batchkernel import kernel_for, simulate_batch
+from repro.sim.bfkernel import loop_replay, loop_rows
 from repro.sim.simulator import KERNEL_MODES, _scalar_segment, segment_runner
 from repro.sim.tagekernel import _fold_plan, _fold_prefixes
 from repro.trace.records import Trace, TraceMetadata
@@ -615,6 +620,146 @@ def test_tage_kernel_statistical_corrector_matches_scalar(loop):
     trace = _trace_from(list(zip(pcs.tolist(), taken.tolist())), name="noisy")
     providers = _check_kernel_event_by_event(lambda: _tage_case(4, (loop, True)), trace)
     assert "sc" in providers
+
+
+#: Examples of the loop-replay differential; the full stage runs more.
+LOOP_REPLAY_EXAMPLES = 600 if os.environ.get("REPRO_FULL_DIFFERENTIAL") else 60
+
+#: The pcs of the loop-replay cases, by slot.
+LOOP_PCS = tuple(0x4000 + 4 * i for i in range(6))
+TRIP_MAX = LoopPredictor.TRIP_MAX
+
+
+def _loop_table(entries, fill_ages):
+    """An 8-entry, 4-way (two-set) loop table.  With ``fill_ages`` (one
+    age per way) every way of both sets first holds a valid entry no pc
+    matches; then each ``(pc slot, way, past, current, confidence, age)``
+    of ``entries`` is installed at that pc's set in that way."""
+    loop = LoopPredictor(entries=8, ways=4)
+    if fill_ages is not None:
+        for si in range(loop.sets):
+            loop._tags[si] = [-1] * loop.ways
+            loop._valid[si] = [True] * loop.ways
+            loop._age[si] = list(fill_ages)
+    for slot, way, past, current, confidence, age in entries:
+        si, tag = loop._slots(LOOP_PCS[slot])[way]
+        loop._tags[si][way] = tag
+        loop._past[si][way] = past
+        loop._current[si][way] = current
+        loop._confidence[si][way] = confidence
+        loop._age[si][way] = age
+        loop._valid[si][way] = True
+    return loop
+
+
+def _scalar_loop_events(loop, events, withloop):
+    """The oracle: ``LoopPredictor.lookup``/``update`` with the hosts'
+    ``WITHLOOP`` rule (``ISLTage``/``BFNeural`` predict and train) per
+    ``(pc slot, taken, compared, sc flip)`` event."""
+    overrides, finals = [], []
+    loop_pred = loop_valid = False
+    for slot, taken, compared, flip in events:
+        pc = LOOP_PCS[slot]
+        pred = compared != flip
+        loop_pred, loop_valid = loop.lookup(pc)
+        override = loop_valid and withloop >= 0
+        if override:
+            pred = loop_pred
+        if loop_valid and loop_pred != compared:
+            if loop_pred == taken:
+                if withloop < 63:
+                    withloop += 1
+            elif withloop > -64:
+                withloop -= 1
+        loop.update(pc, taken, allocate=pred != taken)
+        overrides.append(override)
+        finals.append(pred)
+    return overrides, finals, withloop, (loop_pred, loop_valid)
+
+
+_trip = st.sampled_from((0, 1, 2, 3, 5, TRIP_MAX - 1, TRIP_MAX))
+
+
+@settings(max_examples=LOOP_REPLAY_EXAMPLES, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(0, len(LOOP_PCS) - 1),
+            st.integers(0, 3),
+            _trip,
+            _trip,
+            st.integers(0, 3),
+            st.integers(0, 7),
+        ),
+        max_size=6,
+    ),
+    fill_ages=st.none() | st.tuples(*[st.integers(0, 2)] * 4),
+    events=st.lists(
+        st.tuples(
+            st.integers(0, len(LOOP_PCS) - 1), st.booleans(), st.booleans(), st.booleans()
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    withloop=st.sampled_from((63, -64, -1, 0)) | st.integers(-64, 63),
+)
+# WITHLOOP held at +63: a confident exit the core missed, then the
+# confident next iteration.
+@example(
+    entries=[(0, 1, 3, 3, 3, 7)],
+    fill_ages=None,
+    events=[(0, False, True, False), (0, True, False, False)],
+    withloop=63,
+)
+# WITHLOOP held at -64: the confident loop is wrong where the core was
+# right, and never overrides.
+@example(
+    entries=[(0, 2, 3, 3, 3, 7)],
+    fill_ages=None,
+    events=[(0, True, True, False), (0, False, False, False)],
+    withloop=-64,
+)
+# A trip count past TRIP_MAX retires the entry; the pc's next
+# mispredicted exit allocates again.
+@example(
+    entries=[(1, 0, 4, TRIP_MAX, 3, 5)],
+    fill_ages=None,
+    events=[(1, True, True, False), (1, True, True, False), (1, False, True, False)],
+    withloop=0,
+)
+# Allocation with all four ways valid: every age is above 0, so all
+# decay and nothing is allocated; then the first way at age 0 is
+# stolen; then ages decay up to the first way at age 0.
+@example(
+    entries=[],
+    fill_ages=(1, 2, 1, 1),
+    events=[(3, False, True, False), (3, False, True, False), (4, False, True, False)],
+    withloop=0,
+)
+# A statistical-corrector flip: WITHLOOP compares the loop with the
+# core's prediction, the override and allocation use the flipped one.
+@example(
+    entries=[(2, 3, 2, 2, 3, 7)],
+    fill_ages=None,
+    events=[(2, False, True, True), (5, False, False, True), (2, True, False, True)],
+    withloop=-1,
+)
+@pytest.mark.vectorized
+def test_loop_replay_matches_scalar_loop_predictor(entries, fill_ages, events, withloop):
+    """``bfkernel.loop_replay``, the one loop-predictor replay of the
+    TAGE and BF-Neural kernels, equals the scalar ``LoopPredictor`` plus
+    the hosts' ``WITHLOOP`` rule: overrides, final predictions, the
+    counter, the last event's scratch and the table, byte for byte."""
+    scalar = _loop_table(entries, fill_ages)
+    replayed = _loop_table(entries, fill_ages)
+    expected = _scalar_loop_events(scalar, events, withloop)
+    pcs = np.array([LOOP_PCS[slot] for slot, _, _, _ in events], dtype=np.uint64)
+    compared = [compared for _, _, compared, _ in events]
+    preds = [compared != flip for _, _, compared, flip in events]
+    outcomes = [int(taken) for _, taken, _, _ in events]
+    got = loop_replay(replayed, *loop_rows(replayed, pcs), outcomes, compared, preds, withloop)
+    assert got == expected
+    assert json.dumps(replayed.snapshot()) == json.dumps(scalar.snapshot())
 
 
 @st.composite

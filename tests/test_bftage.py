@@ -166,6 +166,24 @@ class TestBFTageState:
             predictor.restore(PredictorState(state.kind, state.version, payload))
         assert predictor.state_hash() == before
 
+    def test_restore_rejects_segments_the_ring_does_not_determine(self):
+        """A segment with its newest entry dropped passes every per-entry
+        check (stamps, window, ring record, no duplicate), but no run can
+        reach it: the scalar loop would continue from it while the TAGE
+        kernel rebuilds the segments from the ring."""
+        predictor = BFTage(BFTageConfig(num_tables=4))
+        simulate(predictor, build_trace("SPEC03", 2_000))
+        state = predictor.snapshot()
+        payload = copy.deepcopy(state.payload)
+        del payload["segments"]["segments"][7][0]
+        fresh = BFTage(BFTageConfig(num_tables=4))
+        before = fresh.state_hash()
+        with pytest.raises(StateError, match=r"segments\[7\].*the ring determines"):
+            fresh.restore(PredictorState(state.kind, state.version, payload))
+        assert fresh.state_hash() == before
+        fresh.restore(state)
+        assert fresh.state_hash() == predictor.state_hash()
+
     def test_restore_keeps_live_components(self):
         predictor = self.trained(600)
         other = self.trained(1_400)

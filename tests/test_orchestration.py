@@ -156,6 +156,37 @@ class TestFingerprint:
             != TraceSpec.suite("FP1", 600).identity()
         )
 
+    def test_source_digest_covers_component_modules(self, monkeypatch):
+        """BF-Neural's and BF-TAGE's keys digest the modules of the
+        components they hold (BST, stacks, loop predictor, history
+        registers, TAGE tables), not only their MRO's, once per class."""
+        from repro.core import BFNeural, BFTage
+        from repro.orchestration import fingerprint
+
+        digested = []
+        digest = fingerprint._modules_digest
+
+        def recording_digest(modules):
+            digested.append({module.__name__ for module in modules})
+            return digest(modules)
+
+        monkeypatch.setattr(fingerprint, "_SOURCE_CACHE", {})
+        monkeypatch.setattr(fingerprint, "_modules_digest", recording_digest)
+        for cls in (BFNeural, BFTage, BFNeural, BFTage):
+            fingerprint.source_fingerprint(cls)
+        neural, tage = digested
+        assert {
+            "repro.core.bst",
+            "repro.core.recency_stack",
+            "repro.common.histories",
+            "repro.predictors.loop",
+        } <= neural
+        assert {
+            "repro.core.bst",
+            "repro.core.segments",
+            "repro.predictors.tage.components",
+        } <= tage
+
     def test_track_providers_changes_key(self):
         fp = predictor_fingerprint(Bimodal())
         identity = TraceSpec.suite("FP1", 500).identity()
@@ -841,7 +872,7 @@ class TestTraceSpecFingerprintGolden:
     #: The key of a plan that leaves the kernel at its default, ``auto``:
     #: it carries ``|kernel=auto`` and the kernel-source digest, so an
     #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "f7f88112b52142ecc74eb4d3db33659049d5bb00622928493e6c33789db96d98"
+    AUTO_GOLDEN = "1e9e3326afd37a3d1615f8a36b0c20afbd3f8efe30375e9de7e6a35216146b31"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for

@@ -547,6 +547,10 @@ class TestFrozenReference:
             stacks.commit(pc, taken, non_biased)
             reference.commit(pc, taken, non_biased)
             assert stacks.snapshot() == reference.snapshot()
+            # The segments are the ones the ring determines.
+            assert stacks.ring_segments(stacks._ring, stacks._head, stacks._count) == [
+                [tuple(entry) for entry in entries] for entries in reference.snapshot()["segments"]
+            ]
             for length in lengths:
                 assert stacks.packed_ghr(length) == reference.packed_ghr(length), length
         assert stacks.ghr_components() == reference.ghr_components()
