@@ -2,12 +2,9 @@
 
 Scalar predictors keep their tables as plain python lists (or small numpy
 arrays) inside the versioned ``PredictorState`` payload.  The vectorized
-batch kernel (``repro.sim.batchkernel``) instead works on typed numpy
-arrays.  This module is the bridge: loaders that view a payload list as a
-typed array, exporters that round-trip the array back to the exact
-payload representation (python ints, not numpy scalars — the state hash
-canonicalizes JSON, so the round-trip must be value-identical), and the
-vectorized forms of the history machinery in ``repro.common.bitops`` /
+batch kernels (``repro.sim.batchkernel`` and its siblings) instead work on
+typed numpy arrays.  This module holds the vectorized forms of the hash
+and history machinery in ``repro.common.bitops`` /
 ``repro.common.histories`` whose closed forms the kernels rely on.
 
 Everything here is exact, not approximate: each helper mirrors a scalar
@@ -25,21 +22,6 @@ from repro.common.bitops import MIX64_M1, MIX64_M2, U64
 _U64 = np.uint64(U64)
 _MIX_M1 = np.uint64(MIX64_M1)
 _MIX_M2 = np.uint64(MIX64_M2)
-
-
-def table_array(values, dtype) -> np.ndarray:
-    """Load a payload table (list of ints/bools) as a typed numpy array."""
-    return np.asarray(values, dtype=dtype)
-
-
-def table_list(array: np.ndarray) -> list[int]:
-    """Export a typed table array back to the scalar payload form.
-
-    ``ndarray.tolist()`` yields python ints, which is exactly what the
-    scalar predictors store — the snapshot hash of a kernel-evolved
-    predictor therefore matches its scalar twin byte for byte.
-    """
-    return array.tolist()
 
 
 # perf: allow(REPRO401): per-trace staging, runs once per batch

@@ -47,12 +47,10 @@ from repro.orchestration.manifest import campaign_id_of
 from repro.orchestration.remote import (
     DEFAULT_REGISTRY,
     PROTOCOL_VERSION,
+    Endpoint,
     ProtocolError,
     SessionFsm,
     encode_task,
-    recv_message,
-    send_message,
-    token_matches,
 )
 from repro.orchestration.scheduler import settle_failure, settle_success
 from repro.orchestration.store import decode_result
@@ -70,15 +68,19 @@ class Lease:
     deadline: float
 
 
-class Coordinator:
+class Coordinator(Endpoint):
     """Serve lease-based task claims from one campaign plan.
 
     The plan must be *distributable*: factories resolvable by name on
     every host through ``registry_ref`` (a ``module:callable`` returning
     the name → factory dict), suite or file traces only, and no
     ``warm_share`` (warm transplants need cross-task ordering the
-    work-stealing queue does not promise).
+    work-stealing queue does not promise).  The listener, hello check
+    and connection loop are the shared
+    :class:`~repro.orchestration.remote.Endpoint`'s.
     """
+
+    role = "coordinator"
 
     def __init__(
         self,
@@ -99,13 +101,12 @@ class Coordinator:
                 raise ValueError(
                     f"inline trace {spec.name!r} cannot be distributed"
                 )
+        super().__init__(host, port, 32, auth_token, telemetry)
         self.plan = plan
         self.registry_ref = registry_ref
         self.lease_ttl = lease_ttl
         self.linger_s = linger_s
         self.poll_hint_s = poll_hint_s
-        self.auth_token = auth_token
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.results: dict | None = None
 
         self.tasks = build_tasks(plan)
@@ -137,13 +138,6 @@ class Coordinator:
         self._active_clients = 0
         if not self._pending:
             self._drained.set()
-
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self._listener.settimeout(0.2)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
 
     # ------------------------------------------------------------------ serve
 
@@ -188,106 +182,47 @@ class Coordinator:
         thread.start()
         return thread
 
-    def _accept_one(self) -> None:
-        try:
-            conn, _addr = self._listener.accept()
-        except socket.timeout:
-            return
-        except OSError:
-            return
-        thread = threading.Thread(
-            target=self._serve_client, args=(conn,), daemon=True
-        )
-        thread.start()
-
     # ----------------------------------------------------------- per-client
 
     def _serve_client(self, sock: socket.socket) -> None:
-        executor: str | None = None
+        joined: list[str] = []
+
+        def welcome(message: dict) -> dict:
+            joined.append(str(message.get("executor")))
+            self.telemetry.emit(
+                "executor_join",
+                executor=joined[0],
+                pid=message.get("pid"),
+                host=message.get("host"),
+            )
+            return {
+                "type": "welcome",
+                "protocol": PROTOCOL_VERSION,
+                "campaign_id": self.campaign_id,
+                "total_tasks": len(self.tasks),
+                "registry": self.registry_ref,
+                "store_dir": str(self.plan.store_dir)
+                if self.plan.store_dir is not None
+                else None,
+                "lease_ttl": self.lease_ttl,
+            }
+
+        handlers = {
+            "hello": welcome,
+            "claim": self._on_claim,
+            "renew": self._on_renew,
+            "result": self._on_result,
+        }
         clean_exit = False
-        # The declared campaign machine (remote.PROTOCOL_FSMS) gates the
-        # session: nothing but ``hello`` is admitted from the start
-        # state, and claim/renew/result advance the joined self-loops.
-        fsm = SessionFsm("campaign")
         with self._lock:
             self._active_clients += 1
         try:
-            while True:
-                message = recv_message(sock)
-                kind = message.get("type")
-                if kind == "hello":
-                    reply = self._on_hello(message)
-                    if reply["type"] == "welcome":
-                        executor = str(message.get("executor"))
-                        if fsm.state == "start":
-                            fsm.advance("hello")
-                elif not fsm.allows(kind):
-                    reply = {
-                        "type": "error",
-                        "error": f"say hello first (got {kind!r})",
-                    }
-                elif kind == "claim":
-                    reply = self._on_claim(message)
-                    fsm.advance("claim")
-                elif kind == "renew":
-                    reply = self._on_renew(message)
-                    fsm.advance("renew")
-                elif kind == "result":
-                    reply = self._on_result(message)
-                    fsm.advance("result")
-                elif kind == "bye":
-                    fsm.advance("bye")
-                    clean_exit = True
-                    send_message(sock, {"type": "ok"})
-                    break
-                else:
-                    reply = {"type": "error", "error": f"unknown message {kind!r}"}
-                send_message(sock, reply)
-        except (ConnectionError, OSError, ProtocolError):
-            pass
+            clean_exit = self._converse(sock, SessionFsm("campaign"), handlers)
         finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
             with self._lock:
                 self._active_clients -= 1
-            if executor is not None and not clean_exit and not self._drained.is_set():
-                self._on_executor_lost(executor, "connection lost")
-
-    def _on_hello(self, message: dict) -> dict:
-        if not token_matches(self.auth_token, message.get("token")):
-            self.telemetry.emit(
-                "auth_reject",
-                peer=str(message.get("executor")),
-                host=message.get("host"),
-            )
-            return {"type": "error", "error": "authentication failed"}
-        if message.get("protocol") != PROTOCOL_VERSION:
-            return {
-                "type": "error",
-                "error": (
-                    f"protocol version skew: coordinator {PROTOCOL_VERSION} "
-                    f"vs executor {message.get('protocol')}"
-                ),
-            }
-        self.telemetry.emit(
-            "executor_join",
-            executor=str(message.get("executor")),
-            pid=message.get("pid"),
-            host=message.get("host"),
-        )
-        return {
-            "type": "welcome",
-            "protocol": PROTOCOL_VERSION,
-            "campaign_id": self.campaign_id,
-            "total_tasks": len(self.tasks),
-            "registry": self.registry_ref,
-            "store_dir": str(self.plan.store_dir)
-            if self.plan.store_dir is not None
-            else None,
-            "lease_ttl": self.lease_ttl,
-        }
+            if joined and not clean_exit and not self._drained.is_set():
+                self._on_executor_lost(joined[0], "connection lost")
 
     def _on_claim(self, message: dict) -> dict:
         executor = str(message.get("executor"))

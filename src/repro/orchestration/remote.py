@@ -1,10 +1,13 @@
-"""Executor side of the multi-host campaign distribution layer.
+"""The wire and endpoint layer shared by campaign distribution and serving.
 
 A *coordinator* (:mod:`repro.orchestration.distserver`) serves
-lease-based task claims from a campaign manifest over a length-prefixed
-JSON socket protocol; this module implements the wire format and the
-executor loop that drains it.  An executor connects, introduces itself,
-then loops: claim a lease, run the task through the existing scheduler
+lease-based task claims from a campaign manifest, and a prediction
+server (:mod:`repro.serving.server`) serves predictor sessions, both
+over one length-prefixed JSON socket protocol.  This module holds the
+wire format, the declared session machines, the :class:`Endpoint` both
+servers run on, the :func:`greet` both clients open with, and the
+executor loop that drains a coordinator: connect, introduce itself,
+then claim a lease, run the task through the existing scheduler
 (checkpoints stream into the shared :class:`~repro.orchestration.
 statestore.StateStore` exactly as in a local campaign), publish the
 result, repeat until the coordinator reports the campaign drained.
@@ -23,11 +26,6 @@ travel as *recipes* — a registry config name plus a
 pickled callables, so the protocol is language-agnostic and an
 executor can refuse a task whose locally recomputed fingerprint
 disagrees with the coordinator's (version skew between hosts).
-
-The same wire format and message registry also carry the serving
-vocabulary of :mod:`repro.serving` (``serve_hello``/``session_open``/
-``events``/...), so one protocol version covers campaigns and the
-always-on prediction service.
 
 The full protocol, lease semantics and failure matrix are documented in
 ``docs/distribution.md``; the serving additions in ``docs/serving.md``.
@@ -102,8 +100,8 @@ MESSAGE_TYPES: dict[str, tuple[str, ...]] = {
 #: enforcement layers: the REPRO506 static check extracts the literal
 #: send sequences from every protocol module and simulates them against
 #: these machines, and :class:`SessionFsm` applies the same transitions
-#: at runtime inside the serving/coordinator connection handlers (and
-#: through :func:`validate_message` for tooling).  Keep the literal
+#: at runtime in :class:`Endpoint`'s connection loop, which both servers
+#: run (and through :func:`validate_message` for tooling).  Keep the literal
 #: parseable — nested string-keyed dicts only.
 PROTOCOL_FSMS: dict[str, dict[str, dict[str, str]]] = {
     # serving: serve_hello -> session_open -> events* -> session_close
@@ -136,8 +134,8 @@ PROTOCOL_FSMS: dict[str, dict[str, dict[str, str]]] = {
 class SessionFsm:
     """Runtime instance of one :data:`PROTOCOL_FSMS` machine.
 
-    Connection handlers advance it as messages are handled, so the
-    order a peer may send things in is enforced by the same declaration
+    :meth:`Endpoint._converse` advances it as messages are handled, so
+    the order a peer may send things in is enforced by the same declaration
     the REPRO506 static check reads.  Message types outside the
     machine's alphabet (replies, ``chunk`` frames) are ignored.
     """
@@ -352,6 +350,115 @@ def recv_message(sock: socket.socket) -> dict:
     return assembled
 
 
+class Endpoint:
+    """Listener, hello check and connection loop of both protocol servers.
+
+    The campaign :class:`~repro.orchestration.distserver.Coordinator`
+    and the :class:`~repro.serving.server.PredictionServer` keep only
+    their own handler table, welcome and per-connection accounting, in
+    a ``_serve_client(sock)`` that runs :meth:`_converse`.  Each
+    accepted connection gets its own daemon thread; the 0.2 s accept
+    timeout keeps shutdown prompt.  ``role`` names this side in a
+    version-skew refusal; setting ``_stop`` ends every connection after
+    its next reply.
+    """
+
+    role = "server"
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        backlog: int,
+        auth_token: str | None,
+        telemetry: Telemetry | None,
+    ) -> None:
+        self.auth_token = auth_token
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self._stop = threading.Event()
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(backlog)
+        self._listener.settimeout(0.2)
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+
+    def _accept_one(self) -> None:
+        try:
+            conn, _addr = self._listener.accept()
+        except OSError:  # the 0.2 s timeout, or the listener was closed
+            return
+        threading.Thread(target=self._serve_client, args=(conn,), daemon=True).start()
+
+    def _refuse_hello(self, message: dict, peer: str) -> dict | None:
+        """The ``error`` reply a hello earns by its token or protocol, if any."""
+        if not token_matches(self.auth_token, message.get("token")):
+            self.telemetry.emit(
+                "auth_reject", peer=str(message.get(peer)), host=message.get("host")
+            )
+            return {"type": "error", "error": "authentication failed"}
+        if message.get("protocol") != PROTOCOL_VERSION:
+            return {
+                "type": "error",
+                "error": f"protocol version skew: {self.role} {PROTOCOL_VERSION} "
+                f"vs {peer} {message.get('protocol')}",
+            }
+        return None
+
+    def _converse(
+        self,
+        sock: socket.socket,
+        fsm: SessionFsm,
+        handlers: dict,
+        send=send_message,
+        recv=recv_message,
+    ) -> bool:
+        """Serve one connection to its end; True if the peer said goodbye.
+
+        ``handlers`` maps message kinds to reply builders; the hello's
+        builds the welcome once :meth:`_refuse_hello` passes.  A refused
+        hello ends the connection after its reply, a non-``error`` reply
+        advances ``fsm``, and reaching ``end`` replies ``ok`` and ends
+        it.  ``send``/``recv`` let a server move frames through names of
+        its own module.
+        """
+        hello = next(iter(fsm.machine["start"]))
+        try:
+            while not self._stop.is_set():
+                message = recv(sock)
+                kind = str(message.get("type"))  # a JSON list cannot key the tables
+                if kind == hello and fsm.state != "start":
+                    reply = {"type": "error", "error": f"duplicate {hello}"}
+                elif kind == hello:
+                    peer = MESSAGE_TYPES[hello][0]
+                    reply = self._refuse_hello(message, peer) or handlers[hello](message)
+                    if reply["type"] == "error":
+                        send(sock, reply)
+                        return False
+                    fsm.advance(hello)
+                elif fsm.state == "start":
+                    reply = {"type": "error", "error": f"say {hello} first (got {kind!r})"}
+                elif fsm.machine[fsm.state].get(kind) == "end":
+                    fsm.advance(kind)
+                    send(sock, {"type": "ok"})
+                    return True
+                elif kind in handlers:
+                    reply = handlers[kind](message)
+                    if reply["type"] != "error":
+                        fsm.advance(kind)
+                else:
+                    reply = {"type": "error", "error": f"unknown message {kind!r}"}
+                send(sock, reply)
+        except (ConnectionError, OSError, ProtocolError):
+            pass
+        finally:
+            try:
+                sock.close()
+            except OSError:
+                pass
+        return False
+
+
 def resolve_registry(ref: str) -> dict[str, PredictorFactory]:
     """Import a ``module:callable`` registry reference and call it."""
     module_name, _, attr = ref.partition(":")
@@ -463,6 +570,25 @@ def connect(
             sleep(0.1)
 
 
+def greet(
+    request, hello: dict, token: str | None, welcome: str, refused: type[Exception]
+) -> dict:
+    """Send ``hello`` through ``request`` and return its ``welcome`` reply.
+
+    ``token`` rides on the hello when given.  A refusal naming
+    authentication raises :class:`AuthError`, any other ``refused``.
+    """
+    if token is not None:
+        hello = {**hello, "token": token}
+    reply = request(hello)
+    if reply.get("type") != welcome:
+        error = str(reply.get("error", reply))
+        if "authentication" in error:
+            raise AuthError(error)
+        raise refused(f"{hello['type']} refused: {error}")
+    return reply
+
+
 def default_executor_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
@@ -555,19 +681,7 @@ def run_executor(
             "host": socket.gethostname(),
             "protocol": PROTOCOL_VERSION,
         }
-        if auth_token is not None:
-            hello["token"] = auth_token
-        welcome = conn.request(hello)
-        if welcome.get("type") != "welcome":
-            error = str(welcome.get("error", welcome))
-            if "authentication" in error:
-                raise AuthError(error)
-            raise ProtocolError(f"coordinator refused: {welcome}")
-        if welcome.get("protocol") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"protocol version skew: coordinator {welcome.get('protocol')} "
-                f"vs executor {PROTOCOL_VERSION}"
-            )
+        welcome = greet(conn.request, hello, auth_token, "welcome", ProtocolError)
         lease_ttl = float(welcome.get("lease_ttl", 30.0))
         store_dir = welcome.get("store_dir")
         store = ResultStore(Path(store_dir)) if store_dir else None

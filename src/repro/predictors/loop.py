@@ -25,7 +25,7 @@ memory at one entry whatever pcs arrive and stays out of snapshots.
 from __future__ import annotations
 
 from repro.common.bitops import MIX64_M1, MIX64_M2, U64
-from repro.common.state import expect_keys, expect_length
+from repro.common.state import StateError, expect_keys, expect_length
 from repro.predictors.base import BranchPredictor
 
 
@@ -165,19 +165,33 @@ class LoopPredictor:
         return {"table": [[list(entry) for entry in zip(*rows)] for rows in zip(*fields)]}
 
     def restore(self, state: dict) -> None:
-        """Re-install a :meth:`snapshot`; geometry must match."""
+        """Re-install a :meth:`snapshot`; geometry must match and every
+        field must lie in its reachable range, checked before anything
+        is installed."""
         expect_keys(state, ("table",), "LoopPredictor")
         expect_length(state["table"], self.sets, "LoopPredictor.table")
+        # Reachable ranges, from update/_allocate: an entry retired past
+        # TRIP_MAX keeps that count as its current trip.
+        highs = (
+            ("tag", self._tag_mask),
+            ("past", self.TRIP_MAX),
+            ("current", self.TRIP_MAX + 1),
+            ("confidence", self.CONFIDENCE_MAX),
+            ("age", self.AGE_MAX),
+        )
         for ways in state["table"]:
             expect_length(ways, self.ways, "LoopPredictor.table[set]")
+            for entry in ways:
+                expect_length(entry, 6, "LoopPredictor.table[set][way]")
+                for (name, high), value in zip(highs, entry):
+                    if type(value) is not int or not 0 <= value <= high:
+                        raise StateError(
+                            f"LoopPredictor.table: {name} {value!r:.40} outside [0, {high}]"
+                        )
+                if type(entry[5]) is not bool:
+                    raise StateError(f"LoopPredictor.table: valid {entry[5]!r:.40} is not a bool")
         # Per set, one tuple per field.
-        columns = [
-            list(zip(*(
-                (int(tag), int(past), int(cur), int(conf), int(age), bool(valid))
-                for tag, past, cur, conf, age, valid in ways
-            )))
-            for ways in state["table"]
-        ]
+        columns = [list(zip(*ways)) for ways in state["table"]]
         self._tags, self._past, self._current, self._confidence, self._age, self._valid = (
             [list(per_set[field]) for per_set in columns] for field in range(6)
         )

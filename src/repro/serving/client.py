@@ -22,8 +22,9 @@ import threading
 
 from repro.orchestration.remote import (
     PROTOCOL_VERSION,
-    AuthError,
+    ProtocolError,
     connect,
+    greet,
     recv_message,
     send_message,
 )
@@ -55,15 +56,11 @@ class PredictClient:
             "client": self.client_id,
             "protocol": PROTOCOL_VERSION,
         }
-        if auth_token is not None:
-            hello["token"] = auth_token
-        welcome = self._request(hello)
-        if welcome.get("type") != "serve_welcome":
-            error = str(welcome.get("error", welcome))
+        try:
+            welcome = greet(self._request, hello, auth_token, "serve_welcome", ServeError)
+        except (ServeError, ProtocolError, OSError):
             self.close()
-            if "authentication" in error:
-                raise AuthError(error)
-            raise ServeError(f"server refused: {error}")
+            raise
         self.server_id = str(welcome.get("server_id"))
         self.pool_stats = welcome.get("pool")
 

@@ -39,11 +39,10 @@ import threading
 from repro.orchestration.registry import standard_registry
 from repro.orchestration.remote import (
     PROTOCOL_VERSION,
-    ProtocolError,
+    Endpoint,
     SessionFsm,
     recv_message,
     send_message,
-    token_matches,
 )
 from repro.orchestration.tasks import PredictorFactory
 from repro.orchestration.telemetry import Telemetry, monotonic
@@ -102,18 +101,35 @@ class _Session:
         self.started = started
 
 
+class _ConnectionFsm(SessionFsm):
+    """The serving machine, held at ``open`` while the connection has
+    sessions: the declared machine models one session, and a connection
+    may multiplex several."""
+
+    def __init__(self, sessions: dict[str, _Session]) -> None:
+        super().__init__("serving")
+        self.sessions = sessions
+
+    def advance(self, kind: str) -> None:
+        super().advance(kind)
+        if self.sessions and self.state == "greeted":
+            self.state = "open"
+
+
 def default_server_id() -> str:
     return f"{socket.gethostname()}-serve-{os.getpid()}"
 
 
-class PredictionServer:
+class PredictionServer(Endpoint):
     """Serve prediction sessions to many concurrent clients.
 
-    One daemon thread per connection, same listener discipline as the
-    campaign :class:`~repro.orchestration.distserver.Coordinator`
-    (0.2 s accept timeout so ``stop()`` is prompt).  Shared counters are
-    guarded by ``self._lock``; per-session state lives on the handler
-    thread and needs no lock.
+    The listener, hello check and connection loop are the shared
+    :class:`~repro.orchestration.remote.Endpoint`'s, as for the
+    campaign :class:`~repro.orchestration.distserver.Coordinator`: one
+    daemon thread per connection, and a 0.2 s accept timeout so
+    ``stop()`` is prompt.  Shared counters are guarded by
+    ``self._lock``; per-session state lives on the handler thread and
+    needs no lock.
     """
 
     def __init__(
@@ -126,22 +142,14 @@ class PredictionServer:
         telemetry: Telemetry | None = None,
         server_id: str | None = None,
     ) -> None:
+        super().__init__(host, port, 128, auth_token, telemetry)
         self.registry = registry if registry is not None else standard_registry()
         self.pool = pool
-        self.auth_token = auth_token
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.server_id = server_id or default_server_id()
         self._lock = threading.Lock()
         self._session_seq = 0
         self._open_sessions = 0
         self._closed_sessions = 0
-        self._stop = threading.Event()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
-        self._listener.settimeout(0.2)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self.telemetry.emit(
             "serve_start",
             host=self.address[0],
@@ -157,7 +165,7 @@ class PredictionServer:
             while not self._stop.is_set():
                 self._accept_one()
         finally:
-            self._close_listener()
+            self._listener.close()
 
     def start(self) -> threading.Thread:
         """Run :meth:`serve_forever` in a daemon thread."""
@@ -170,105 +178,43 @@ class PredictionServer:
         if self._stop.is_set():
             return
         self._stop.set()
-        self._close_listener()
+        self._listener.close()
         with self._lock:
             closed = self._closed_sessions
         self.telemetry.emit("serve_stop", sessions=closed, server_id=self.server_id)
-
-    def _close_listener(self) -> None:
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def _accept_one(self) -> None:
-        try:
-            conn, _addr = self._listener.accept()
-        except socket.timeout:
-            return
-        except OSError:
-            return
-        threading.Thread(target=self._serve_client, args=(conn,), daemon=True).start()
 
     # --------------------------------------------------------- per-client
 
     def _serve_client(self, sock: socket.socket) -> None:
         sessions: dict[str, _Session] = {}
         client = "?"
-        # The declared serving machine (remote.PROTOCOL_FSMS) replaces
-        # the old `greeted` boolean: handlers advance it per handled
-        # message, so ordering is enforced by the same declaration the
-        # REPRO506 static check reads.  The machine models one session
-        # lifecycle; a connection multiplexing several sessions is
-        # pinned back to "open" while any remain.
-        fsm = SessionFsm("serving")
+
+        def welcome(message: dict) -> dict:
+            nonlocal client
+            client = str(message.get("client"))
+            return {
+                "type": "serve_welcome",
+                "protocol": PROTOCOL_VERSION,
+                "server_id": self.server_id,
+                "pool": self.pool.stats() if self.pool is not None else None,
+            }
+
+        handlers = {
+            "serve_hello": welcome,
+            "session_open": lambda message: self._open_session(message, sessions, client),
+            "events": lambda message: self._on_events(message, sessions),
+            "session_close": lambda message: self._close_session(message, sessions),
+        }
+        # Frames go through this module's names, looked up per connection,
+        # so a wrapper installed on them sees every frame.
         try:
-            while not self._stop.is_set():
-                message = recv_message(sock)
-                kind = message.get("type")
-                if kind == "serve_hello":
-                    if not fsm.allows("serve_hello"):
-                        reply = {"type": "error", "error": "duplicate serve_hello"}
-                    else:
-                        reply = self._on_hello(message)
-                        if reply["type"] == "serve_welcome":
-                            fsm.advance("serve_hello")
-                            client = str(message.get("client"))
-                        else:
-                            send_message(sock, reply)
-                            return
-                elif fsm.state == "start":
-                    reply = {"type": "error", "error": "say serve_hello first"}
-                elif kind == "session_open":
-                    reply = self._open_session(message, sessions, client)
-                    if reply["type"] == "session":
-                        fsm.advance("session_open")
-                elif kind == "events":
-                    reply = self._on_events(message, sessions)
-                    if reply["type"] == "predictions":
-                        fsm.advance("events")
-                elif kind == "session_close":
-                    reply = self._close_session(message, sessions)
-                    if reply["type"] == "session_summary":
-                        fsm.advance("session_close")
-                        if sessions:
-                            fsm.state = "open"
-                elif kind == "serve_bye":
-                    fsm.advance("serve_bye")
-                    send_message(sock, {"type": "ok"})
-                    return
-                else:
-                    reply = {"type": "error", "error": f"unknown message {kind!r}"}
-                send_message(sock, reply)
-        except (ConnectionError, OSError, ProtocolError):
-            pass
+            self._converse(
+                sock, _ConnectionFsm(sessions), handlers, send_message, recv_message
+            )
         finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
             if sessions:
                 with self._lock:
                     self._open_sessions -= len(sessions)
-
-    def _on_hello(self, message: dict) -> dict:
-        if not token_matches(self.auth_token, message.get("token")):
-            self.telemetry.emit("auth_reject", peer=str(message.get("client")))
-            return {"type": "error", "error": "authentication failed"}
-        if message.get("protocol") != PROTOCOL_VERSION:
-            return {
-                "type": "error",
-                "error": (
-                    f"protocol version skew: server {PROTOCOL_VERSION} "
-                    f"vs client {message.get('protocol')}"
-                ),
-            }
-        return {
-            "type": "serve_welcome",
-            "protocol": PROTOCOL_VERSION,
-            "server_id": self.server_id,
-            "pool": self.pool.stats() if self.pool is not None else None,
-        }
 
     # ----------------------------------------------------------- sessions
 

@@ -51,8 +51,6 @@ from repro.common.tablestate import (
     mix64_array,
     packed_history_series,
     signed_history_matrix,
-    table_array,
-    table_list,
 )
 from repro.common.state import PredictorState
 from repro.core import BFISLTage, BFNeural, BFTage, BFTageConfig
@@ -281,12 +279,6 @@ class TestDispatch:
 
 class TestArrayStateSubstrate:
     """tablestate helpers vs the scalar machinery they replace."""
-
-    def test_table_roundtrip(self):
-        values = [0, 1, 2, 3, 2, 1]
-        array = table_array(values, np.uint8)
-        assert array.dtype == np.uint8
-        assert table_list(array) == values
 
     def test_mix64_array_matches_scalar(self):
         rng = np.random.default_rng(7)

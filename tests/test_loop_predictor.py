@@ -1,9 +1,11 @@
 """Tests for the loop-count predictor."""
 
+import copy
 import tracemalloc
 
 import pytest
 
+from repro.common.state import StateError
 from repro.predictors.loop import LoopOnly, LoopPredictor
 
 
@@ -146,3 +148,60 @@ class TestHashCache:
             restored.train(pc, i % 5 != 0)
             trained.train(pc, i % 5 != 0)
         assert restored.state_hash() == trained.state_hash()
+
+
+class TestRestoreRanges:
+    """``restore`` takes exactly the entries ``update``/``_allocate`` reach."""
+
+    def trained(self):
+        loop = LoopPredictor()
+        for i in range(3_000):
+            pc = 0x500 + 8 * (i % 11)
+            loop.lookup(pc)
+            loop.update(pc, i % 7 != 0)
+        return loop
+
+    def test_unreachable_entry_refused_before_install(self):
+        loop = self.trained()
+        state = loop.snapshot()
+        corrupt = copy.deepcopy(state)
+        corrupt["table"][0][0] = [-5, 99999, -3, 42, 200, True]
+        with pytest.raises(StateError, match="tag -5"):
+            loop.restore(corrupt)
+        assert loop.snapshot() == state
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (0, 1 << 14), (0, -1), (1, LoopPredictor.TRIP_MAX + 1), (1, -1),
+            (2, LoopPredictor.TRIP_MAX + 2), (2, -1), (3, 4), (3, -1), (4, 8),
+            (4, -1), (4, 2.0), (4, True), (5, 1), (5, None),
+        ],
+    )
+    def test_each_field_range_checked(self, field, value):
+        state = self.trained().snapshot()
+        state["table"][3][2][field] = value
+        with pytest.raises(StateError):
+            LoopPredictor().restore(state)
+
+    def test_short_entry_refused(self):
+        state = LoopPredictor().snapshot()
+        state["table"][0][0] = [0, 0, 0, 0, 0]
+        with pytest.raises(StateError):
+            LoopPredictor().restore(state)
+
+    def test_upper_bounds_reachable(self):
+        # A loop that ran past TRIP_MAX is retired with current TRIP_MAX+1;
+        # the other fields at their caps are reachable too.
+        loop = LoopPredictor()
+        loop.update(0x500, False)
+        for _ in range(LoopPredictor.TRIP_MAX + 1):
+            loop.update(0x500, True)
+        state = loop.snapshot()
+        assert LoopPredictor.TRIP_MAX + 1 in [
+            entry[2] for ways in state["table"] for entry in ways
+        ]
+        state["table"][1][1] = [(1 << 14) - 1, LoopPredictor.TRIP_MAX, 0, 3, 7, True]
+        restored = LoopPredictor()
+        restored.restore(state)
+        assert restored.snapshot() == state

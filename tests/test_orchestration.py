@@ -872,7 +872,7 @@ class TestTraceSpecFingerprintGolden:
     #: The key of a plan that leaves the kernel at its default, ``auto``:
     #: it carries ``|kernel=auto`` and the kernel-source digest, so an
     #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "1e9e3326afd37a3d1615f8a36b0c20afbd3f8efe30375e9de7e6a35216146b31"
+    AUTO_GOLDEN = "ab5e17f8194f9708e2ad81c213bba7301df58e2eee0773c801505063ca78c46d"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for
