@@ -59,12 +59,14 @@ python3 -m repro campaign --predictors oh-snap tage15 bf-neural \
 # through the vectorized kernel (docs/vectorization.md). Fingerprints
 # carry |kernel=vectorized, so this populates its own cache entries;
 # the differential sweep first proves bit-identity against the scalar
-# oracle on all 40 suite + 4 wild traces, then the contract checks in
+# oracle on all 40 suite + 4 wild traces, offline and served (sessions
+# streamed at the client's default batch, which replays on the kernel),
+# then the contract checks in
 # benchmarks/test_contracts.py assert their floors: vectorized speedups
 # over scalar, checkpoint overhead, warm-state reuse, campaign fan-out
 # and 100-session serving. Comparable timings come from the e2e stage.
 REPRO_FULL_DIFFERENTIAL=1 python3 -m pytest tests/test_batchkernel.py \
-    -m vectorized -q || {
+    tests/test_serving.py -m vectorized -q || {
     echo BATCH_KERNEL_DIFFERENTIAL_FAILED
     exit 1
 }

@@ -9,7 +9,8 @@ answer prediction requests forever".  Three pieces:
   :class:`~repro.orchestration.statestore.StateStore`.
 * :mod:`repro.serving.server` — :class:`PredictionServer`, sessions over
   the campaign wire protocol with predict-then-train semantics
-  bit-identical to the offline simulator.
+  bit-identical to the offline simulator; :func:`predict_batch` runs
+  long batches on the predictor's batch kernel.
 * :mod:`repro.serving.loadgen` — concurrent-session load harness with
   latency percentiles.
 
@@ -33,12 +34,18 @@ from repro.serving.pool import (
     ShardKey,
     WarmSnapshotPool,
 )
-from repro.serving.server import MAX_BATCH_EVENTS, PredictionServer, predict_batch
+from repro.serving.server import (
+    KERNEL_MIN_EVENTS,
+    MAX_BATCH_EVENTS,
+    PredictionServer,
+    predict_batch,
+)
 
 __all__ = [
     "DEFAULT_BATCH",
     "DEFAULT_SESSION_EVENTS",
     "DEFAULT_WARMUP",
+    "KERNEL_MIN_EVENTS",
     "MAX_BATCH_EVENTS",
     "LoadProfile",
     "LoadReport",

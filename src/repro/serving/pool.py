@@ -14,8 +14,9 @@ and transplantable.  The pool turns that into a serving primitive:
   in-memory hit → shared :class:`~repro.orchestration.statestore.
   StateStore` entry (saved under the same ``warm_context_key`` the
   campaign engine uses, so campaigns and servers share warm state) →
-  simulate the warmup prefix once and persist it for every later
-  replica.
+  simulate the warmup prefix once (on the predictor's batch kernel
+  where one exists, bit-identical to the scalar loop) and persist it
+  for every later replica.
 * A configurable **budget** (``max_shards``) bounds resident shards;
   beyond it the least-recently-used shard is evicted from memory (the
   StateStore copy survives) and rehydrates bit-identically on next use.
@@ -197,7 +198,7 @@ class WarmSnapshotPool:
         warm = self._store.load(context, warm_position) if self._store else None
         if warm is None:
             source = "simulated"
-            warm = simulate(factory(), trace, stop_after=warm_position).checkpoint
+            warm = simulate(factory(), trace, stop_after=warm_position, kernel="auto").checkpoint
             if self._store is not None:
                 self._store.save(context, warm)
         prefix = trace.pcs[:warm_position]

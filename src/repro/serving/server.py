@@ -4,13 +4,17 @@
 *sessions* (one predictor instance bound to a named workload) and
 stream branch events; every event is answered with the predictor's
 direction before it is trained on the resolved outcome.  Each batch
-runs the simulation engine's own per-event loop
-(:func:`repro.sim.simulator.run_events`, bound here as
-``predict_batch``), so an online session over a trace's events yields a
-final ``state_hash`` and misprediction count bit-identical to the
-offline simulator over the same stream — the service's correctness
-contract, which ``tests/test_serving.py`` enforces for every registered
-predictor.  Malformed events (a pc that is not an unsigned 64-bit int,
+runs through :func:`predict_batch`: a batch of at least
+:data:`KERNEL_MIN_EVENTS` events replays on the session's batch kernel
+(:mod:`repro.sim.batchkernel`, resolved once when the session opens),
+a shorter one, or one whose predictor has no kernel, on the simulation
+engine's own per-event loop (:func:`repro.sim.simulator.run_events`).
+Both leave the predictor bit-identical to the offline simulator, so an
+online session over a trace's events yields the final ``state_hash``
+and misprediction count of the offline simulator over the same stream —
+the service's correctness contract, which ``tests/test_serving.py``
+enforces for every registered predictor, on both sides of the
+threshold.  Malformed events (a pc that is not an unsigned 64-bit int,
 an outcome other than 0, 1, true or false) are refused with an
 ``error`` reply before the predictor is touched.
 
@@ -36,6 +40,8 @@ import os
 import socket
 import threading
 
+import numpy as np
+
 from repro.orchestration.registry import standard_registry
 from repro.orchestration.remote import (
     PROTOCOL_VERSION,
@@ -47,14 +53,19 @@ from repro.orchestration.remote import (
 from repro.orchestration.tasks import PredictorFactory
 from repro.orchestration.telemetry import Telemetry, monotonic
 from repro.serving.pool import PoolError, WarmSnapshotPool
-# The engine's per-event loop, bound under the name every ``events``
-# batch looks up at call time, so a wrapper installed on this module
-# attribute sees each batch.
-from repro.sim.simulator import run_events as predict_batch
+from repro.sim.batchkernel import kernel_for
+from repro.sim.simulator import run_events
 
 #: Upper bound on one ``events`` batch; larger batches are refused so a
 #: misbehaving client cannot park the handler thread for minutes.
 MAX_BATCH_EVENTS = 65_536
+
+#: Batches of at least this many events replay on the session's batch
+#: kernel; shorter ones on the per-event loop.  The measured crossover
+#: (``docs/serving.md``): the smallest power of two at which no
+#: registered kernel runs more than about 10% slower than ``run_events``.
+#: The counter kernels set it: they stage their whole table per call.
+KERNEL_MIN_EVENTS = 4_096
 
 #: Branch PCs are unsigned 64-bit addresses.
 PC_LIMIT = 1 << 64
@@ -69,8 +80,7 @@ class _Session:
         "config",
         "workload",
         "predictor",
-        "predict",
-        "train",
+        "kernel",
         "position",
         "mispredictions",
         "events",
@@ -93,12 +103,32 @@ class _Session:
         self.config = config
         self.workload = workload
         self.predictor = predictor
-        self.predict = predictor.predict
-        self.train = predictor.train
+        self.kernel = kernel_for(predictor)
         self.position = position
         self.mispredictions = mispredictions
         self.events = 0
         self.started = started
+
+
+def predict_batch(predictor, kernel, pcs, outcomes, predictions, mispredictions: int) -> int:
+    """Replay one ``events`` batch: predict, compare, train per event.
+
+    ``kernel`` is the predictor's batch kernel, or None; it runs batches
+    of at least :data:`KERNEL_MIN_EVENTS` events, ``run_events`` the
+    rest.  ``predictions`` is a preallocated buffer of ``len(pcs)``
+    slots, filled in place; returns ``mispredictions`` plus this batch's
+    misses.  Either way the predictor ends bit-identical to the offline
+    per-event loop over the same events.
+    """
+    n = len(pcs)
+    if kernel is None or n < KERNEL_MIN_EVENTS:
+        return run_events(
+            predictor.predict, predictor.train, pcs, outcomes, predictions, mispredictions
+        )
+    taken = np.array(outcomes, dtype=np.uint8)
+    replayed, _ = kernel.run(predictor, np.array(pcs, dtype=np.uint64), taken, 0, n)
+    predictions[:] = replayed.tolist()
+    return mispredictions + int(np.count_nonzero(replayed != taken))
 
 
 class _ConnectionFsm(SessionFsm):
@@ -236,6 +266,13 @@ class PredictionServer(Endpoint):
         if message.get("warm"):
             if self.pool is None:
                 return {"type": "error", "error": "server has no warm pool"}
+            for field in ("warmup", "branches"):
+                value = message.get(field)
+                if value is not None and (type(value) is not int or value <= 0):
+                    return {
+                        "type": "error",
+                        "error": f"{field} = {value!r:.40} is not a positive int",
+                    }
             try:
                 shard = self.pool.acquire(
                     config,
@@ -322,8 +359,8 @@ class PredictionServer(Endpoint):
         outcomes = [bool(value) for value in raw_outcomes]
         predictions = [False] * len(pcs)
         session.mispredictions = predict_batch(
-            session.predict,
-            session.train,
+            session.predictor,
+            session.kernel,
             pcs,
             outcomes,
             predictions,

@@ -31,6 +31,8 @@ porting checklist for new cores.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.common.tablestate import packed_history_series, signed_history_matrix
@@ -205,16 +207,21 @@ class _CounterPlan:
 
 _PLAN_CACHE: dict = {}
 _PLAN_CACHE_MAX = 16
+#: Guards the cache's lookups and its evict-then-insert: the prediction
+#: server's handler threads run the counter kernels concurrently.
+_PLAN_LOCK = threading.Lock()
 
 
 def _cached_plan(key, pcs, build):
-    plan = _PLAN_CACHE.get(key)
+    with _PLAN_LOCK:
+        plan = _PLAN_CACHE.get(key)
     if plan is not None and plan.pcs is pcs:
         return plan
     plan = build()
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-    _PLAN_CACHE[key] = plan
+    with _PLAN_LOCK:
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
+            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
+        _PLAN_CACHE[key] = plan
     return plan
 
 

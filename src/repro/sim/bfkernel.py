@@ -30,6 +30,14 @@ override, so the loop predictor runs afterwards over the non-biased
 events: :func:`loop_replay`, the one replay of the loop table and its
 ``WITHLOOP`` counter, shared with the TAGE kernel.
 
+The index and sign rows are ``1 + ht + rs_depth`` lanes per
+weight-touching event, so they are built and replayed a chunk of
+:data:`_CHUNK` stack records at a time (every weight-touching event
+records): the stack, θ and its counter carry from chunk to chunk, and
+the weight arena is staged once per call and written back once.  A
+call's memory then stays bounded whatever the segment length; only the
+per-event status, history and prediction arrays grow with it.
+
 Exactness notes:
 
 * the weight arena concatenates Wb | Wm | Wrs so the scalar update rule
@@ -62,6 +70,11 @@ from repro.predictors.base import hot_path
 
 _PROVIDERS = ("default", "bst", "neural", "loop")
 _STATUSES = tuple(BranchStatus)
+
+#: Records per chunk of the weight replay: bounds the per-event index,
+#: sign and hash rows (``1 + ht + rs_depth`` lanes each) held at once,
+#: whatever the segment length.
+_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -294,40 +307,45 @@ def recency_rows(pcs: list, depth: int, dedup: bool) -> np.ndarray:
     return np.array(flat, dtype=np.int32).reshape(n + 1, depth)
 
 
-# perf: allow(REPRO401): per-trace staging, runs once per batch
-def _stage_weights(predictor, bias_idx, wm_rows_mat, widx_raw, pad) -> tuple:
-    """Gather the weights the weight-touching events use into one arena.
+def _whole_arena(predictor) -> np.ndarray:
+    """Wb, Wm and Wrs converted whole into the arena layout every index
+    row addresses: Wb | Wm (row-major) | Wrs | a dummy slot."""
+    cfg = predictor.config
+    wm_off = cfg.bias_entries
+    wrs_off = wm_off + cfg.wm_rows * cfg.ht
+    dummy = wrs_off + cfg.wrs_entries
+    arena = np.empty(dummy + 1, dtype=np.int32)
+    arena[:wm_off] = predictor._wb
+    arena[wm_off:wrs_off] = np.asarray(predictor._wm, dtype=np.int32).ravel()
+    arena[wrs_off:dummy] = predictor._wrs
+    arena[dummy] = 0
+    return arena
 
-    Each event's index row addresses the whole-table layout Wb | Wm
-    (row-major) | Wrs | dummy slot (padding RS lanes point at the
-    dummy).  Returns the arena (the touched slots in that order, then
-    the dummy), the index rows remapped onto it, and the touched Wb
-    indices, Wm rows and Wrs indices :func:`_write_back_weights`
-    scatters it back to: staging and writeback scale with the segment,
-    not the tables.  A long segment that touches most of the tables
-    converts them whole instead (``touched`` is None, the rows stay in
-    the whole-table layout): past that point the per-slot gathers and
-    the remap cost more than one conversion per table.
+
+# perf: allow(REPRO401): per-trace staging, runs once per batch
+def _stage_weights(predictor, aidx: np.ndarray) -> tuple:
+    """Gather the weights that the index rows ``aidx`` (whole-table
+    layout) use into one arena.
+
+    Returns the arena (the touched slots in layout order, then the
+    dummy), the rows remapped onto it, and the touched Wb indices, Wm
+    rows and Wrs indices :func:`_write_back_weights` scatters it back
+    to: staging and writeback scale with the segment, not the tables.  A
+    segment that touches most of the tables converts them whole instead
+    (``touched`` is None, the rows stay in the whole-table layout): past
+    that point the per-slot gathers and the remap cost more than one
+    conversion per table.
     """
     cfg = predictor.config
     ht = cfg.ht
     wm_off = cfg.bias_entries
     wrs_off = wm_off + cfg.wm_rows * ht
     dummy = wrs_off + cfg.wrs_entries
-    aidx = np.empty((len(bias_idx), 1 + ht + cfg.rs_depth), dtype=np.int64)
-    aidx[:, 0] = bias_idx
-    aidx[:, 1 : 1 + ht] = wm_off + wm_rows_mat * ht + np.arange(ht)[None, :]
-    aidx[:, 1 + ht :] = np.where(pad, dummy, wrs_off + widx_raw)
     used = np.zeros(dummy + 1, dtype=bool)
     used[aidx.ravel()] = True
     used[dummy] = True
     if 2 * np.count_nonzero(used) > len(used):
-        arena = np.empty(dummy + 1, dtype=np.int32)
-        arena[:wm_off] = predictor._wb
-        arena[wm_off:wrs_off] = np.asarray(predictor._wm, dtype=np.int32).ravel()
-        arena[wrs_off:dummy] = predictor._wrs
-        arena[dummy] = 0
-        return arena, aidx, None
+        return _whole_arena(predictor), aidx, None
     # Wm is staged in whole rows (one list each in the predictor).
     wm_used = used[wm_off:wrs_off].reshape(cfg.wm_rows, ht)
     wm_used |= wm_used.any(axis=1)[:, None]
@@ -397,7 +415,7 @@ class BFNeuralKernel:
         cfg = predictor.config
         return not cfg.probabilistic_bst and 1 <= cfg.ht <= 16
 
-    @hot_path  # perf: allow(REPRO401, REPRO402): staging runs per record batch
+    @hot_path  # perf: allow(REPRO401, REPRO402): staging runs per chunk, not per event
     def run(self, predictor, pcs, outcomes, start: int, end: int):
         n = end - start
         if n == 0:
@@ -409,7 +427,6 @@ class BFNeuralKernel:
         bst = predictor.bst
         status_before, nb_after, bst_final = bst_stream(bst, pc_seg, outs)
         nb_before = status_before == 3
-        transition = nb_after & ~nb_before
 
         # Vectorized predictions for every event the weights never see.
         preds = status_before == 1
@@ -424,37 +441,10 @@ class BFNeuralKernel:
         width = predictor._folds.width
         h64 = packed_history_series(outs, 64, seed=predictor._recent_bits)
         r16 = (h64 & np.uint64(0xFFFF)).astype(np.uint16)
-
-        comp = nb_before | transition
-        cidx = np.flatnonzero(comp)
-        nc = len(cidx)
-        rsd = cfg.rs_depth
-        use_fold = cfg.use_folded_hist
-        pc_c = pc_seg[cidx]
-        bias_idx = (pc_c & np.uint64(cfg.bias_entries - 1)).astype(np.int64)
-        cols = np.arange(ht, dtype=np.int64)
-
-        if nc:
-            # Wm: per-event path registers, small-window folds, row hashes.
-            ext_paths = np.empty(n + ht, dtype=np.uint64)
-            for j in range(ht):
-                ext_paths[ht - 1 - j] = predictor._recent_paths[j]
-            np.bitwise_and(pc_seg, np.uint64(0xFFFF), out=ext_paths[ht:])
-            path_mat = ext_paths[(cidx[:, None] + (ht - 1)) - cols[None, :]]
-            rc = r16[cidx]
-            key = pc_c[:, None] ^ path_mat
-            if use_fold:
-                depth_mask = ((np.uint32(1) << np.arange(1, ht + 1, dtype=np.uint32)) - 1)
-                small = rc[:, None].astype(np.uint32) & depth_mask[None, :]
-                fold_wm = _chunk_fold(small, width, ht)
-                key ^= fold_wm.astype(np.uint64) << np.uint64(5)
-            key ^= cols.astype(np.uint64)[None, :] << np.uint64(24)
-            wm_rows_mat = (
-                mix64_array(key.ravel()) & np.uint64(cfg.wm_rows - 1)
-            ).astype(np.int64).reshape(nc, ht)
-            signs_wm = ((rc[:, None] >> cols.astype(np.uint16)[None, :]) & 1).astype(
-                np.int32
-            ) * 2 - 1
+        ext_paths = np.empty(n + ht, dtype=np.uint64)
+        for j in range(ht):
+            ext_paths[ht - 1 - j] = predictor._recent_paths[j]
+        np.bitwise_and(pc_seg, np.uint64(0xFFFF), out=ext_paths[ht:])
 
         # ------------------------------------------------------------------
         # Folded-history ladder via the prefix-XOR closed form.  The final
@@ -476,20 +466,15 @@ class BFNeuralKernel:
         series = folded_history_block(
             history, deepest, depths, [width] * len(depths), folds.values
         )
+        del history
         fold_final = series[:, -1].tolist()
-        if nc and use_fold:
-            ladder = series.T[np.maximum(cidx - 1, 0)]
-            ladder[cidx == 0] = folds.values
-        depths_arr = np.array(depths, dtype=np.int64)
 
         # ------------------------------------------------------------------
-        # Recency-stack evolution.  Which events record is status-pure, so
+        # Recency-stack records.  Which events record is status-pure, so
         # the record stream is a precomputable log (address, stamp, sign):
         # the stack's own entries oldest first, then the segment's
-        # records.  One :func:`recency_rows` pass gives the stack after
-        # every record, and each weight-touching event gathers the row
-        # before its own record.  Log slot ``m`` is the rows' pad: sign 0,
-        # so padded lanes never contribute.
+        # records.  Log slot ``m`` is the rows' pad: sign 0, so padded
+        # lanes never contribute.
         # ------------------------------------------------------------------
         rs = predictor.rs
         base_clock = rs._clock
@@ -497,7 +482,8 @@ class BFNeuralKernel:
         ridx = np.flatnonzero(record_mask)
         seed = rs._entries[::-1]
         k0 = len(seed)
-        m = k0 + len(ridx)
+        records = len(ridx)
+        m = k0 + records
         log_pc = np.empty(m + 1, dtype=np.uint64)
         log_stamp = np.empty(m + 1, dtype=np.int64)
         log_sign = np.empty(m + 1, dtype=np.int32)
@@ -510,28 +496,87 @@ class BFNeuralKernel:
         log_pc[m] = 0
         log_stamp[m] = -(1 << 40)
         log_sign[m] = 0
-        rows = recency_rows(log_pc[:m].tolist(), rsd, rs.dedup)
-        final_stack = rows[m].tolist()
-        if nc:
+
+        # ------------------------------------------------------------------
+        # The weight-touching events: non-biased predictions, and biased
+        # ones turning non-biased (their first lesson).  Each records, so
+        # the replay runs a chunk of :data:`_CHUNK` records at a time: one
+        # :func:`recency_rows` pass, seeded with the stack the last chunk
+        # left, gives the stack after every record, each weight-touching
+        # event gathers the row before its own record, and its index and
+        # sign rows replay against one weight arena.  ``theta``, ``tc``
+        # and the stack carry across chunks; the arena is staged once.
+        # ------------------------------------------------------------------
+        cidx = np.flatnonzero(nb_before | nb_after)
+        record_of = (np.cumsum(record_mask) - record_mask)[cidx]
+        isnb = nb_before[cidx]
+        taken = outs[cidx] == 1
+        arena = touched = last = None
+        if records > _CHUNK:
+            arena = _whole_arena(predictor)
+        rsd = cfg.rs_depth
+        lane = 1 + ht + rsd
+        use_fold = cfg.use_folded_hist
+        cols = np.arange(ht, dtype=np.int64)
+        depth_mask = (np.uint32(1) << np.arange(1, ht + 1, dtype=np.uint32)) - 1
+        depths_arr = np.array(depths, dtype=np.int64)
+        wm_off = cfg.bias_entries
+        wrs_off = wm_off + cfg.wm_rows * ht
+        wmax = predictor._wmax
+        wmin = predictor._wmin
+        theta = predictor.theta
+        tc = predictor._tc
+        adaptive = cfg.adaptive_theta
+        minimum = np.minimum
+        maximum = np.maximum
+        acc = 0
+        loop = predictor.loop
+        loop_valid = False
+        stack = list(range(k0 - 1, -1, -1))  # log indices, newest first
+        for r_lo in range(0, records, _CHUNK):
+            r_hi = min(records, r_lo + _CHUNK)
+            feed = stack[::-1] + list(range(k0 + r_lo, k0 + r_hi))
+            passed = recency_rows(log_pc[feed].tolist(), rsd, rs.dedup)
+            log_of = np.array(feed + [m], dtype=np.int64)
+            rows = log_of[passed[len(stack) :]]
+            stack = [j for j in rows[-1].tolist() if j != m]
+            c_lo, c_hi = np.searchsorted(record_of, (r_lo, r_hi)).tolist()
+            if c_lo == c_hi:
+                continue
+            cc = cidx[c_lo:c_hi]
+            nc = c_hi - c_lo
+            pc_c = pc_seg[cc]
+            bias_idx = (pc_c & np.uint64(cfg.bias_entries - 1)).astype(np.int64)
+
+            # Wm: per-event path registers, small-window folds, row hashes.
+            path_mat = ext_paths[(cc[:, None] + (ht - 1)) - cols[None, :]]
+            rc = r16[cc]
+            key = pc_c[:, None] ^ path_mat
+            if use_fold:
+                small = rc[:, None].astype(np.uint32) & depth_mask[None, :]
+                key ^= _chunk_fold(small, width, ht).astype(np.uint64) << np.uint64(5)
+            key ^= cols.astype(np.uint64)[None, :] << np.uint64(24)
+            wm_rows_mat = (
+                mix64_array(key.ravel()) & np.uint64(cfg.wm_rows - 1)
+            ).astype(np.int64).reshape(nc, ht)
+
             # Wrs: each event's stack before its own record, distances,
             # quantization, per-distance folds, index hashes.
-            idx_mat = rows[(np.cumsum(record_mask) - record_mask + k0)[cidx]]
+            idx_mat = rows[record_of[c_lo:c_hi] - r_lo]
             del rows
             pad = idx_mat == m
             cnt = rsd - np.count_nonzero(pad, axis=1)
-            a_mat = log_pc[idx_mat]
-            s_mat = log_stamp[idx_mat]
             h_mat = log_sign[idx_mat]
-            dist = np.minimum(
-                base_clock + cidx[:, None] - s_mat, cfg.position_cap
-            )
-            key = pc_c[:, None] ^ a_mat
+            dist = np.minimum(base_clock + cc[:, None] - log_stamp[idx_mat], cfg.position_cap)
+            key = pc_c[:, None] ^ log_pc[idx_mat]
             if cfg.use_positional:
                 exp = (np.frexp(dist.astype(np.float64))[1] - 1).astype(np.int64)
                 sub = (dist >> np.maximum(exp - 2, 0)) & 3
                 quant = np.where(dist < 4, dist, exp * 4 + sub)
                 key ^= quant.astype(np.uint64) << np.uint64(13)
             if use_fold:
+                ladder = series.T[np.maximum(cc - 1, 0)]
+                ladder[cc == 0] = folds.values
                 shift = np.minimum(dist, 16).astype(np.uint32)
                 small_v = rc[:, None].astype(np.uint32) & (
                     (np.uint32(1) << shift) - 1
@@ -555,47 +600,46 @@ class BFNeuralKernel:
             probe.sort(axis=1)
             dup = np.any(probe[:, 1:] == probe[:, :-1], axis=1)
 
-            arena, aidx, touched = _stage_weights(
-                predictor, bias_idx, wm_rows_mat, widx_raw, pad
-            )
-            lane = 1 + ht + rsd
+            # Index rows into the whole-table layout Wb | Wm (row-major) |
+            # Wrs | dummy slot (padding RS lanes point at the dummy), and
+            # their signs.
+            aidx = np.empty((nc, lane), dtype=np.int64)
+            aidx[:, 0] = bias_idx
+            aidx[:, 1 : 1 + ht] = wm_off + wm_rows_mat * ht + cols[None, :]
+            aidx[:, 1 + ht :] = np.where(pad, wrs_off + cfg.wrs_entries, wrs_off + widx_raw)
             signs = np.empty((nc, lane), dtype=np.int32)
             signs[:, 0] = 1
-            signs[:, 1 : 1 + ht] = signs_wm
+            signs[:, 1 : 1 + ht] = (
+                (rc[:, None] >> cols.astype(np.uint16)[None, :]) & 1
+            ).astype(np.int32) * 2 - 1
             signs[:, 1 + ht :] = h_mat
+            k = int(cnt[-1])
+            last = (
+                int(bias_idx[-1]),
+                wm_rows_mat[-1].tolist(),
+                signs[-1, 1 : 1 + ht].tolist(),
+                widx_raw[-1, :k].tolist(),
+                h_mat[-1, :k].tolist(),
+            )
+            if arena is None:
+                arena, aidx, touched = _stage_weights(predictor, aidx)
 
-        # ------------------------------------------------------------------
-        # Sequential replay of the weight-touching events.
-        # ------------------------------------------------------------------
-        wmax = predictor._wmax
-        wmin = predictor._wmin
-        theta = predictor.theta
-        tc = predictor._tc
-        adaptive = cfg.adaptive_theta
-        acc = 0
-        nb_sel = np.flatnonzero(nb_before)
-        nb_preds: list[bool] = []
-
-        if nc:
-            isnb_l = nb_before[cidx].tolist()
-            taken_l = (outs[cidx] == 1).tolist()
-            cnt_l = cnt.tolist()
-            dup_l = dup.tolist()
+            # Sequential replay of the chunk's weight-touching events.
+            nb_preds: list[bool] = []
             add_pred = nb_preds.append
             arena_take = arena.take
-            minimum = np.minimum
-            maximum = np.maximum
-            for arow, srow, isnb, taken, is_dup, k_rs in zip(
-                aidx, signs, isnb_l, taken_l, dup_l, cnt_l
+            for arow, srow, is_nb, is_taken, is_dup, k_rs in zip(
+                aidx, signs, isnb[c_lo:c_hi].tolist(), taken[c_lo:c_hi].tolist(),
+                dup.tolist(), cnt.tolist(),
             ):
                 w = arena_take(arow)
                 acc = int(w.dot(srow))
-                t = 1 if taken else -1
+                t = 1 if is_taken else -1
                 update = False
-                if isnb:
+                if is_nb:
                     neural_pred = acc >= 0
                     add_pred(neural_pred)
-                    neural_wrong = neural_pred != taken
+                    neural_wrong = neural_pred != is_taken
                     if neural_wrong or (acc if acc >= 0 else -acc) <= theta:
                         update = True
                         if adaptive:
@@ -632,27 +676,26 @@ class BFNeuralKernel:
                         minimum(w, wmax, out=w)
                         maximum(w, wmin, out=w)
                         arena[arow] = w
+            if not nb_preds:
+                continue
+            predictor._last_neural_pred = nb_preds[-1]
+            nb_sel = cc[isnb[c_lo:c_hi]]
             preds[nb_sel] = nb_preds
             prov[nb_sel] = 2
-
-        # ------------------------------------------------------------------
-        # The loop predictor overrides non-biased predictions only, and
-        # no weight reads it: replay it over those events afterwards.
-        # ------------------------------------------------------------------
-        loop = predictor.loop
-        loop_valid = False
-        if loop is not None and nb_preds:
-            overrides, finals, predictor._withloop, scratch = loop_replay(
-                loop,
-                *loop_rows(loop, pc_seg[nb_sel]),
-                outs[nb_sel].tolist(),
-                nb_preds,
-                nb_preds,
-                predictor._withloop,
-            )
-            preds[nb_sel] = finals
-            prov[nb_sel[np.array(overrides, dtype=bool)]] = 3
-            predictor._last_loop_pred, loop_valid = scratch
+            # The loop predictor overrides non-biased predictions only,
+            # and no weight reads it: replay it over them afterwards.
+            if loop is not None:
+                overrides, finals, predictor._withloop, scratch = loop_replay(
+                    loop,
+                    *loop_rows(loop, pc_seg[nb_sel]),
+                    outs[nb_sel].tolist(),
+                    nb_preds,
+                    nb_preds,
+                    predictor._withloop,
+                )
+                preds[nb_sel] = finals
+                prov[nb_sel[np.array(overrides, dtype=bool)]] = 3
+                predictor._last_loop_pred, loop_valid = scratch
 
         # ------------------------------------------------------------------
         # Write the final state back through the scalar representations.
@@ -661,12 +704,11 @@ class BFNeuralKernel:
 
         rs._entries = [
             RSEntry(address=int(log_pc[j]), stamp=int(log_stamp[j]), outcome=bool(log_sign[j] > 0))
-            for j in final_stack
-            if j != m
+            for j in stack
         ]
         rs._clock = base_clock + n
 
-        if nc:
+        if arena is not None:
             _write_back_weights(predictor, arena, touched)
         predictor.theta = theta
         predictor._tc = tc
@@ -690,16 +732,14 @@ class BFNeuralKernel:
         predictor._last_provider = _PROVIDERS[int(prov[last_i])]
         predictor._last_used_weights = bool(nb_before[last_i])
         predictor._last_loop_valid = bool(nb_before[last_i]) and loop_valid
-        if nb_preds:
-            predictor._last_neural_pred = nb_preds[-1]
-        if nc:
-            last_row = nc - 1
+        if last is not None:
             predictor._last_accum = acc
-            predictor._last_bias_index = int(bias_idx[last_row])
-            predictor._last_wm_rows = wm_rows_mat[last_row].tolist()
-            predictor._last_wm_signs = signs[last_row, 1 : 1 + ht].tolist()
-            k = int(cnt[last_row])
-            predictor._last_wrs_idx = widx_raw[last_row, :k].tolist()
-            predictor._last_wrs_signs = h_mat[last_row, :k].tolist()
+            (
+                predictor._last_bias_index,
+                predictor._last_wm_rows,
+                predictor._last_wm_signs,
+                predictor._last_wrs_idx,
+                predictor._last_wrs_signs,
+            ) = last
 
         return preds, first_appearance(prov, _PROVIDERS)

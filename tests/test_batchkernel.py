@@ -36,6 +36,7 @@ incremental ``FoldedHistory`` fold.
 import json
 import os
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -69,7 +70,7 @@ from repro.predictors import (
 )
 from repro.predictors.loop import LoopPredictor
 from repro.predictors.perceptron import GlobalPerceptron
-from repro.sim import simulate
+from repro.sim import batchkernel, bfkernel, simulate
 from repro.sim.batchkernel import kernel_for, simulate_batch
 from repro.sim.bfkernel import loop_replay, loop_rows
 from repro.sim.simulator import KERNEL_MODES, _scalar_segment, segment_runner
@@ -1023,6 +1024,96 @@ def test_snap_kernel_staging_is_chunked():
             assert predictions.tolist() == expected
             assert predictor.state_hash() == scalar_p.state_hash()
     assert peaks[1] - peaks[0] < 1_000_000, peaks
+
+
+def test_plan_cache_survives_concurrent_eviction():
+    """Prediction-server handler threads run the counter kernels at once:
+    threads replaying gshare on fresh arrays evict each other's cached
+    plans without an exception, and every replay equals the scalar one."""
+    trace = build_trace("SPEC03", 40)
+    pcs, outcomes = trace.arrays()
+    scalar_p = GShare(entries=256, history_bits=8)
+    expected, _ = _scalar_events(scalar_p, trace, 0, len(trace))
+    errors = []
+    barrier = threading.Barrier(6)
+
+    def drive():
+        try:
+            barrier.wait()
+            for _ in range(100 * batchkernel._PLAN_CACHE_MAX):
+                predictor = GShare(entries=256, history_bits=8)
+                predictions, _ = kernel_for(predictor).run(
+                    predictor, pcs.copy(), outcomes, 0, len(pcs)
+                )
+                assert predictions.tolist() == expected
+                assert predictor.state_hash() == scalar_p.state_hash()
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=drive) for _ in range(6)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors, errors[:3]
+    assert len(batchkernel._PLAN_CACHE) <= batchkernel._PLAN_CACHE_MAX
+
+
+def test_bf_neural_kernel_staging_is_chunked():
+    """BF-Neural's per-event index, sign and hash rows are staged a chunk
+    of records at a time against one weight arena, and so is the loop
+    predictor's replay: a 40,000-event kernel call peaks within 4 MB of a
+    10,000-event one (the per-event BST statuses, history series, record
+    log and predictions the whole segment keeps, about 100 bytes an
+    event), and the 10,000 events, many chunks, equal the scalar
+    replay."""
+    rng = np.random.default_rng(5)
+    # A fifth of the sites flip a fair coin (non-biased, weight-touching),
+    # the rest always go one way.
+    bias = rng.choice([0.0, 1.0, 0.5], size=300, p=[0.4, 0.4, 0.2])
+    peaks = []
+    for events in (10_000, 40_000):
+        site = rng.integers(0, 300, events)
+        pcs = (0x4000 + 4 * site).astype(np.uint64)
+        outcomes = (rng.random(events) < bias[site]).astype(np.uint8)
+        predictor = BFNeural()
+        tracemalloc.start()
+        try:
+            predictions, _ = kernel_for(predictor).run(predictor, pcs, outcomes, 0, events)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if events == 10_000:
+            trace = _trace_from(list(zip(pcs.tolist(), outcomes.astype(bool).tolist())))
+            scalar_p = BFNeural()
+            expected, _ = _scalar_events(scalar_p, trace, 0, events)
+            assert predictions.tolist() == expected
+            assert predictor.state_hash() == scalar_p.state_hash()
+    assert peaks[1] - peaks[0] < 4_000_000, peaks
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("stage", FIG9_STAGES, ids=["unfiltered", "filtered", "recency"])
+def test_bf_neural_chunk_size_never_changes_the_answer(monkeypatch, chunk, stage):
+    """Chunk boundaries fall anywhere in the record stream, for every
+    Figure 9 stage (the unfiltered one records every event): predictions,
+    providers and ``state_hash`` still equal the scalar replay's."""
+    monkeypatch.setattr(bfkernel, "_CHUNK", chunk)
+    filter_biased, use_rs = stage
+    config = BFNeuralConfig(
+        bst_entries=1024,
+        bias_entries=256,
+        wrs_entries=2048,
+        wm_rows=64,
+        filter_biased_history=filter_biased,
+        use_rs=use_rs,
+    )
+    _check_kernel_event_by_event(lambda: BFNeural(config), build_trace("SPEC03", 1_200))
 
 
 @pytest.mark.vectorized

@@ -872,7 +872,7 @@ class TestTraceSpecFingerprintGolden:
     #: The key of a plan that leaves the kernel at its default, ``auto``:
     #: it carries ``|kernel=auto`` and the kernel-source digest, so an
     #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "ab5e17f8194f9708e2ad81c213bba7301df58e2eee0773c801505063ca78c46d"
+    AUTO_GOLDEN = "fac8f8bda7648c8fb6df3ad8ae243472c9706251edd7fa934d87a0c524e34b3d"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for

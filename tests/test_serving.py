@@ -60,10 +60,16 @@ from repro.serving import (
     percentile,
     run_load,
 )
+from repro.serving.server import KERNEL_MIN_EVENTS
 from repro.sim import simulate
+from repro.sim.batchkernel import kernel_for
+from repro.sim.simulator import run_events
 from repro.workloads import SUITE_NAMES, WILD_NAMES, build_trace
 
 pytestmark = pytest.mark.serving
+
+#: Every registered config whose predictor has a batch kernel.
+KERNEL_CONFIGS = ("gshare", "perceptron", "oh-snap", "tage10", "bf-tage10", "bf-neural")
 
 REGISTRY_REF = "tests.test_serving:toy_registry"
 
@@ -304,16 +310,75 @@ class TestBitIdentity:
                 assert summary["mispredictions"] == result.mispredictions, config
                 assert summary["state_hash"] == offline.state_hash(), config
 
-    def test_batch_size_never_changes_the_answer(self, server_factory):
+    #: Batches on both sides of ``KERNEL_MIN_EVENTS``, short and long mixed.
+    BATCHES = (1, 7, 100, KERNEL_MIN_EVENTS - 1, KERNEL_MIN_EVENTS, 5_000, 256)
+    WARMUP = 1_024
+
+    def test_batch_size_never_changes_the_answer(self, tmp_path, server_factory):
+        """Every kernel-backed config, cold and warm, in one session that
+        mixes short batches (``run_events``) with long ones (the kernel):
+        each prediction, the miss count and ``state_hash`` equal scalar
+        ``simulate()``."""
         registry = standard_registry()
-        trace = build_trace("SERV1", 800)
-        server = server_factory(registry=registry)
-        hashes = set()
+        branches = self.WARMUP + sum(self.BATCHES)
+        trace = build_trace("SERV1", branches).truncated(branches)
+        pool = WarmSnapshotPool(
+            registry, state_dir=str(tmp_path), warmup_branches=self.WARMUP, branches=branches
+        )
+        server = server_factory(registry=registry, pool=pool)
         with PredictClient(server.address) as client:
-            for batch in (1, 7, 100, 800):
-                summary = client.stream_trace("bf-neural", "SERV1", trace, batch=batch)
-                hashes.add((summary["state_hash"], summary["mispredictions"]))
-        assert len(hashes) == 1
+            for config in KERNEL_CONFIGS:
+                assert kernel_for(registry[config]()) is not None, config
+                offline = registry[config]()
+                expected = [False] * len(trace)
+                run_events(offline.predict, offline.train, trace.pcs, trace.outcomes, expected, 0)
+                reference = registry[config]()
+                result = simulate(reference, trace)
+                for warm in (False, True):
+                    opened = client.open_session(
+                        config, "SERV1", warm=warm, branches=branches, warmup=self.WARMUP
+                    )
+                    start = lo = opened["position"]
+                    assert start == (self.WARMUP if warm else 0), config
+                    # A cold session streams the warmup prefix itself first.
+                    sizes = self.BATCHES if warm else (self.WARMUP,) + self.BATCHES
+                    predictions = []
+                    for size in sizes:
+                        got, _ = client.send_events(
+                            opened["session"], trace.pcs[lo : lo + size],
+                            trace.outcomes[lo : lo + size],
+                        )
+                        predictions += got
+                        lo += size
+                    summary = client.close_session(opened["session"])
+                    where = (config, "warm" if warm else "cold")
+                    assert lo == len(trace), where
+                    assert predictions == expected[start:], where
+                    assert summary["mispredictions"] == result.mispredictions, where
+                    assert summary["state_hash"] == reference.state_hash(), where
+
+
+    @pytest.mark.vectorized
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_FULL_DIFFERENTIAL"),
+        reason="full 44-trace sweep; set REPRO_FULL_DIFFERENTIAL=1 "
+        "(run_all_experiments.sh does)",
+    )
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_full_suite_served_equals_offline(self, server_factory, config):
+        """Every suite and wild trace, streamed at the client's default
+        batch (on the kernel past its first batch boundary), equals scalar
+        ``simulate()``."""
+        registry = standard_registry()
+        server = server_factory(registry=registry)
+        with PredictClient(server.address) as client:
+            for name in tuple(SUITE_NAMES) + tuple(WILD_NAMES):
+                trace = build_trace(name, 12_000)
+                summary = client.stream_trace(config, name, trace)
+                offline = registry[config]()
+                result = simulate(offline, trace)
+                assert summary["mispredictions"] == result.mispredictions, name
+                assert summary["state_hash"] == offline.state_hash(), name
 
 
 # --------------------------------------------------------------------------
@@ -381,6 +446,19 @@ class TestWarmSnapshotPool:
         assert pool.lookup("SERV1", shard.pc_lo) == [shard]
         assert pool.lookup("SERV1", shard.pc_hi + 1) == []
         assert pool.lookup("FP1", shard.pc_lo) == []
+
+    @pytest.mark.parametrize("config", ["gshare", "tage10", "bf-neural"])
+    def test_kernel_warmup_equals_scalar_warmup(self, config):
+        """Shards warm on the predictor's batch kernel: the checkpoint is
+        the scalar warm-up's, bit for bit."""
+        registry = standard_registry()
+        pool = WarmSnapshotPool(registry, warmup_branches=1_024, branches=3_000)
+        shard = pool.acquire(config, "SERV1")
+        trace = TraceSpec.suite("SERV1", 3_000).resolve()
+        scalar = simulate(registry[config](), trace, stop_after=1_024).checkpoint
+        assert shard.checkpoint.position == scalar.position == 1_024
+        assert shard.checkpoint.mispredictions == scalar.mispredictions
+        assert shard.state_hash() == scalar.predictor_state.hash()
 
     def test_concurrent_cold_acquire_hydrates_once(self):
         # First-touch hydration runs outside the pool lock; the per-key
@@ -562,6 +640,28 @@ class TestServerFailures:
             assert "serve_hello" in reply["error"]
         finally:
             sock.close()
+
+    @pytest.mark.parametrize("field", ["warmup", "branches"])
+    def test_bad_warm_fields_get_typed_errors(self, tmp_path, server_factory, field):
+        # Each field must be absent, null or a positive int (not a bool):
+        # anything else is refused by name before the pool is touched,
+        # and the connection keeps working.
+        pool = WarmSnapshotPool(
+            toy_registry(), state_dir=str(tmp_path), warmup_branches=100, branches=400
+        )
+        server = server_factory(registry=toy_registry(), pool=pool)
+        with PredictClient(server.address) as client:
+            for value in ([1], "x", -5, 0, True):
+                reply = client._request(
+                    {"type": "session_open", "client": "x", "config": "bimodal",
+                     "workload": "FP1", "warm": True, field: value}
+                )
+                assert reply["type"] == "error", value
+                assert reply["error"].startswith(f"{field} = "), reply
+                assert "positive int" in reply["error"]
+            opened = client.open_session("bimodal", "FP1", warm=True, branches=400, warmup=100)
+            assert opened["position"] == 100
+        assert pool.stats()["hydrations"] == 1
 
     def test_warm_session_without_pool_is_an_error(self, server_factory):
         server = server_factory(registry=toy_registry(), pool=None)
