@@ -57,11 +57,14 @@ def _isl_tage(num_tables: int) -> ISLTage:
 # --- vectorized batch kernel -------------------------------------------------
 
 #: Predictors ported to the batch kernel, with the speedup floor each
-#: one contracts over the scalar loop on a warm plan cache.  Bimodal
-#: and gshare are pure gather/scatter; perceptron, BF-Neural, OH-SNAP
-#: and the TAGE family keep a sequential python segment (the
-#: weight-update chain, the table side), so their floors are
-#: conservative.
+#: one contracts over the scalar loop when ``simulate`` runs again over
+#: one ``Trace``: bimodal and gshare then reuse the replay plan cached
+#: for its arrays.  No figure campaign runs either, and a freshly built
+#: trace always misses that cache (the e2e ``simulate-vectorized``
+#: workload times those cold calls).  Bimodal and gshare are pure
+#: gather/scatter; perceptron, BF-Neural, OH-SNAP and the TAGE family
+#: keep a sequential python segment (the weight-update chain, the table
+#: side), so their floors are conservative.
 VEC_CONTENDERS = {
     "bimodal": (Bimodal, 10.0),
     "gshare": (GShare, 10.0),
@@ -91,8 +94,9 @@ def test_vectorized_kernel_speedup(vec_trace, name):
 
     The scalar twin runs once in the same process for the denominator;
     the vectorized side gets one warmup round and keeps the best of
-    three, so the number reflects a warm plan cache, the steady state
-    of any campaign (one plan per trace).
+    three, so the number measures repeated ``simulate`` over one
+    ``Trace``: the counter kernels reuse the plan cached for its arrays
+    instead of building one per call, as a fresh trace would.
     """
     factory, min_speedup = VEC_CONTENDERS[name]
     scalar_result, scalar_s = _timed(lambda: simulate(factory(), vec_trace))

@@ -44,6 +44,28 @@ def ring_write(buf: list, head: int, values: np.ndarray) -> int:
     return (head + len(values)) % capacity
 
 
+# perf: allow(REPRO401): per-trace staging, runs once per batch
+def entry_runs(idx: np.ndarray) -> tuple:
+    """Group a batch's events by the table entry they read.
+
+    Returns ``(order, sidx, run_start, starts)``: the stable sort order
+    of ``idx`` (so each entry's events stay in time order), the sorted
+    indices, whether each sorted event starts its entry's run, and the
+    sorted position of each event's run start.  A per-entry FSM replays
+    its whole run in closed form from these, reading its entry once.
+    """
+    n = len(idx)
+    order = np.argsort(idx, kind="stable")
+    sidx = idx[order]
+    run_start = np.empty(n, dtype=bool)
+    if n:
+        run_start[0] = True
+        np.not_equal(sidx[1:], sidx[:-1], out=run_start[1:])
+    starts = np.where(run_start, np.arange(n, dtype=np.int32), np.int32(0))
+    np.maximum.accumulate(starts, out=starts)
+    return order, sidx, run_start, starts
+
+
 def mix64_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.common.bitops.mix64` (splitmix64 finalizer).
 

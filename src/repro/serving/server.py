@@ -64,7 +64,7 @@ MAX_BATCH_EVENTS = 65_536
 #: kernel; shorter ones on the per-event loop.  The measured crossover
 #: (``docs/serving.md``): the smallest power of two at which no
 #: registered kernel runs more than about 10% slower than ``run_events``.
-#: The counter kernels set it: they stage their whole table per call.
+#: Bimodal's kernel sets it: about 20% slower at 2,048 events.
 KERNEL_MIN_EVENTS = 4_096
 
 #: Branch PCs are unsigned 64-bit addresses.

@@ -32,10 +32,15 @@ porting checklist for new cores.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
-from repro.common.tablestate import packed_history_series, signed_history_matrix
+from repro.common.tablestate import (
+    entry_runs,
+    packed_history_series,
+    signed_history_matrix,
+)
 from repro.predictors.base import BranchPredictor, hot_path
 from repro.sim.simulator import simulate
 
@@ -147,61 +152,54 @@ def _compose_windows(souts: np.ndarray, pos: np.ndarray) -> np.ndarray:
 class _CounterPlan:
     """Trace-pure replay plan for a 2-bit-counter table.
 
-    Everything about a counter run except the table contents — the sort
-    by table entry, segment structure, and the composed update function
-    of every event's segment prefix — depends only on the event stream
-    (pc/outcome arrays) and the indexing configuration, never on the
-    counters.  Building that once per (trace segment, config) leaves the
-    per-run hot path as three gathers and two scatters; campaigns replay
-    the same traces across many predictors and segments, so plans are
-    cached (:data:`_PLAN_CACHE`) the way ``Trace.arrays()`` caches the
+    Everything about a counter run except the table contents — the
+    grouping by table entry (:func:`entry_runs`), and the composed
+    update function of every event's run prefix — depends only on the
+    event stream (pc/outcome arrays) and the indexing configuration,
+    never on the counters.  Building that once per (trace segment,
+    config) leaves the per-run hot path as one read and one write per
+    touched entry plus two gathers; campaigns replay the same traces
+    across many predictors and segments, so plans are cached
+    (:data:`_PLAN_CACHE`) the way ``Trace.arrays()`` caches the
     list-to-array conversion.
     """
 
-    __slots__ = ("final_f", "final_idx", "gs_key", "last_history", "order", "pcs", "sidx")
+    __slots__ = ("final_f", "gs_key", "last_history", "lengths", "order", "pcs", "touched")
 
     # perf: allow(REPRO401): per-trace staging, runs once per batch
     def __init__(self, pcs, idx, outcomes, last_history=None):
         n = len(idx)
-        self.pcs = pcs  # identity guard for the cache
+        # The cache's identity guard; a weak one, so a plan never keeps
+        # a dead batch's arrays alive.
+        self.pcs = weakref.ref(pcs)
         self.last_history = last_history
-        self.order = np.argsort(idx, kind="stable").astype(np.int64)
-        sidx = idx[self.order]
-        souts = outcomes[self.order]
+        self.order, sidx, run_start, starts = entry_runs(idx)
+        pos = np.arange(n, dtype=np.int32) - starts
+        F = _compose_windows(outcomes[self.order], pos)
 
-        seg_start = np.empty(n, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(sidx[1:], sidx[:-1], out=seg_start[1:])
-        positions = np.arange(n, dtype=np.int32)
-        starts = np.where(seg_start, positions, 0)
-        np.maximum.accumulate(starts, out=starts)
-        pos = positions - starts
-
-        F = _compose_windows(souts, pos)
-
-        # G[i] composes the segment prefix *before* event i: the event's
+        # G[i] composes the run prefix *before* event i: the event's
         # prediction is PRED_FLAT[(G << 2) | init].  Pre-shift once.
         G = np.empty(n, dtype=np.uint8)
         G[0] = _IDENT_BYTE
         np.copyto(G[1:], F[:-1])
-        G[seg_start] = _IDENT_BYTE
+        G[run_start] = _IDENT_BYTE
         self.gs_key = G.astype(np.uint16) << np.uint16(2)
 
-        seg_end = np.empty(n, dtype=bool)
-        seg_end[-1] = True
-        np.copyto(seg_end[:-1], seg_start[1:])
-        self.final_idx = sidx[seg_end]
-        self.final_f = F[seg_end]
-        self.sidx = sidx
+        firsts = np.flatnonzero(run_start)
+        self.touched = sidx[firsts]
+        self.lengths = np.diff(firsts, append=n).astype(np.int32)
+        self.final_f = F[self.lengths.cumsum() - 1]
 
-    def run(self, table: np.ndarray) -> np.ndarray:
-        """Replay the planned events over ``table`` (uint8, mutated in
-        place to its final state); returns time-ordered predictions."""
-        init = table[self.sidx]
-        preds = np.empty(len(init), dtype=bool)
-        preds[self.order] = _PRED_FLAT[self.gs_key | init]
-        final = table[self.final_idx]
-        table[self.final_idx] = _APPLY[self.final_f, final]
+    def run(self, table: list) -> np.ndarray:
+        """Replay the planned events over the counter list ``table``,
+        reading each touched entry once and writing its final value back
+        in place; returns time-ordered predictions."""
+        touched = self.touched.tolist()
+        init = np.fromiter(map(table.__getitem__, touched), np.uint8, count=len(touched))
+        preds = np.empty(len(self.order), dtype=bool)
+        preds[self.order] = _PRED_FLAT[self.gs_key | np.repeat(init, self.lengths)]
+        for index, value in zip(touched, _APPLY[self.final_f, init].tolist()):
+            table[index] = value
         return preds
 
 
@@ -212,24 +210,20 @@ _PLAN_CACHE_MAX = 16
 _PLAN_LOCK = threading.Lock()
 
 
+# perf: allow(REPRO401): sweeps at most _PLAN_CACHE_MAX entries, once per plan built
 def _cached_plan(key, pcs, build):
     with _PLAN_LOCK:
         plan = _PLAN_CACHE.get(key)
-    if plan is not None and plan.pcs is pcs:
+    if plan is not None and plan.pcs() is pcs:
         return plan
     plan = build()
     with _PLAN_LOCK:
+        for dead in [k for k, cached in _PLAN_CACHE.items() if cached.pcs() is None]:
+            del _PLAN_CACHE[dead]
         if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
             _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
         _PLAN_CACHE[key] = plan
     return plan
-
-
-def _table_u8(values) -> np.ndarray:
-    """Load a 0..255-valued payload list as uint8 (fast path via bytes)."""
-    if isinstance(values, list):
-        return np.frombuffer(bytes(values), dtype=np.uint8).copy()
-    return np.asarray(values, dtype=np.uint8)
 
 
 def _index_dtype(entries: int):
@@ -271,10 +265,7 @@ class _BimodalKernel:
             return _CounterPlan(pcs, idx, outcomes[start:end])
 
         plan = _cached_plan(("bimodal", id(pcs), start, end, entries), pcs, build)
-        table = _table_u8(predictor._table)
-        preds = plan.run(table)
-        predictor._table = table.tolist()
-        return preds, None
+        return plan.run(predictor._table), None
 
 
 class _GShareKernel:
@@ -309,9 +300,7 @@ class _GShareKernel:
             pcs,
             build,
         )
-        table = _table_u8(predictor._table)
-        preds = plan.run(table)
-        predictor._table = table.tolist()
+        preds = plan.run(predictor._table)
         predictor._history = plan.last_history
         return preds, None
 
@@ -341,19 +330,11 @@ class _PerceptronKernel:
         theta = predictor.theta
         weights = predictor._weights  # int32 (rows, length+1), mutated in place
 
-        order = np.argsort(rows, kind="stable")
-        srows = rows[order]
-        seg_start = np.empty(n, dtype=bool)
-        if n:
-            seg_start[0] = True
-            np.not_equal(srows[1:], srows[:-1], out=seg_start[1:])
-        positions = np.arange(n, dtype=np.int64)
-        starts = np.where(seg_start, positions, 0)
-        np.maximum.accumulate(starts, out=starts)
-        pos = positions - starts
+        order, _, _, starts = entry_runs(rows)
+        pos = np.arange(n, dtype=np.int32) - starts
         # Events of round k (the k-th event of each row), in one slice.
         round_order = np.lexsort((order, pos))
-        rounds = np.bincount(pos) if n else np.zeros(0, dtype=np.int64)
+        rounds = np.bincount(pos)
 
         preds = np.empty(n, dtype=bool)
         sums = np.empty(n, dtype=np.int64)

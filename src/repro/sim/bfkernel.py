@@ -58,6 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.tablestate import (
+    entry_runs,
     folded_history_block,
     mix64_array,
     packed_history_series,
@@ -211,20 +212,12 @@ def bst_stream(bst, pcs: np.ndarray, outs: np.ndarray) -> tuple:
     bidx = (pcs & np.uint64(bst.entries - 1)).astype(
         np.uint16 if bst.entries <= (1 << 16) else np.uint32
     )
-    order = np.argsort(bidx, kind="stable")
-    sidx = bidx[order]
+    order, sidx, first, starts = entry_runs(bidx)
     souts = outs[order]
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(sidx[1:], sidx[:-1], out=seg_start[1:])
-    positions = np.arange(n, dtype=np.int64)
-    starts = np.where(seg_start, positions, 0)
-    np.maximum.accumulate(starts, out=starts)
-    first = positions == starts
 
     # One read per distinct BST index, spread over its events by group.
-    group = np.cumsum(seg_start, dtype=np.int64)
-    touched = sidx[seg_start].tolist()
+    group = np.cumsum(first, dtype=np.int64)
+    touched = sidx[first].tolist()
     init = np.fromiter(
         map(bst._state.__getitem__, touched), np.uint8, count=len(touched)
     )[group - 1]
@@ -238,7 +231,7 @@ def bst_stream(bst, pcs: np.ndarray, outs: np.ndarray) -> tuple:
     nb_before_s = np.empty(n, dtype=bool)
     nb_before_s[0] = False
     nb_before_s[1:] = nb_after_s[:-1]
-    nb_before_s[seg_start] = (init == 3)[seg_start]
+    nb_before_s[first] = (init == 3)[first]
 
     status_before_s = np.where(dir_ == 1, 1, 2).astype(np.uint8)
     status_before_s[nb_before_s] = 3
@@ -250,7 +243,7 @@ def bst_stream(bst, pcs: np.ndarray, outs: np.ndarray) -> tuple:
 
     seg_end = np.empty(n, dtype=bool)
     seg_end[-1] = True
-    np.copyto(seg_end[:-1], seg_start[1:])
+    np.copyto(seg_end[:-1], first[1:])
     init_end = init[seg_end]
     final_status = np.where(
         nb_after_s[seg_end],
@@ -330,11 +323,7 @@ def _stage_weights(predictor, aidx: np.ndarray) -> tuple:
     Returns the arena (the touched slots in layout order, then the
     dummy), the rows remapped onto it, and the touched Wb indices, Wm
     rows and Wrs indices :func:`_write_back_weights` scatters it back
-    to: staging and writeback scale with the segment, not the tables.  A
-    segment that touches most of the tables converts them whole instead
-    (``touched`` is None, the rows stay in the whole-table layout): past
-    that point the per-slot gathers and the remap cost more than one
-    conversion per table.
+    to: staging and writeback scale with the segment, not the tables.
     """
     cfg = predictor.config
     ht = cfg.ht
@@ -344,8 +333,6 @@ def _stage_weights(predictor, aidx: np.ndarray) -> tuple:
     used = np.zeros(dummy + 1, dtype=bool)
     used[aidx.ravel()] = True
     used[dummy] = True
-    if 2 * np.count_nonzero(used) > len(used):
-        return _whole_arena(predictor), aidx, None
     # Wm is staged in whole rows (one list each in the predictor).
     wm_used = used[wm_off:wrs_off].reshape(cfg.wm_rows, ht)
     wm_used |= wm_used.any(axis=1)[:, None]
@@ -370,7 +357,9 @@ def _stage_weights(predictor, aidx: np.ndarray) -> tuple:
 
 # perf: allow(REPRO401): per-trace writeback, runs once per batch
 def _write_back_weights(predictor, arena: np.ndarray, touched: tuple | None) -> None:
-    """Scatter a :func:`_stage_weights` arena back into Wb, Wm and Wrs."""
+    """Scatter an arena back into Wb, Wm and Wrs: a
+    :func:`_stage_weights` arena slot by slot, a :func:`_whole_arena`
+    one (``touched`` is None) table by table."""
     cfg = predictor.config
     if touched is None:
         wm_off = cfg.bias_entries

@@ -29,8 +29,9 @@ rewrites preserve it).  These tests enforce the contract three ways:
 
 The array-state substrate (``repro.common.tablestate``) gets its own
 differential tests against the scalar twins it replaces: ``mix64``,
-the packed-history shift register, the perceptron's ±1 history and the
-incremental ``FoldedHistory`` fold.
+the packed-history shift register, the perceptron's ±1 history, the
+incremental ``FoldedHistory`` fold and the grouping of events by table
+entry.
 """
 
 import json
@@ -48,6 +49,7 @@ from hypothesis import strategies as st
 from repro.common.bitops import fold_bits, mix64
 from repro.common.histories import FoldedHistory
 from repro.common.tablestate import (
+    entry_runs,
     folded_history_block,
     mix64_array,
     packed_history_series,
@@ -97,8 +99,8 @@ PORTED = {
     "gshare": GShare,
     "perceptron": lambda: GlobalPerceptron(256, 24),
     "bf-neural": BFNeural,
-    # Small tables a 4,000-event trace mostly touches: the kernel then
-    # stages them whole instead of slot by slot.
+    # Small tables a 4,000-event trace mostly touches; its hundreds of
+    # stack records make the kernel stage them whole, not slot by slot.
     "bf-neural-small": lambda: BFNeural(
         BFNeuralConfig(bst_entries=1024, bias_entries=256, wrs_entries=2048, wm_rows=64)
     ),
@@ -286,6 +288,23 @@ class TestArrayStateSubstrate:
         values = rng.integers(0, 2**64, size=256, dtype=np.uint64)
         mixed = mix64_array(values)
         assert [int(v) for v in mixed] == [mix64(int(v)) for v in values]
+
+    def test_entry_runs_groups_events_by_entry_in_time_order(self):
+        idx = np.random.default_rng(13).integers(0, 40, size=300).astype(np.uint16)
+        order, sidx, run_start, starts = entry_runs(idx)
+        runs: dict[int, list[int]] = {}
+        for event, entry in enumerate(idx.tolist()):
+            runs.setdefault(entry, []).append(event)
+        expected_order, expected_starts = [], []
+        for entry in sorted(runs):
+            expected_starts += [len(expected_order)] * len(runs[entry])
+            expected_order += runs[entry]
+        assert order.tolist() == expected_order
+        assert sidx.tolist() == idx[expected_order].tolist()
+        assert starts.tolist() == expected_starts
+        assert run_start.tolist() == [
+            k == first for k, first in enumerate(expected_starts)
+        ]
 
     def test_packed_history_matches_shift_register(self):
         rng = np.random.default_rng(11)
@@ -1062,6 +1081,81 @@ def test_plan_cache_survives_concurrent_eviction():
         sys.setswitchinterval(switch)
     assert not errors, errors[:3]
     assert len(batchkernel._PLAN_CACHE) <= batchkernel._PLAN_CACHE_MAX
+
+
+def test_plan_cache_keeps_no_dead_batches(monkeypatch):
+    """The prediction server decodes every ``events`` batch into fresh
+    arrays, so no later call can reuse a plan built on one: after 20
+    gshare kernel calls on fresh 4,096-event arrays the plan cache holds
+    about one plan's worth of memory, not one plan per call."""
+    monkeypatch.setattr(batchkernel, "_PLAN_CACHE", {})
+    batch = 4_096
+    all_pcs, all_outcomes = build_trace("SERV1", 20 * batch).arrays()
+    predictor = GShare()
+    kernel = kernel_for(predictor)
+    held = []
+    tracemalloc.start()
+    try:
+        for lo in range(0, 20 * batch, batch):
+            pcs = all_pcs[lo : lo + batch].copy()
+            outcomes = all_outcomes[lo : lo + batch].copy()
+            kernel.run(predictor, pcs, outcomes, 0, batch)
+            del pcs, outcomes
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # held[0] is the one plan the first call cached (plus noise).
+    assert held[-1] - held[0] < held[0] // 2, held
+    assert len(batchkernel._PLAN_CACHE) == 1
+
+
+#: Small counter tables, so a short random stream aliases and repeats.
+SMALL_COUNTER_TABLES = {
+    "bimodal": lambda: Bimodal(entries=256),
+    "gshare": lambda: GShare(entries=256, history_bits=10),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(SMALL_COUNTER_TABLES)),
+    events=st.lists(
+        st.tuples(st.integers(0, 2**12), st.booleans()), min_size=1, max_size=300
+    ),
+)
+def test_counter_kernels_replay_restored_tables_in_place(data, name, events):
+    """From a restored random table (counters 0-3) and, for gshare, a
+    random history, the counter kernels agree with a per-event scalar
+    replay on every prediction and on ``state_hash``; they update
+    ``predictor._table`` in place, and entries no event indexes keep
+    their restored values."""
+    factory = SMALL_COUNTER_TABLES[name]
+    state = factory().snapshot()
+    payload = dict(state.payload)
+    payload["table"] = data.draw(st.lists(st.integers(0, 3), min_size=256, max_size=256))
+    if "history" in payload:
+        payload["history"] = data.draw(st.integers(0, 2**10 - 1))
+    restored = PredictorState(kind=state.kind, version=state.version, payload=payload)
+
+    scalar_p, kerneled = factory(), factory()
+    scalar_p.restore(restored)
+    kerneled.restore(restored)
+    expected, indexed = [], set()
+    for pc, taken in events:
+        indexed.add(scalar_p._index(pc) if name == "gshare" else pc & scalar_p._mask)
+        expected.append(scalar_p.predict(pc))
+        scalar_p.train(pc, taken)
+
+    table = kerneled._table
+    before = list(table)
+    pcs, outcomes = _trace_from(events).arrays()
+    predictions, _ = kernel_for(kerneled).run(kerneled, pcs, outcomes, 0, len(events))
+    assert predictions.tolist() == expected
+    assert kerneled.state_hash() == scalar_p.state_hash()
+    assert kerneled._table is table
+    untouched = [i for i in range(256) if i not in indexed]
+    assert [table[i] for i in untouched] == [before[i] for i in untouched]
 
 
 def test_bf_neural_kernel_staging_is_chunked():

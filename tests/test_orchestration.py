@@ -872,7 +872,7 @@ class TestTraceSpecFingerprintGolden:
     #: The key of a plan that leaves the kernel at its default, ``auto``:
     #: it carries ``|kernel=auto`` and the kernel-source digest, so an
     #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "fac8f8bda7648c8fb6df3ad8ae243472c9706251edd7fa934d87a0c524e34b3d"
+    AUTO_GOLDEN = "1484674556ed4fad6d43d2e6b6951112dbd305ac1655c20081aab9f4e81027b2"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for
