@@ -12,6 +12,7 @@ leaves them out; ``run_all_experiments.sh`` runs them::
     PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e -q
 """
 
+import itertools
 import multiprocessing
 import os
 from functools import partial
@@ -230,14 +231,23 @@ def warm_pair_plan(state_dir: Path) -> CampaignPlan:
 def test_warm_state_reuse_speedup(tmp_path):
     """A prewarmed state store beats recomputing the shared prefix.
 
-    Cold run: the variant must simulate the source's warmup prefix
-    itself before its measured region.  Warm run (same plan, store now
-    holding the source's warm cut): the variant loads the cut and only
-    simulates the measured suffix.
+    Cold run (a fresh state dir each round): the variant must simulate
+    the source's warmup prefix itself before its measured region.  Warm
+    run (same plan, store holding the source's warm cut): the variant
+    loads the cut and only simulates the measured suffix.  An untimed
+    first run fills the warm store and pays the process's one-off costs
+    (imports, code digests) outside both timings.
     """
-    state = tmp_path / "state"
-    cold, cold_s = _timed(lambda: run_plan(warm_pair_plan(state)))
-    warm, warm_s = _timed(lambda: run_plan(warm_pair_plan(state)))
+    warm_state = tmp_path / "warm"
+    fresh_states = (tmp_path / f"cold-{n}" for n in itertools.count())
+    colds = [run_plan(warm_pair_plan(warm_state))]
+    warms = []
+    cold_s, warm_s = _best_of_interleaved(
+        lambda: colds.append(run_plan(warm_pair_plan(next(fresh_states)))),
+        lambda: warms.append(run_plan(warm_pair_plan(warm_state))),
+        rounds=5,
+    )
+    cold, warm = colds[-1], warms[-1]
 
     assert warm == cold  # reuse never changes the numbers
     assert warm["variant"][0] == warm["src"][0]  # identical configs agree

@@ -28,6 +28,31 @@ python3 -m benchmarks.e2e run --smoke --seconds 0.5 || {
     echo E2E_SMOKE_FAILED
     exit 1
 }
+# Cache-key stage (docs/orchestration.md): keys digest code tokens, not
+# prose. A campaign run again from a copy of src/ whose simulator,
+# BF-Neural kernel and bit helpers each gained a comment line must be
+# served entirely from the cache the first run filled.
+PROSE_DIR=$(mktemp -d)
+python3 -m repro campaign SPEC02 FP1 --predictors gshare bf-neural --branches 20000 \
+    --cache-dir "$PROSE_DIR/cache" --output "$PROSE_DIR/first.txt" --quiet
+cp -r src "$PROSE_DIR/src"
+for module in sim/simulator.py sim/bfkernel.py common/bitops.py; do
+    echo "# a comment line" >> "$PROSE_DIR/src/repro/$module"
+done
+PYTHONPATH="$PROSE_DIR/src" python3 -m repro campaign SPEC02 FP1 \
+    --predictors gshare bf-neural --branches 20000 \
+    --cache-dir "$PROSE_DIR/cache" --telemetry "$PROSE_DIR/second.jsonl" \
+    --output "$PROSE_DIR/second.txt" --quiet
+python3 -c '
+import sys
+from repro.orchestration import read_events
+events = [event["event"] for event in read_events(sys.argv[1])]
+sys.exit(events.count("cache_hit") != 4 or "cache_miss" in events)
+' "$PROSE_DIR/second.jsonl" || {
+    echo CACHE_KEY_PROSE_DRIFT
+    exit 1
+}
+rm -rf "$PROSE_DIR"
 # BF-GHR stage: the in-place packed segmented recency stacks against
 # their frozen reference and the segments the ring determines, and the
 # kernels' one-LRU closed form, under random geometry with ten times

@@ -85,7 +85,7 @@ _SOURCE_ATTRS = {"os.environ": "os.environ"}
 _FINGERPRINT_FUNCS = {
     "task_fingerprint",
     "predictor_fingerprint",
-    "source_fingerprint",
+    "code_fingerprint",
     "trace_content_fingerprint",
     "warm_context_key",
     "campaign_id_of",

@@ -121,7 +121,7 @@ def build_tasks(plan: CampaignPlan) -> list[Task]:
     index = 0
     trace_identities = [spec.identity() for spec in plan.trace_specs]
     predictor_fps = {
-        config_name: predictor_fingerprint(factory())
+        config_name: predictor_fingerprint(factory(), plan.kernel)
         for config_name, factory in plan.factories.items()
     }
     state_dir = str(plan.state_dir) if plan.state_dir is not None else None

@@ -1,27 +1,20 @@
 """Content-addressed fingerprints for campaign tasks.
 
-The legacy ``.bfbp-cache`` keyed results by *display name*
-(``"BF-Neural__FP1__30000.json"``), so editing a predictor's code or
-config silently served stale MPKI.  Here a task's cache key is a digest
-over everything the result depends on:
+A task's cache key is a digest over everything its result depends on:
+the predictor's class, display name, ``storage_bits()`` and ``*Config``
+contents; the code it runs (:func:`code_fingerprint`); the trace
+identity (suite name + branch budget, or a content digest for files and
+in-memory traces); whether provider attribution was requested; the
+warmup and warm-share source; and the kernel mode, when not ``scalar``.
 
-* the predictor's class, display name and ``storage_bits()``,
-* its ``*Config`` dataclass contents (when it exposes ``.config``),
-* the source code of every class in the predictor's MRO, of its
-  component classes (the ``repro`` classes those modules import, such
-  as the BST, recency stacks, loop predictor, history registers and
-  TAGE tables, followed transitively) plus the simulator loop itself
-  (so editing ``train()`` or a component invalidates results),
-* the trace identity (suite name + branch budget for generated traces,
-  file content digest for ``.bfbp`` files, full content digest for
-  in-memory traces),
-* whether provider attribution was requested, and
-* for ``vectorized``/``auto`` runs, the source of the batch kernels
-  (:data:`KERNEL_MODULES`), so editing a kernel invalidates its results.
-
-Fingerprints are hex SHA-256 strings; equality of fingerprints is the
-cache-hit criterion and inequality after any edit is what the
-fingerprint-invalidation tests assert.
+The code is every ``repro`` module reached through module-level
+bindings from the predictor's module and the simulator and, for a
+kernel mode, from its batch kernel's module (:func:`code_modules`).
+It is digested as tokens, not bytes: comments, blank lines and
+docstrings are dropped, so a prose edit keeps every key while a code
+edit changes exactly the keys whose closure holds the module.  Keys
+never depend on the standard library, so hosts on different Python
+builds agree.  Equality of fingerprints is the cache-hit criterion.
 """
 
 from __future__ import annotations
@@ -29,110 +22,117 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import importlib
 import inspect
+import io
+import itertools
 import json
+import sys
+import tokenize
 from array import array
 
 from repro.predictors.base import BranchPredictor
-from repro.sim import simulator
+from repro.sim import batchkernel, simulator
 from repro.trace.records import Trace
 
-#: Per-class source digests (module files change rarely within a run).
-_SOURCE_CACHE: dict[type, str] = {}
-
-#: The modules a non-scalar kernel mode runs on top of the simulator.
-KERNEL_MODULES = (
-    "repro.sim.batchkernel",
-    "repro.sim.bfkernel",
-    "repro.sim.snapkernel",
-    "repro.sim.tagekernel",
-    "repro.common.tablestate",
-)
+#: Tokens that carry no code, and indentation digested by kind alone.
+_PROSE = {tokenize.COMMENT, tokenize.NL, tokenize.ENDMARKER}
+_INDENTS = {tokenize.INDENT: "<indent>", tokenize.DEDENT: "<dedent>"}
+#: Python 3.12+ splits an f-string into parts; it is digested whole.
+_FSTRING_START = getattr(tokenize, "FSTRING_START", None)
+_FSTRING_END = getattr(tokenize, "FSTRING_END", None)
 
 
-def _canonical(data: object) -> str:
-    """Deterministic JSON for dicts/dataclasses; ``repr`` as fallback."""
-    return json.dumps(data, sort_keys=True, default=repr)
-
-
-def source_modules(cls: type) -> list:
-    """The modules a predictor class's results depend on: the simulator,
-    the module of every class in its MRO, and the modules of its
-    component classes, the ``repro`` classes those modules import (and,
-    transitively, the classes the components' modules import)."""
-    modules = [simulator]
-    pending = [klass for klass in cls.__mro__ if klass not in (object, BranchPredictor)]
-    while pending:
-        module = inspect.getmodule(pending.pop(0))
-        if module is None or module in modules:
-            continue
-        modules.append(module)
-        for value in vars(module).values():
-            if (
-                inspect.isclass(value)
-                and value.__module__.startswith("repro.")
-                and value is not BranchPredictor
-            ):
-                pending.append(value)
-    return modules
-
-
-def source_fingerprint(cls: type) -> str:
-    """Digest of the source files of :func:`source_modules`, cached per
-    class.  Classes without retrievable source (builtins, REPL
-    definitions) contribute their module name only."""
-    cached = _SOURCE_CACHE.get(cls)
-    if cached is not None:
-        return cached
-    result = _modules_digest(source_modules(cls))
-    _SOURCE_CACHE[cls] = result
-    return result
+def code_modules(predictor: BranchPredictor, kernel: str = "scalar") -> tuple[str, ...]:
+    """The modules whose code a result of ``predictor`` run in ``kernel``
+    mode depends on, sorted: the predictor's module, the simulator's
+    and, for a non-scalar mode, its batch kernel's module
+    (:mod:`~repro.sim.batchkernel` when no kernel supports the
+    predictor), plus every ``repro`` module those reach through
+    module-level bindings (classes, functions, modules), transitively."""
+    roots = [type(predictor).__module__, simulator.__name__]
+    if kernel != "scalar":
+        batch = batchkernel.kernel_for(predictor)
+        roots.append(type(batch).__module__ if batch is not None else batchkernel.__name__)
+    return _closure(tuple(roots))
 
 
 @functools.cache
-def kernel_source_fingerprint() -> str:
-    """Digest of the batch kernels' source files (:data:`KERNEL_MODULES`)."""
-    return _modules_digest([importlib.import_module(name) for name in KERNEL_MODULES])
-
-
-def _modules_digest(modules: list) -> str:
-    digest = hashlib.sha256()
+def _closure(roots: tuple[str, ...]) -> tuple[str, ...]:
     seen: set[str] = set()
-    for module in modules:
-        if module.__name__ in seen:
+    pending = list(roots)
+    while pending:
+        name = pending.pop()
+        if name in seen or name not in roots and not name.startswith("repro."):
             continue
-        seen.add(module.__name__)
-        digest.update(module.__name__.encode())
-        try:
-            source_file = inspect.getsourcefile(module)
-            if source_file:
-                with open(source_file, "rb") as handle:
-                    digest.update(handle.read())
-        except (OSError, TypeError):
-            digest.update(b"<no source>")
+        seen.add(name)
+        for value in vars(sys.modules[name]).values():
+            if inspect.ismodule(value):
+                pending.append(value.__name__)
+            elif callable(value):
+                pending.append(str(getattr(value, "__module__", "")))
+    return tuple(sorted(seen))
+
+
+def code_fingerprint(predictor: BranchPredictor, kernel: str = "scalar") -> str:
+    """Digest of the names and code tokens of :func:`code_modules`."""
+    digest = hashlib.sha256()
+    for name in code_modules(predictor, kernel):
+        digest.update(name.encode() + b"\0" + _module_digest(name))
     return digest.hexdigest()
 
 
-def config_of(predictor: BranchPredictor) -> dict | None:
-    """The predictor's ``*Config`` dataclass as a plain dict, if any."""
-    config = getattr(predictor, "config", None)
-    if config is not None and dataclasses.is_dataclass(config):
-        return dataclasses.asdict(config)
-    return None
+@functools.cache
+def _module_digest(name: str) -> bytes:
+    """A module's code-token digest, once per process; a module without
+    retrievable source (a REPL definition) digests as a marker."""
+    try:
+        with tokenize.open(inspect.getsourcefile(sys.modules[name])) as handle:
+            source = handle.read()
+    except (OSError, TypeError):
+        return b"<no source>"
+    return hashlib.sha256("\0".join(_code_tokens(source)).encode()).digest()
 
 
-def predictor_fingerprint(predictor: BranchPredictor) -> str:
-    """Fingerprint one constructed predictor instance."""
+def _code_tokens(source: str) -> list[str]:
+    """``source``'s code tokens: comments, blank lines and docstring
+    statements (string literals alone) dropped, indentation reduced to
+    its kind, and each f-string kept whole as its source text."""
+    line_offsets = [0, *itertools.accumulate(map(len, io.StringIO(source)))]
+    tokens, statement, depth = [], [], 0
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == _FSTRING_START:
+            depth += 1
+            if depth == 1:
+                start = line_offsets[token.start[0] - 1] + token.start[1]
+        elif depth:
+            depth -= token.type == _FSTRING_END
+            if not depth:
+                text = source[start:line_offsets[token.end[0] - 1] + token.end[1]]
+                statement.append(token._replace(type=tokenize.STRING, string=text))
+        elif token.type in _INDENTS:
+            tokens.append(_INDENTS[token.type])
+        elif token.type == tokenize.NEWLINE:
+            if any(part.type != tokenize.STRING for part in statement):
+                tokens.extend([part.string for part in statement] + ["<newline>"])
+            statement = []
+        elif token.type not in _PROSE:
+            statement.append(token)
+    return tokens
+
+
+def predictor_fingerprint(predictor: BranchPredictor, kernel: str = "scalar") -> str:
+    """Fingerprint one constructed predictor instance as run in
+    ``kernel`` mode (the mode decides which code it covers)."""
     cls = type(predictor)
+    config = getattr(predictor, "config", None)
     parts = {
         "class": f"{cls.__module__}.{cls.__qualname__}",
         "name": predictor.name,
         "storage_bits": predictor.storage_bits(),
-        "config": config_of(predictor),
-        "source": source_fingerprint(cls),
+        "config": dataclasses.asdict(config) if dataclasses.is_dataclass(config) else None,
+        "source": code_fingerprint(predictor, kernel),
     }
-    return hashlib.sha256(_canonical(parts).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(parts, sort_keys=True, default=repr).encode()).hexdigest()
 
 
 def trace_content_fingerprint(trace: Trace) -> str:
@@ -165,13 +165,12 @@ def task_fingerprint(
     contract is enforced by differential tests, not by construction —
     distinct keys mean a kernel regression can never poison (or be
     masked by) the scalar cache, and ``auto`` runs never alias either.
-    Those keys also carry :func:`kernel_source_fingerprint`, so a kernel
-    edit never reuses results the old kernel computed; scalar keys do
-    not depend on the kernels.
+    ``predictor_fp`` comes from :func:`predictor_fingerprint` in the
+    same mode, so only kernel-mode keys cover the predictor's kernel.
     """
     parts = f"{predictor_fp}|{trace_identity}|providers={int(track_providers)}"
     if warmup_branches or warm_source:
         parts += f"|warmup={warmup_branches}|warm_source={warm_source}"
     if kernel != "scalar":
-        parts += f"|kernel={kernel}|kernel_source={kernel_source_fingerprint()}"
+        parts += f"|kernel={kernel}"
     return hashlib.sha256(parts.encode()).hexdigest()

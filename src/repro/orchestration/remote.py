@@ -520,7 +520,7 @@ def decode_task(
     )
     if verify:
         local = task_fingerprint(
-            predictor_fingerprint(factory()),
+            predictor_fingerprint(factory(), task.kernel),
             spec.identity(),
             task.track_providers,
             warmup_branches=task.warmup_branches,

@@ -192,7 +192,7 @@ class WarmSnapshotPool:
         warm_position = min(key.warmup, len(trace))
         factory = self.registry[key.config]
         context = warm_context_key(
-            predictor_fingerprint(factory()), spec.identity(), warm_position
+            predictor_fingerprint(factory(), "auto"), spec.identity(), warm_position
         )
         source = "store"
         warm = self._store.load(context, warm_position) if self._store else None

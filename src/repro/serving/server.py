@@ -62,9 +62,9 @@ MAX_BATCH_EVENTS = 65_536
 
 #: Batches of at least this many events replay on the session's batch
 #: kernel; shorter ones on the per-event loop.  The measured crossover
-#: (``docs/serving.md``): the smallest power of two at which no
-#: registered kernel runs more than about 10% slower than ``run_events``.
-#: Bimodal's kernel sets it: about 20% slower at 2,048 events.
+#: (``docs/serving.md``) is set by bimodal's kernel, the last to win:
+#: it wins from 4,096 events and ties ``run_events`` at 2,048, where the
+#: constant may move once a workload sends batches that size.
 KERNEL_MIN_EVENTS = 4_096
 
 #: Branch PCs are unsigned 64-bit addresses.

@@ -88,6 +88,12 @@ _COMP, _APPLY, _APP_FLAT, _PRED_FLAT, _CONST = _build_counter_luts()
 _TAKEN_BYTE = np.uint8((1 + 4) | (1 << 4) | (3 << 6))
 _NOT_TAKEN_BYTE = np.uint8((-1 + 4) | (0 << 4) | (2 << 6))
 _IDENT_BYTE = np.uint8((0 + 4) | (0 << 4) | (3 << 6))  # clip(x+0, 0, 3) = x
+_UNIT = np.array([_NOT_TAKEN_BYTE, _TAKEN_BYTE], dtype=np.uint8)
+# Window LUTs indexed by raw outcome bits (earlier event = higher bit):
+# _WIN<w>[key] is the precomposed byte of a w-event window.
+_WIN2 = _COMP[(_UNIT[np.arange(4) >> 1].astype(np.uint16) << 8) | _UNIT[np.arange(4) & 1]]
+_WIN3 = _COMP[(_UNIT[np.arange(8) >> 2].astype(np.uint16) << 8) | _WIN2[np.arange(8) & 3]]
+_WIN4 = _COMP[(_WIN2[np.arange(16) >> 2].astype(np.uint16) << 8) | _WIN2[np.arange(16) & 3]]
 
 
 # perf: allow(REPRO401, REPRO402): per-trace staging, runs once per batch
@@ -104,33 +110,23 @@ def _compose_windows(souts: np.ndarray, pos: np.ndarray) -> np.ndarray:
     left-composition, and most windows saturate within ~8 events.
     """
     n = len(souts)
-    unit = np.array([_NOT_TAKEN_BYTE, _TAKEN_BYTE], dtype=np.uint8)
-    F = unit[souts]
-    # Window LUTs indexed by raw outcome bits (earlier event = higher
-    # bit): win_w[key] is the precomposed byte of a w-event window.
-    k = np.arange(4)
-    win2 = _COMP[(unit[k >> 1].astype(np.uint16) << 8) | unit[k & 1]]
-    k = np.arange(8)
-    win3 = _COMP[(unit[k >> 2].astype(np.uint16) << 8) | win2[k & 3]]
-    k = np.arange(16)
-    win4 = _COMP[(win2[k >> 2].astype(np.uint16) << 8) | win2[k & 3]]
-
+    F = _UNIT[souts]
     # Bootstrap coverage to min(4, pos + 1) — the state the classic
     # doubling scan reaches after its d=1 and d=2 passes — from outcome
-    # bits alone: events at segment position 1 take win2, position 2
-    # exactly win3, deeper ones win4.
+    # bits alone: events at segment position 1 take _WIN2, position 2
+    # exactly _WIN3, deeper ones _WIN4.
     if n > 1:
         key2 = np.left_shift(souts[:-1], 1).astype(np.uint8)
         key2 |= souts[1:]
-        np.copyto(F[1:], win2[key2], where=pos[1:] >= 1)
+        np.copyto(F[1:], _WIN2[key2], where=pos[1:] >= 1)
     if n > 2:
         key3 = np.left_shift(key2[:-1], 1).astype(np.uint8)
         key3 |= souts[2:]
-        np.copyto(F[2:], win3[key3], where=pos[2:] == 2)
+        np.copyto(F[2:], _WIN3[key3], where=pos[2:] == 2)
     if n > 3:
         key4 = np.left_shift(key2[:-2], 2).astype(np.uint8)
         key4 |= key2[2:]
-        np.copyto(F[3:], win4[key4], where=pos[3:] >= 3)
+        np.copyto(F[3:], _WIN4[key4], where=pos[3:] >= 3)
 
     # Finish with segmented Hillis-Steele doubling over a shrinking
     # active set: after the pass at offset d every event composes the

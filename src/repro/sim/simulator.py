@@ -8,8 +8,8 @@ the trace's instruction count.
 :func:`simulate` is the one engine.  It validates its inputs, restores
 ``resume_from`` and splits the run into segments once, then hands each
 segment to a runner: the scalar loop :func:`run_events` (which the
-prediction server also runs per ``events`` batch), or a registered
-vectorized kernel from :mod:`repro.sim.batchkernel`.  Every runner
+prediction server also runs on short ``events`` batches), or a
+registered vectorized kernel from :mod:`repro.sim.batchkernel`.  Every runner
 replays events ``[start, end)`` and returns ``(predictions, providers)``:
 the time-ordered predictions and the per-event provider codes plus
 names, or None.  ``simulate`` alone turns those into miss counts and
@@ -47,8 +47,9 @@ def run_events(predict, train, pcs, outcomes, predictions, mispredictions: int) 
 
     ``predictions`` is a preallocated buffer of ``len(pcs)`` slots,
     filled in place; returns ``mispredictions`` plus this batch's
-    misses.  The prediction server runs it on every ``events`` batch, so
-    online sessions execute exactly the offline per-event operations.
+    misses.  The prediction server runs it on ``events`` batches below
+    :data:`repro.serving.server.KERNEL_MIN_EVENTS` events or without a
+    kernel; longer ones replay bit-identically on the batch kernel.
     """
     for position in range(len(pcs)):
         pc = pcs[position]

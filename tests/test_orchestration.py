@@ -156,36 +156,31 @@ class TestFingerprint:
             != TraceSpec.suite("FP1", 600).identity()
         )
 
-    def test_source_digest_covers_component_modules(self, monkeypatch):
+    def test_source_digest_covers_component_modules(self):
         """BF-Neural's and BF-TAGE's keys digest the modules of the
         components they hold (BST, stacks, loop predictor, history
-        registers, TAGE tables), not only their MRO's, once per class."""
+        registers, TAGE tables) and of the simulator's own imports,
+        and nothing outside the package."""
         from repro.core import BFNeural, BFTage
-        from repro.orchestration import fingerprint
+        from repro.orchestration.fingerprint import code_modules
 
-        digested = []
-        digest = fingerprint._modules_digest
-
-        def recording_digest(modules):
-            digested.append({module.__name__ for module in modules})
-            return digest(modules)
-
-        monkeypatch.setattr(fingerprint, "_SOURCE_CACHE", {})
-        monkeypatch.setattr(fingerprint, "_modules_digest", recording_digest)
-        for cls in (BFNeural, BFTage, BFNeural, BFTage):
-            fingerprint.source_fingerprint(cls)
-        neural, tage = digested
+        neural, tage = set(code_modules(BFNeural())), set(code_modules(BFTage()))
         assert {
             "repro.core.bst",
             "repro.core.recency_stack",
             "repro.common.histories",
             "repro.predictors.loop",
+            "repro.common.bitops",
+            "repro.predictors.base",
         } <= neural
         assert {
             "repro.core.bst",
             "repro.core.segments",
             "repro.predictors.tage.components",
         } <= tage
+        for predictor in (BFNeural(), BFTage(), GShare()):
+            for mode in ("scalar", "auto"):
+                assert all(name.startswith("repro.") for name in code_modules(predictor, mode))
 
     def test_track_providers_changes_key(self):
         fp = predictor_fingerprint(Bimodal())
@@ -195,23 +190,53 @@ class TestFingerprint:
         )
 
 
-#: Prints the task keys of one gshare task under every kernel mode.
-KERNEL_KEYS_SCRIPT = """
-import json
-from repro.orchestration.fingerprint import predictor_fingerprint, task_fingerprint
-from repro.orchestration.tasks import TraceSpec
-from repro.predictors import GShare
+#: Prints, for each config named on the command line, the key of its
+#: task on one suite trace under every kernel mode, as a campaign
+#: computes it.
+TASK_KEYS_SCRIPT = """
+import json, sys
+from repro.orchestration import CampaignPlan, TraceSpec, standard_registry
+from repro.orchestration.engine import build_tasks
 
-fp = predictor_fingerprint(GShare())
-identity = TraceSpec.suite("FP1", 500).identity()
-modes = ("scalar", "vectorized", "auto")
-print(json.dumps({mode: task_fingerprint(fp, identity, False, kernel=mode) for mode in modes}))
+registry = standard_registry()
+keys = {
+    config: {
+        mode: build_tasks(CampaignPlan(
+            factories={config: registry[config]},
+            traces=[TraceSpec.suite("FP1", 500)],
+            kernel=mode,
+        ))[0].fingerprint
+        for mode in ("scalar", "vectorized", "auto")
+    }
+    for config in sys.argv[1:]
+}
+print(json.dumps(keys))
 """
 
+#: Prints every ``.py`` file opened while one process computes the keys
+#: of every registered config under every kernel mode.
+DIGESTED_FILES_SCRIPT = """
+import json, sys
+from repro.orchestration import CampaignPlan, TraceSpec, standard_registry
+from repro.orchestration.engine import build_tasks
 
-def kernel_keys(src: Path) -> dict:
+plans = [
+    CampaignPlan(factories=standard_registry(), traces=[TraceSpec.suite("FP1", 500)], kernel=mode)
+    for mode in ("scalar", "vectorized", "auto")
+]
+opened = set()
+sys.addaudithook(lambda event, args: event == "open" and opened.add(str(args[0])))
+for plan in plans:
+    build_tasks(plan)
+print(json.dumps(sorted(path for path in opened if path.endswith(".py"))))
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_script(script: str, src: Path, *args: str):
     output = subprocess.run(
-        [sys.executable, "-c", KERNEL_KEYS_SCRIPT],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -221,18 +246,94 @@ def kernel_keys(src: Path) -> dict:
     return json.loads(output)
 
 
+def edited_tree(tmp_path: Path, edits: dict) -> Path:
+    """A copy of the ``repro`` package with ``edits`` ({module: function
+    of its source text}) applied."""
+    shutil.copytree(
+        SRC / "repro", tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    for module, edit in edits.items():
+        path = tmp_path.joinpath(*module.split(".")).with_suffix(".py")
+        text = path.read_text()
+        edited = edit(text)
+        assert edited != text, module
+        path.write_text(edited)
+    return tmp_path
+
+
+def prose_edit(text: str) -> str:
+    """Reword the module docstring and add comments and blank lines."""
+    return "# a comment\n" + text.replace('"""', '"""Reworded. ', 1) + "\n\n# an edit\n"
+
+
+def code_edit(text: str) -> str:
+    return text + "\n_EDIT = 1\n"
+
+
+@pytest.fixture(scope="module")
+def unedited_keys():
+    return run_script(TASK_KEYS_SCRIPT, SRC, "gshare", "bf-neural", "oh-snap")
+
+
+class TestCodeFingerprint:
+    """A key covers the code tokens of the predictor's import closure
+    and, for kernel modes, its kernel's: prose edits keep every key, and
+    a code edit changes only the keys whose closure holds the module."""
+
+    def test_prose_edit_keeps_every_key(self, tmp_path, unedited_keys):
+        src = edited_tree(
+            tmp_path,
+            {"repro.sim.simulator": prose_edit, "repro.sim.bfkernel": prose_edit},
+        )
+        assert run_script(TASK_KEYS_SCRIPT, src, "gshare", "bf-neural", "oh-snap") == unedited_keys
+
+    def test_one_token_simulator_edit_changes_every_key(self, tmp_path, unedited_keys):
+        src = edited_tree(
+            tmp_path,
+            {
+                "repro.sim.simulator": lambda text: text.replace(
+                    "mispredictions += 1", "mispredictions += 2", 1
+                )
+            },
+        )
+        after = run_script(TASK_KEYS_SCRIPT, src, "gshare", "bf-neural")
+        for config, keys in after.items():
+            for mode, key in keys.items():
+                assert key != unedited_keys[config][mode], (config, mode)
+
+    def test_snap_kernel_edit_touches_only_snap_keys(self, tmp_path, unedited_keys):
+        src = edited_tree(tmp_path, {"repro.sim.snapkernel": code_edit})
+        after = run_script(TASK_KEYS_SCRIPT, src, "gshare", "bf-neural", "oh-snap")
+        assert after["oh-snap"]["auto"] != unedited_keys["oh-snap"]["auto"]
+        assert after["oh-snap"]["scalar"] == unedited_keys["oh-snap"]["scalar"]
+        assert after["gshare"] == unedited_keys["gshare"]
+        assert after["bf-neural"] == unedited_keys["bf-neural"]
+
+    def test_bitops_edit_changes_scalar_keys(self, tmp_path, unedited_keys):
+        src = edited_tree(tmp_path, {"repro.common.bitops": code_edit})
+        after = run_script(TASK_KEYS_SCRIPT, src, "gshare", "bf-neural")
+        assert after["gshare"]["scalar"] != unedited_keys["gshare"]["scalar"]
+        assert after["bf-neural"]["scalar"] != unedited_keys["bf-neural"]["scalar"]
+
+    def test_only_package_source_is_digested(self):
+        opened = run_script(DIGESTED_FILES_SCRIPT, SRC)
+        assert opened
+        package = str(SRC / "repro")
+        assert [path for path in opened if not path.startswith(package)] == []
+
+
 class TestKernelFingerprint:
     @pytest.mark.parametrize(
         "module", ["repro.sim.batchkernel", "repro.sim.bfkernel", "repro.common.tablestate"]
     )
-    def test_kernel_edit_invalidates_only_kernel_keys(self, module, tmp_path):
-        src = Path(__file__).resolve().parents[1] / "src"
-        shutil.copytree(
-            src / "repro", tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
-        )
-        edited = tmp_path.joinpath(*module.split(".")).with_suffix(".py")
-        edited.write_text(edited.read_text() + "\n# an edit\n")
-        before, after = kernel_keys(src), kernel_keys(tmp_path)
+    def test_kernel_edit_invalidates_only_kernel_keys(self, module, tmp_path, unedited_keys):
+        """A code edit to a kernel module changes the kernel-mode keys of
+        a predictor whose kernel imports it, never its scalar key
+        (gshare's kernel does not import ``bfkernel``: BF-Neural's does)."""
+        config = "bf-neural" if module == "repro.sim.bfkernel" else "gshare"
+        before = unedited_keys[config]
+        src = edited_tree(tmp_path, {module: code_edit})
+        after = run_script(TASK_KEYS_SCRIPT, src, config)[config]
         assert after["scalar"] == before["scalar"]
         assert after["vectorized"] != before["vectorized"]
         assert after["auto"] != before["auto"]
@@ -826,21 +927,21 @@ class TestTraceSpecFingerprintGolden:
 
     GOLDEN = [
         ("suite", "SPEC02", 3000,
-         "40201f89ca1190eb0a18efa21587bc46eee503b5a0974299ab6f8a1b025db5de"),
+         "4acb495facb5f2cfda6efe85fd741ef3ea528854bd8ab43542b0cd8493cad412"),
         ("suite", "SPEC02", None,
-         "3e30405dc0e71c9677ee2d606bdcec1effd9c836693d33ae5432caeca24b13ba"),
+         "151e7d39c600420595b73884863b6b707bd7c789dd9d2830dbf19962a4ed5dd1"),
         ("file", "mm1", None,
-         "f540a4832784d9fc64ac628cb6a206fd3e8f830d00c9381846fae61eea96752d"),
+         "87f35fddb1610f065317de4bc0b797ce14b6fcb8cb1bc4b66b4c0939c5c0f437"),
         ("file", "mm1", 100,
-         "3732e7d38a93a6cdb99b06b5d3dd6014469594467d316a94ff6ca7d9790588fe"),
+         "3bf8cf51edf63064d3da374acb0d172269e5738bd46b8ddeefff1f2b2c3bd7e8"),
         ("manifest", "FP1", None,
-         "e8e40d9ce15889070e8f7c3457e4f4350c0945d899d605296d5da4270e9057a5"),
+         "04d28d0c99e3f76fa93718abd1bab0498878b9c5ea3f7bb0be4a7510d6e75e82"),
         ("manifest", "DEMO_STORM", None,
-         "7aa4c3a84b18a304c78abc5ae36652cfeab0ebd83db26e275f8ff9c8f4dc4aed"),
+         "61961df3be14964c4612f435529a0b5ad9b2d96eb977780331ccb878e3805b60"),
         ("manifest", "DEMO_IMPORT", None,
-         "ab863d3e05ba505ae7290e889637fc3cd3e1a04acafe103981b08e641215f431"),
+         "043106fe0c1571b5f0963f1a67b59dd546b574b26d4ce86ebc58681f5946cb05"),
         ("manifest", "DEMO_MIX", None,
-         "ce32fc0627bbf138a231dfdb3f03ae1473f77168ed94126e434dc771a48acc35"),
+         "437ca8944f86530338944d3a6d28fcfbb7f7b04a8edcf1005d22416b4389c008"),
     ]
 
     def test_fingerprints_unchanged(self, tmp_path):
@@ -870,9 +971,9 @@ class TestTraceSpecFingerprintGolden:
         ] == self.GOLDEN
 
     #: The key of a plan that leaves the kernel at its default, ``auto``:
-    #: it carries ``|kernel=auto`` and the kernel-source digest, so an
-    #: edit to any module in ``KERNEL_MODULES`` changes it too.
-    AUTO_GOLDEN = "1484674556ed4fad6d43d2e6b6951112dbd305ac1655c20081aab9f4e81027b2"
+    #: it carries ``|kernel=auto`` and covers gshare's kernel module, so
+    #: a code edit to ``batchkernel`` or ``tablestate`` changes it too.
+    AUTO_GOLDEN = "bd53d3b995da5018b1044ccbe264a9f919413c5bd28a9c22ab28ab8d05c0f0c2"
 
     def test_auto_default_fingerprint(self):
         from repro.orchestration import trace_spec_for
